@@ -12,11 +12,12 @@ The input file format is a single object:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .decision import decide, is_prime, is_real
-from .drinfeld import KRFactor, expand_all, q_factorize
+from .drinfeld import KRFactor, normalize
 from .dynkin import DynkinA, Interval
 from .fixtures import EXAMPLE_NAMES, run_example
 from .graph import QFactGraph, build_graph, classify
@@ -75,8 +76,7 @@ def cmd_rset(args) -> int:
 
 def cmd_factorize(args) -> int:
     diagram, factors = load_input(args.input)
-    output = q_factorize(expand_all(factors))
-    refactorized = tuple(sorted(factors)) != output
+    output, refactorized = normalize(factors)
     emit({"rank": diagram.n,
           "factors": [f.to_json() for f in output],
           "was_refactorized": refactorized})
@@ -163,6 +163,7 @@ def cmd_sweep(args) -> int:
     return 0 if result.passed else 2
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfgraph",
@@ -230,8 +231,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -13,6 +13,7 @@ incomplete: graphs outside its reach come back "unknown".
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .dynkin import DynkinA, Interval
@@ -278,25 +279,16 @@ def _vertex_params(g: QFactGraph, ids) -> list[str]:
     return [g.vertices[v].label() for v in ids]
 
 
-def is_prime(g: QFactGraph, _memo: dict | None = None) -> Verdict:
+def is_prime(g: QFactGraph) -> Verdict:
     """Three-valued primality verdict with a rule-by-rule certificate.
 
-    Rules are tried in order; the first decisive one wins.  Trees recurse
-    into proper connected subgraphs, so the verdict is never "prime" while
-    any sub-tree is decided non-prime.
+    Rules are tried in order; the first decisive one wins.  A tree is not
+    prime once one of its alternating triples has a simple end cut, since
+    every connected subgraph of a prime tree is prime; the first such triple
+    by sorted vertex ids is the certificate's witness.
     """
     if not g.vertices:
         raise ValueError("cannot decide primality of an empty graph")
-    memo = _memo if _memo is not None else {}
-    key = g.canonical_key()
-    if key in memo:
-        return memo[key]
-    verdict = _is_prime_uncached(g, memo)
-    memo[key] = verdict
-    return verdict
-
-
-def _is_prime_uncached(g: QFactGraph, memo: dict) -> Verdict:
     steps: list[CertStep] = []
     comps = g.components()
     if len(comps) > 1:
@@ -340,12 +332,12 @@ def _is_prime_uncached(g: QFactGraph, memo: dict) -> Verdict:
         steps.append(CertStep(
             "inconclusive", "no implemented rule decides graphs with cycles", {}))
         return Verdict(UNKNOWN, certificate=steps)
-    sub_not_prime = _tree_subgraph_not_prime(g, memo)
-    if sub_not_prime is not None:
+    triple = _first_simple_triple(g)
+    if triple is not None:
         steps.append(CertStep(
             "subgraph_not_prime", "every proper connected subgraph of a prime "
             "tree is prime; a non-prime subgraph refutes primality",
-            {"subgraph": [v.label() for v in sub_not_prime.vertices]}))
+            {"subgraph": _vertex_params(g, triple)}))
         return Verdict(NOT_PRIME, certificate=steps)
     if _tree_dual_pairs_simple(g):
         steps.append(CertStep(
@@ -353,24 +345,25 @@ def _is_prime_uncached(g: QFactGraph, memo: dict) -> Verdict:
             "product of every non-adjacent vertex pair is simple (both orders "
             "checked)", {}))
         return Verdict(PRIME, certificate=steps)
-    witness = _tree_cut_witness(g)
-    if witness is not None:
-        edge, wit, iso = witness
-        steps.append(CertStep(
-            "cut_witness", "a tree edge cut splits the module once a neighbor "
-            "witness makes the induced three-factor tensor product simple",
-            {"cut": _vertex_params(g, edge), "witness": g.vertices[wit].label(),
-             "isolated": g.vertices[iso].label()}))
-        return Verdict(NOT_PRIME, certificate=steps)
     steps.append(CertStep("inconclusive", "no implemented rule applies", {}))
     return Verdict(UNKNOWN, certificate=steps)
 
 
-def _tree_subgraph_not_prime(g: QFactGraph, memo: dict) -> QFactGraph | None:
-    for size in range(2, len(g)):
-        for sub in g.connected_subgraphs(size):
-            if is_prime(sub, memo).primality == NOT_PRIME:
-                return sub
+def _first_simple_triple(g: QFactGraph) -> tuple[int, ...] | None:
+    """First alternating triple, by sorted vertex ids, with a simple end cut.
+
+    An alternating triple is a middle vertex with two out-neighbors or two
+    in-neighbors; in a tree no other connected three-vertex subgraph can be
+    non-prime, because a monotonic path is totally ordered.
+    """
+    triples = []
+    for mid in range(len(g)):
+        for ends in (g.out_neighbors(mid), g.in_neighbors(mid)):
+            triples.extend((mid, a, b) for a, b in itertools.combinations(ends, 2))
+    for mid, a, b in sorted(triples, key=sorted):
+        if alt_line_cut_simple(_alt_configs(g, mid, a, b)) or \
+                alt_line_cut_simple(_alt_configs(g, mid, b, a)):
+            return tuple(sorted((mid, a, b)))
     return None
 
 
@@ -385,29 +378,6 @@ def _tree_dual_pairs_simple(g: QFactGraph) -> bool:
                     and dual_pair_simple(wv, wu, g.diagram)):
                 return False
     return True
-
-
-def _tree_cut_witness(g: QFactGraph):
-    """Search every tree-edge cut for a neighbor witness making it simple.
-
-    For the cut arrow (u, v): a witness is either another out-neighbor w of u
-    (isolating v across the triple w <- u -> v) or another in-neighbor w of v
-    (isolating u across u -> v <- w).  Triangle triples are skipped: they are
-    totally ordered, hence prime, and their cuts are never simple.
-    """
-    for a in g.arrows:
-        u, v = a.tail, a.head
-        for w in g.out_neighbors(u):
-            if w == v or g.adjacent(w, v):
-                continue
-            if alt_line_cut_simple(_alt_configs(g, u, v, w)):
-                return ((u, v), w, v)
-        for w in g.in_neighbors(v):
-            if w == u or g.adjacent(w, u):
-                continue
-            if alt_line_cut_simple(_alt_configs(g, v, u, w)):
-                return ((u, v), w, u)
-    return None
 
 
 def is_real(g: QFactGraph) -> Verdict:

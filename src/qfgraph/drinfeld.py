@@ -69,17 +69,11 @@ class DrinfeldPoly:
     def __mul__(self, other: "DrinfeldPoly") -> "DrinfeldPoly":
         return DrinfeldPoly(tuple(sorted(self.roots + other.roots)))
 
-    def is_unit(self) -> bool:
-        return not self.roots
-
     def colors(self) -> tuple[int, ...]:
         return tuple(sorted({c for c, _ in self.roots}))
 
     def exponents_of(self, color: int) -> list[int]:
         return [e for c, e in self.roots if c == color]
-
-    def restrict(self, window: Interval) -> "DrinfeldPoly":
-        return DrinfeldPoly(tuple(r for r in self.roots if r[0] in window))
 
 
 def expand(factor: KRFactor) -> DrinfeldPoly:
@@ -92,10 +86,6 @@ def expand_all(factors) -> DrinfeldPoly:
     for f in factors:
         poly = poly * expand(f)
     return poly
-
-
-def multiply(p1: DrinfeldPoly, p2: DrinfeldPoly) -> DrinfeldPoly:
-    return p1 * p2
 
 
 def _merge_once(segments: list[tuple[int, int]], rng: random.Random | None) -> bool:
@@ -164,12 +154,23 @@ def is_dissociate(factors) -> bool:
     return True
 
 
+def normalize(factors) -> tuple[tuple[KRFactor, ...], bool]:
+    """The sorted q-factorization of the product, and whether it differs.
+
+    A dissociate input is already its own q-factorization and is kept as
+    given; anything else is expanded into roots and re-factorized.
+    """
+    factors = tuple(sorted(factors))
+    if is_dissociate(factors):
+        return factors, False
+    return q_factorize(expand_all(factors)), True
+
+
 def dual(factor: KRFactor, diagram: DynkinA, window: Interval | None = None) -> KRFactor:
     """Highest-weight datum of the right dual module, within the window.
 
     The color reflects through the window and the exponent drops by the
-    window's dual Coxeter number.  The left dual (exponent raised instead)
-    is provided separately as dual_left.
+    window's dual Coxeter number.
     """
     if window is None:
         window = diagram.whole()
@@ -179,20 +180,3 @@ def dual(factor: KRFactor, diagram: DynkinA, window: Interval | None = None) -> 
     return KRFactor(window.reflect(factor.color),
                     factor.exponent - window.dual_coxeter(),
                     factor.weight)
-
-
-def dual_left(factor: KRFactor, diagram: DynkinA, window: Interval | None = None) -> KRFactor:
-    """Highest-weight datum of the left dual module (exponent raised)."""
-    if window is None:
-        window = diagram.whole()
-    diagram.check_interval(window)
-    if factor.color not in window:
-        raise ValueError(f"color {factor.color} outside window [{window.lo}, {window.hi}]")
-    return KRFactor(window.reflect(factor.color),
-                    factor.exponent + window.dual_coxeter(),
-                    factor.weight)
-
-
-def restrict(factor: KRFactor, window: Interval) -> KRFactor | None:
-    """The factor itself when its color lies in the window, else None (unit)."""
-    return factor if factor.color in window else None

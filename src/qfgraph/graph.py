@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .dynkin import DynkinA
-from .drinfeld import KRFactor, expand_all, is_dissociate, q_factorize
+from .drinfeld import KRFactor, normalize
 from .redsets import r_set
 
 SINGLETON = "singleton"
@@ -107,11 +107,6 @@ class QFactGraph:
     def is_tree(self) -> bool:
         return self.is_connected() and len(self.undirected_edges()) == len(self) - 1
 
-    def boundary_vertices(self) -> tuple[int, ...]:
-        """Vertices of undirected degree at most one."""
-        return tuple(v for v in range(len(self.vertices))
-                     if len(self.undirected_neighbors(v)) <= 1)
-
     def is_totally_ordered(self) -> bool:
         """All vertex pairs comparable in the arrow-generated partial order."""
         n = len(self.vertices)
@@ -165,22 +160,6 @@ class QFactGraph:
         assert not g.was_refactorized
         return g
 
-    def translate(self, shift: int) -> "QFactGraph":
-        moved = [KRFactor(v.color, v.exponent + shift, v.weight) for v in self.vertices]
-        return build_graph(moved, self.diagram)
-
-    def canonical_key(self) -> tuple:
-        """Hashable key invariant under global exponent translation."""
-        if not self.vertices:
-            return (self.diagram.n, (), ())
-        base = min(v.exponent for v in self.vertices)
-        verts = tuple((v.color, v.exponent - base, v.weight) for v in self.vertices)
-        arrows = tuple(sorted((a.tail, a.head, a.epsilon) for a in self.arrows))
-        return (self.diagram.n, verts, arrows)
-
-    def same_up_to_shift(self, other: "QFactGraph") -> bool:
-        return self.canonical_key() == other.canonical_key()
-
     def to_dot(self) -> str:
         lines = ["digraph qfactorization {", "  rankdir=LR;"]
         for idx, v in enumerate(self.vertices):
@@ -200,11 +179,7 @@ def build_graph(factors, diagram: DynkinA) -> QFactGraph:
     factors = list(factors)
     for f in factors:
         diagram.check_node(f.color)
-    refactorized = False
-    if not is_dissociate(factors):
-        factors = list(q_factorize(expand_all(factors)))
-        refactorized = True
-    vertices = tuple(sorted(factors))
+    vertices, refactorized = normalize(factors)
     arrows = []
     for t, u in enumerate(vertices):
         for h, v in enumerate(vertices):

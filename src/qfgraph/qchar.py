@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .dynkin import DynkinA
-from .drinfeld import DrinfeldPoly, KRFactor
+from .drinfeld import KRFactor
 from .redsets import r_set, string_parameter
 
 
@@ -169,9 +169,6 @@ class SocleHead:
         for f in self.head:
             out = out * LWeight.fundamental(f.color, f.exponent)
         return out
-
-    def head_poly(self) -> DrinfeldPoly:
-        return DrinfeldPoly.from_roots((f.color, f.exponent) for f in self.head)
 
     def to_json(self) -> dict:
         return {

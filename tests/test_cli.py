@@ -1,6 +1,7 @@
 import json
+import time
 
-from qfgraph.cli import main
+from qfgraph.cli import main, make_parser
 
 
 def write_input(tmp_path, rank, factors, name="input.json"):
@@ -110,6 +111,23 @@ def test_factorize_command(capsys, tmp_path):
     assert payload["factors"] == [
         {"color": 1, "exponent": 3, "weight": 2},
         {"color": 2, "exponent": 0, "weight": 2}]
+
+
+def test_factorize_keeps_dissociate_input(capsys, tmp_path):
+    'a dissociate input is its own q-factorization and is not expanded'
+    factor = {"color": 1, "exponent": 3, "weight": 10 ** 5}
+    path = write_input(tmp_path, 2, [factor])
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["factorize", path])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out) == {"rank": 2, "factors": [factor],
+                               "was_refactorized": False}
+    assert elapsed < 1.0
+
+
+def test_parser_is_built_once():
+    assert make_parser() is make_parser()
 
 
 def test_qchar_product_command(capsys):

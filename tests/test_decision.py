@@ -4,7 +4,7 @@ from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, AltLineConfig,
                               alt_line_conditions_ineq, alt_line_cut_simple,
                               c3aline_config, case_parameters, decide,
                               dual_pair_simple, extra_condition_uniform,
-                              is_prime, is_real, _tree_cut_witness)
+                              is_prime, is_real)
 from qfgraph.drinfeld import KRFactor
 from qfgraph.dynkin import DynkinA, Interval
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
@@ -201,16 +201,16 @@ def test_is_prime_dual_pair_rule():
 
 
 def test_tree_cut_witness_search():
-    'the witness search finds the simple cut on an extended alternating line'
+    'the triple scan finds the simple cut on an extended alternating line'
     dg = DynkinA(2)
     g = build(dg, [KRFactor(1, 3, 2), KRFactor(2, 0, 2), KRFactor(1, 4, 1),
                    KRFactor(1, -4, 1)])
     assert g.is_tree() and len(g) == 4
-    witness = _tree_cut_witness(g)
-    assert witness is not None
-    (tail, head), wit, iso = witness
-    assert g.vertices[iso].label() == "1^2@3"
-    assert is_prime(g).primality == NOT_PRIME
+    verdict = is_prime(g)
+    assert verdict.primality == NOT_PRIME
+    assert [step.rule for step in verdict.certificate] == ["subgraph_not_prime"]
+    assert verdict.certificate[0].params == {
+        "subgraph": ["1^2@3", "1^1@4", "2^2@0"]}
 
 
 def test_verdict_duality_invariance_on_fixtures():

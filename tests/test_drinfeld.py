@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from qfgraph.drinfeld import (DrinfeldPoly, KRFactor, dual, dual_left, expand,
-                              expand_all, is_dissociate, multiply, q_factorize,
-                              restrict)
+from qfgraph.drinfeld import (DrinfeldPoly, KRFactor, dual, expand, expand_all,
+                              is_dissociate, q_factorize)
 from qfgraph.dynkin import DynkinA, Interval
 from qfgraph.redsets import sl2_set
 
@@ -78,9 +77,9 @@ def test_q_factorize_merge_order_independent():
 def test_multiply():
     unit = DrinfeldPoly.unit()
     pi = DrinfeldPoly.from_roots([(1, 0)])
-    assert multiply(pi, unit) == pi
-    assert multiply(pi, pi).roots == ((1, 0), (1, 0))
-    assert multiply(expand(KRFactor(1, 1, 2)), expand(KRFactor(2, 5, 1))).roots \
+    assert pi * unit == pi
+    assert (pi * pi).roots == ((1, 0), (1, 0))
+    assert (expand(KRFactor(1, 1, 2)) * expand(KRFactor(2, 5, 1))).roots \
         == ((1, 0), (1, 2), (2, 5))
 
 
@@ -102,18 +101,9 @@ def test_dual_twice_is_exponent_shift():
     for f in (KRFactor(1, 5, 2), KRFactor(3, -2, 4), KRFactor(4, 0, 1)):
         twice = dual(dual(f, dg), dg)
         assert twice == KRFactor(f.color, f.exponent - 2 * (dg.n + 1), f.weight)
-        assert dual_left(dual(f, dg), dg) == f
 
 
-def test_restrict():
-    assert restrict(KRFactor(3, 6, 3), Interval(1, 3)) == KRFactor(3, 6, 3)
-    assert restrict(KRFactor(3, 8, 1), Interval(1, 2)) is None
-    assert restrict(KRFactor(2, 5, 1), Interval(2, 2)) == KRFactor(2, 5, 1)
-
-
-def test_poly_restrict_and_json():
-    poly = DrinfeldPoly.from_roots([(1, 0), (3, 2), (3, 4)])
-    assert poly.restrict(Interval(3, 3)).roots == ((3, 2), (3, 4))
+def test_factor_json():
     f = KRFactor(2, -1, 3)
     assert KRFactor.from_json(f.to_json()) == f
     with pytest.raises(ValueError):

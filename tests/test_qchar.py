@@ -152,4 +152,4 @@ def test_sl3_dimension_identity():
     socle_dim = weyl_dim_sl3(0, 1)
     assert weyl_dim_sl3(1, 0) ** 2 == head_dim + socle_dim
     assert head_dim == 6 and socle_dim == 3
-    assert sh.head_poly().roots == ((1, 0), (1, 2))
+    assert sh.head == (KRFactor(1, 0, 1), KRFactor(1, 2, 1))
