@@ -34,6 +34,8 @@ def load_input(path: str) -> tuple[DynkinA, list[KRFactor]]:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"JSON in {path} is nested too deeply") from exc
     if not isinstance(data, dict):
         raise ValueError("input must be a JSON object")
     rank = data.get("rank")

@@ -9,7 +9,7 @@ by 2 and centered at its exponent.
 
 from __future__ import annotations
 
-import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .dynkin import DynkinA, Interval
@@ -62,18 +62,8 @@ class DrinfeldPoly:
     def from_roots(cls, roots) -> "DrinfeldPoly":
         return cls(tuple(sorted((int(c), int(e)) for c, e in roots)))
 
-    @classmethod
-    def unit(cls) -> "DrinfeldPoly":
-        return cls(())
-
     def __mul__(self, other: "DrinfeldPoly") -> "DrinfeldPoly":
         return DrinfeldPoly(tuple(sorted(self.roots + other.roots)))
-
-    def colors(self) -> tuple[int, ...]:
-        return tuple(sorted({c for c, _ in self.roots}))
-
-    def exponents_of(self, color: int) -> list[int]:
-        return [e for c, e in self.roots if c == color]
 
 
 def expand(factor: KRFactor) -> DrinfeldPoly:
@@ -82,63 +72,43 @@ def expand(factor: KRFactor) -> DrinfeldPoly:
 
 
 def expand_all(factors) -> DrinfeldPoly:
-    poly = DrinfeldPoly.unit()
-    for f in factors:
-        poly = poly * expand(f)
-    return poly
+    return DrinfeldPoly.from_roots((f.color, e) for f in factors for e in f.roots())
 
 
-def _merge_once(segments: list[tuple[int, int]], rng: random.Random | None) -> bool:
-    """Coalesce one linked pair of q-strings in place; False when none is left.
+def _peel(spans) -> tuple[KRFactor, ...]:
+    """q-factorization of a multiset of (color, lo, hi) step-2 spans.
 
-    Segments are (lo, hi) spans on the exponent lattice with step 2.  Two
-    strings of weights r, s and center gap g are linked exactly when g lies
-    in the rank-one reducibility set of (r, s); they are then replaced by the
-    span union and, if they overlap, the span intersection (so the root
-    multiset is preserved).
+    On one color and exponent parity the root multiplicity is a step
+    function; the output strings are the maximal runs of {multiplicity >= k}
+    for k = 1, 2, ...  Each span adds +1 at lo and -1 at hi + 2, and a walk
+    over those points with a stack of open level starts closes [start, x - 2]
+    whenever the level drops at x.  The cost depends on the number of spans,
+    not on their weights.
     """
-    order = list(range(len(segments)))
-    if rng is not None:
-        rng.shuffle(order)
-    for pos_a in range(len(order)):
-        for pos_b in range(pos_a + 1, len(order)):
-            a, b = order[pos_a], order[pos_b]
-            lo_a, hi_a = segments[a]
-            lo_b, hi_b = segments[b]
-            if (lo_a - lo_b) % 2 != 0:
-                continue
-            wa = (hi_a - lo_a) // 2 + 1
-            wb = (hi_b - lo_b) // 2 + 1
-            gap = abs((lo_a + hi_a) - (lo_b + hi_b)) // 2
-            if not sl2_set(wa, wb).contains_signed(gap):
-                continue
-            union = (min(lo_a, lo_b), max(hi_a, hi_b))
-            inter_lo, inter_hi = max(lo_a, lo_b), min(hi_a, hi_b)
-            for idx in sorted((a, b), reverse=True):
-                del segments[idx]
-            segments.append(union)
-            if inter_lo <= inter_hi:
-                segments.append((inter_lo, inter_hi))
-            return True
-    return False
+    events: dict[tuple[int, int], Counter] = {}
+    for color, lo, hi in spans:
+        delta = events.setdefault((color, lo % 2), Counter())
+        delta[lo] += 1
+        delta[hi + 2] -= 1
+    factors = []
+    for (color, _), delta in events.items():
+        starts: list[int] = []
+        for x in sorted(delta):
+            starts.extend([x] * delta[x])
+            for _ in range(-delta[x]):
+                lo = starts.pop()
+                factors.append(KRFactor(color, (lo + x - 2) // 2, (x - lo) // 2))
+    return tuple(sorted(factors))
 
 
-def q_factorize(poly: DrinfeldPoly, rng: random.Random | None = None) -> tuple[KRFactor, ...]:
+def q_factorize(poly: DrinfeldPoly) -> tuple[KRFactor, ...]:
     """Unique coarsest factorization of a root multiset into q-strings.
 
     No two same-color output factors have their center gap in the rank-one
     reducibility set of their weights, and the expanded roots of the output
-    reproduce the input multiset exactly.  The optional rng only randomizes
-    the merge order; the result is order-independent.
+    reproduce the input multiset exactly.
     """
-    factors: list[KRFactor] = []
-    for color in poly.colors():
-        segments = [(e, e) for e in poly.exponents_of(color)]
-        while _merge_once(segments, rng):
-            pass
-        for lo, hi in segments:
-            factors.append(KRFactor(color, (lo + hi) // 2, (hi - lo) // 2 + 1))
-    return tuple(sorted(factors))
+    return _peel((c, e, e) for c, e in poly.roots)
 
 
 def is_dissociate(factors) -> bool:
@@ -158,12 +128,13 @@ def normalize(factors) -> tuple[tuple[KRFactor, ...], bool]:
     """The sorted q-factorization of the product, and whether it differs.
 
     A dissociate input is already its own q-factorization and is kept as
-    given; anything else is expanded into roots and re-factorized.
+    given; anything else is re-factorized from the factors' spans.
     """
     factors = tuple(sorted(factors))
     if is_dissociate(factors):
         return factors, False
-    return q_factorize(expand_all(factors)), True
+    return _peel((f.color, f.exponent - f.weight + 1, f.exponent + f.weight - 1)
+                 for f in factors), True
 
 
 def dual(factor: KRFactor, diagram: DynkinA, window: Interval | None = None) -> KRFactor:

@@ -54,10 +54,21 @@ class QFactGraph:
     arrows: tuple[Arrow, ...]
     was_refactorized: bool = False
     _arrow_map: dict = field(init=False, repr=False, compare=False, hash=False)
+    _out: tuple = field(init=False, repr=False, compare=False, hash=False)
+    _in: tuple = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_arrow_map",
                            {(a.tail, a.head): a.epsilon for a in self.arrows})
+        # Neighbor lists stay lists: a tuple per vertex, freed with every
+        # graph, piles up in CPython's tuple free lists and raises peak RSS.
+        out: list[list[int]] = [[] for _ in self.vertices]
+        into: list[list[int]] = [[] for _ in self.vertices]
+        for a in self.arrows:
+            out[a.tail].append(a.head)
+            into[a.head].append(a.tail)
+        object.__setattr__(self, "_out", tuple(out))
+        object.__setattr__(self, "_in", tuple(into))
 
     # -- basic queries ------------------------------------------------------
 
@@ -71,13 +82,13 @@ class QFactGraph:
         return (u, v) in self._arrow_map or (v, u) in self._arrow_map
 
     def out_neighbors(self, v: int) -> list[int]:
-        return [a.head for a in self.arrows if a.tail == v]
+        return self._out[v]
 
     def in_neighbors(self, v: int) -> list[int]:
-        return [a.tail for a in self.arrows if a.head == v]
+        return self._in[v]
 
     def undirected_neighbors(self, v: int) -> list[int]:
-        return sorted(set(self.out_neighbors(v)) | set(self.in_neighbors(v)))
+        return sorted(set(self._out[v]) | set(self._in[v]))
 
     def undirected_edges(self) -> set[frozenset]:
         return {frozenset((a.tail, a.head)) for a in self.arrows}

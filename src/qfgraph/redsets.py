@@ -6,23 +6,23 @@ modules (restricted to J) is reducible.  Its type-A closed form is
 
     { r + s + d(i,j) - 2p : -d([i,j], boundary of J) <= p < min(r, s) }.
 
-All queries reduce to window tests on the string parameter p, so membership
-is exact integer arithmetic.
+As p runs over its window the elements form one step-2 progression, kept as
+a range, so membership is an exact parity-and-window test and no set is ever
+materialized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .dynkin import DynkinA, Interval
 
 
 @dataclass(frozen=True)
 class RSet:
-    """A materialized reducibility set together with its generating data."""
+    """A reducibility set, as a step-2 range, together with its generating data."""
 
-    elements: frozenset[int]
+    elements: range
     params: tuple
 
     def member(self, m: int) -> bool:
@@ -34,21 +34,13 @@ class RSet:
         return m in self.elements
 
     def sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.elements))
+        return tuple(self.elements)
 
     def __contains__(self, m: int) -> bool:
         return self.member(m)
 
     def __len__(self) -> int:
         return len(self.elements)
-
-
-@lru_cache(maxsize=None)
-def _elements(i: int, r: int, j: int, s: int, lo: int, hi: int) -> frozenset[int]:
-    window = Interval(lo, hi)
-    base = r + s + abs(i - j)
-    reach = window.boundary_distance(Interval.hull(i, j))
-    return frozenset(base - 2 * p for p in range(-reach, min(r, s)))
 
 
 def r_set(diagram: DynkinA, i: int, r: int, j: int, s: int,
@@ -58,15 +50,18 @@ def r_set(diagram: DynkinA, i: int, r: int, j: int, s: int,
     The window defaults to the whole diagram.  Both colors must lie in the
     window and both weights must be positive.
     """
-    if window is None:
-        window = diagram.whole()
-    diagram.check_interval(window)
-    if i not in window or j not in window:
-        raise ValueError(f"colors ({i}, {j}) not inside window [{window.lo}, {window.hi}]")
+    lo, hi = 1, diagram.n
+    if window is not None:
+        diagram.check_interval(window)
+        lo, hi = window.lo, window.hi
+    if not (lo <= i <= hi and lo <= j <= hi):
+        raise ValueError(f"colors ({i}, {j}) not inside window [{lo}, {hi}]")
     if r < 1 or s < 1:
         raise ValueError(f"weights must be positive, got ({r}, {s})")
-    return RSet(_elements(i, r, j, s, window.lo, window.hi),
-                params=(i, r, j, s, (window.lo, window.hi)))
+    base = r + s + abs(i - j)
+    reach = min(i - lo, j - lo, hi - i, hi - j)
+    return RSet(range(base - 2 * min(r, s) + 2, base + 2 * reach + 1, 2),
+                params=(i, r, j, s, (lo, hi)))
 
 
 def sl2_set(r: int, s: int) -> RSet:
@@ -77,7 +72,7 @@ def sl2_set(r: int, s: int) -> RSet:
     """
     if r < 1 or s < 1:
         raise ValueError(f"weights must be positive, got ({r}, {s})")
-    return RSet(frozenset(r + s - 2 * p for p in range(min(r, s))),
+    return RSet(range(r + s - 2 * min(r, s) + 2, r + s + 1, 2),
                 params=(None, r, None, s, None))
 
 

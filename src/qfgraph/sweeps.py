@@ -4,7 +4,8 @@ These drive the package's cross-checks: the two forms of the cut-simplicity
 test against each other, the always-simple symmetric configuration, the
 closed two-element dominant set against the brute-force product, the
 reducibility-set algebra against brute force, verdict invariance under the
-two dualities, and merge-order independence of the q-string factorization.
+two dualities, and the level-set q-string factorization against a
+random-order pairwise merge.
 The CLI `sweep` command and the acceptance tests both run through here.
 """
 
@@ -190,7 +191,7 @@ def check_redsets_algebra(max_rank: int = 8, max_weight: int = 5) -> SweepResult
                     bottom = r + s + diagram.distance(i, j) - 2 * (min(r, s) - 1)
                     if rs.sorted() != tuple(range(bottom, top + 1, 2)):
                         result.fail(f"extremes/steps fail {rs.params}")
-                    if not rs.elements <= global_set.elements:
+                    if not set(rs.elements) <= set(global_set.elements):
                         result.fail(f"monotonicity into whole diagram fails {rs.params}")
                     for m in rs.elements:
                         p = string_parameter(diagram, i, r, j, s, m, window)
@@ -200,8 +201,8 @@ def check_redsets_algebra(max_rank: int = 8, max_weight: int = 5) -> SweepResult
                 for wa, wb in itertools.combinations(containing, 2):
                     small, big = (wa, wb) if wb.contains_interval(wa) else (wb, wa)
                     if big.contains_interval(small):
-                        a_set = r_set(diagram, i, r, j, s, small).elements
-                        b_set = r_set(diagram, i, r, j, s, big).elements
+                        a_set = set(r_set(diagram, i, r, j, s, small).elements)
+                        b_set = set(r_set(diagram, i, r, j, s, big).elements)
                         if not a_set <= b_set:
                             result.fail(f"monotonicity fails {i},{r},{j},{s} "
                                         f"{small} vs {big}")
@@ -279,9 +280,61 @@ def random_poly(rng: random.Random, max_rank: int = 5,
     return DynkinA(n), DrinfeldPoly.from_roots(roots)
 
 
+def _merge_once(segments: list[tuple[int, int]], rng: random.Random | None) -> bool:
+    """Coalesce one linked pair of q-strings in place; False when none is left.
+
+    Segments are (lo, hi) spans on the exponent lattice with step 2.  Two
+    strings of weights r, s and center gap g are linked exactly when g lies
+    in the rank-one reducibility set of (r, s); they are then replaced by the
+    span union and, if they overlap, the span intersection (so the root
+    multiset is preserved).
+    """
+    order = list(range(len(segments)))
+    if rng is not None:
+        rng.shuffle(order)
+    for pos_a in range(len(order)):
+        for pos_b in range(pos_a + 1, len(order)):
+            a, b = order[pos_a], order[pos_b]
+            lo_a, hi_a = segments[a]
+            lo_b, hi_b = segments[b]
+            if (lo_a - lo_b) % 2 != 0:
+                continue
+            wa = (hi_a - lo_a) // 2 + 1
+            wb = (hi_b - lo_b) // 2 + 1
+            gap = abs((lo_a + hi_a) - (lo_b + hi_b)) // 2
+            if not sl2_set(wa, wb).contains_signed(gap):
+                continue
+            union = (min(lo_a, lo_b), max(hi_a, hi_b))
+            inter_lo, inter_hi = max(lo_a, lo_b), min(hi_a, hi_b)
+            for idx in sorted((a, b), reverse=True):
+                del segments[idx]
+            segments.append(union)
+            if inter_lo <= inter_hi:
+                segments.append((inter_lo, inter_hi))
+            return True
+    return False
+
+
+def merge_factorize(poly: DrinfeldPoly,
+                    rng: random.Random | None = None) -> tuple[KRFactor, ...]:
+    """Oracle for q_factorize: merge linked pairs of roots until none is left.
+
+    The optional rng randomizes the merge order; the normal form it reaches
+    does not depend on that order.
+    """
+    factors: list[KRFactor] = []
+    for color in sorted({c for c, _ in poly.roots}):
+        segments = [(e, e) for c, e in poly.roots if c == color]
+        while _merge_once(segments, rng):
+            pass
+        for lo, hi in segments:
+            factors.append(KRFactor(color, (lo + hi) // 2, (hi - lo) // 2 + 1))
+    return tuple(sorted(factors))
+
+
 def check_confluence(trials: int = 1000, seed: int = 7, max_rank: int = 5,
                      max_roots: int = 10) -> SweepResult:
-    """q-string factorization is merge-order independent and idempotent."""
+    """Level-set q-factorization == random-order pairwise merge; idempotent."""
     result = SweepResult("confluence")
     rng = random.Random(seed)
     for _ in range(trials):
@@ -295,9 +348,8 @@ def check_confluence(trials: int = 1000, seed: int = 7, max_rank: int = 5,
             result.fail(f"not idempotent for {poly.roots}")
             continue
         for _ in range(3):
-            shuffled = q_factorize(poly, rng=rng)
-            if shuffled != reference:
-                result.fail(f"merge order changes output for {poly.roots}")
+            if merge_factorize(poly, rng) != reference:
+                result.fail(f"merge oracle disagrees for {poly.roots}")
                 break
     return result
 

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
+import qfgraph
 from qfgraph.cli import main, make_parser
 
 
@@ -124,6 +128,45 @@ def test_factorize_keeps_dissociate_input(capsys, tmp_path):
     assert json.loads(out) == {"rank": 2, "factors": [factor],
                                "was_refactorized": False}
     assert elapsed < 1.0
+
+
+def test_factorize_linked_pair_of_huge_weight(capsys, tmp_path):
+    'cost does not grow with the weight: 10^9 roots per factor are never expanded'
+    big = 10 ** 9
+    path = write_input(tmp_path, 3, [{"color": 1, "exponent": 0, "weight": big},
+                                     {"color": 1, "exponent": 2, "weight": big}])
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["factorize", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out) == {
+        "rank": 3, "was_refactorized": True,
+        "factors": [{"color": 1, "exponent": 1, "weight": big - 1},
+                    {"color": 1, "exponent": 1, "weight": big + 1}]}
+
+
+def test_prime_cross_color_pair_of_huge_weight(capsys, tmp_path):
+    big = 10 ** 9
+    path = write_input(tmp_path, 2, [{"color": 1, "exponent": 0, "weight": big},
+                                     {"color": 2, "exponent": 2 * big - 1, "weight": big}])
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["prime", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["primality"], payload["reality"]) == ("prime", "real")
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"rank": 2, "factors": ' + "[" * 100000 + "]" * 100000 + "}")
+    src = os.path.dirname(os.path.dirname(qfgraph.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "qfgraph.cli", "prime", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "input error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_parser_is_built_once():

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from qfgraph.drinfeld import (DrinfeldPoly, KRFactor, dual, expand, expand_all,
-                              is_dissociate, q_factorize)
+                              is_dissociate, normalize, q_factorize)
 from qfgraph.dynkin import DynkinA, Interval
 from qfgraph.redsets import sl2_set
+from qfgraph.sweeps import merge_factorize
 
 
 def test_expand_examples():
@@ -71,11 +72,33 @@ def test_q_factorize_merge_order_independent():
         poly = DrinfeldPoly.from_roots(roots)
         reference = q_factorize(poly)
         for _ in range(4):
-            assert q_factorize(poly, rng=rng) == reference
+            assert merge_factorize(poly, rng) == reference
+
+
+def test_q_factorize_matches_merge_oracle():
+    'the level-set peel equals the pairwise merge on random root multisets'
+    rng = random.Random(31)
+    for _ in range(5000):
+        n = rng.randint(1, 3)
+        roots = [(rng.randint(1, n), rng.randint(-6, 6))
+                 for _ in range(rng.randint(1, 12))]
+        poly = DrinfeldPoly.from_roots(roots)
+        assert q_factorize(poly) == merge_factorize(poly)
+
+
+def test_normalize_matches_merge_oracle():
+    'factor spans go to the peel directly; flag set exactly when the output differs'
+    rng = random.Random(37)
+    for _ in range(2000):
+        n = rng.randint(1, 3)
+        factors = [KRFactor(rng.randint(1, n), rng.randint(-6, 6), rng.randint(1, 5))
+                   for _ in range(rng.randint(1, 6))]
+        expected = merge_factorize(expand_all(factors))
+        assert normalize(factors) == (expected, expected != tuple(sorted(factors)))
 
 
 def test_multiply():
-    unit = DrinfeldPoly.unit()
+    unit = DrinfeldPoly(())
     pi = DrinfeldPoly.from_roots([(1, 0)])
     assert pi * unit == pi
     assert (pi * pi).roots == ((1, 0), (1, 0))

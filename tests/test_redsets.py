@@ -100,8 +100,22 @@ def test_monotonicity_in_window():
             if not big.contains_interval(small):
                 continue
             for r, s in ((1, 1), (2, 3)):
-                assert r_set(dg, i, r, j, s, small).elements <= \
-                    r_set(dg, i, r, j, s, big).elements
+                assert set(r_set(dg, i, r, j, s, small).elements) <= \
+                    set(r_set(dg, i, r, j, s, big).elements)
+
+
+def test_range_matches_enumerated_set():
+    'the step-2 range equals the set enumerated from its closed form'
+    for n in range(1, 9):
+        dg = DynkinA(n)
+        windows = [Interval(a, b) for a in dg.nodes() for b in dg.nodes() if a <= b]
+        for window in windows:
+            for i, j in itertools.product(range(window.lo, window.hi + 1), repeat=2):
+                reach = window.boundary_distance(Interval.hull(i, j))
+                for r, s in itertools.product(range(1, 7), repeat=2):
+                    base = r + s + dg.distance(i, j)
+                    expected = frozenset(base - 2 * p for p in range(-reach, min(r, s)))
+                    assert r_set(dg, i, r, j, s, window).sorted() == tuple(sorted(expected))
 
 
 def test_string_parameter_round_trip():
