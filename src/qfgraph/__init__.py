@@ -9,8 +9,7 @@ from .decision import (AltLineConfig, CaseParams, CertStep, Verdict,
                        alt_line_conditions_ineq, alt_line_cut_simple,
                        c3aline_config, case_parameters, decide,
                        dual_pair_simple, is_prime, is_real)
-from .drinfeld import (DrinfeldPoly, KRFactor, dual, expand, expand_all,
-                       q_factorize)
+from .drinfeld import DrinfeldPoly, KRFactor, dual, expand_all, q_factorize
 from .dynkin import DynkinA, Interval
 from .graph import Arrow, QFactGraph, ShapeClass, build_graph, classify
 from .qchar import (ColumnTableau, LWeight, SocleHead, box_lweight,
@@ -24,10 +23,10 @@ __all__ = [
     "QFactGraph", "RSet", "ShapeClass", "SocleHead", "Verdict",
     "alt_line_conditions_ineq", "alt_line_cut_simple", "box_lweight",
     "build_graph", "c3aline_config", "case_parameters", "classify", "decide",
-    "dominant_product_lweights", "dual", "dual_pair_simple", "expand",
-    "expand_all", "fundamental_qchar", "is_prime", "is_real",
-    "minimal_window", "q_factorize", "r_set", "sl2_set", "socle_head",
-    "string_parameter", "tableau_lweight",
+    "dominant_product_lweights", "dual", "dual_pair_simple", "expand_all",
+    "fundamental_qchar", "is_prime", "is_real", "minimal_window",
+    "q_factorize", "r_set", "sl2_set", "socle_head", "string_parameter",
+    "tableau_lweight",
 ]
 
 __version__ = "0.1.0"

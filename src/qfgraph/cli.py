@@ -89,8 +89,11 @@ def cmd_graph(args) -> int:
     g = build_from_path(args.input)
     dot = g.to_dot()
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(dot)
+        try:
+            with open(args.dot, "w", encoding="utf-8") as handle:
+                handle.write(dot)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.dot}: {exc}") from exc
         print(f"wrote {args.dot}", file=sys.stderr)
     else:
         sys.stdout.write(dot)

@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 
 from .dynkin import DynkinA, Interval
 from .drinfeld import KRFactor, dual
-from .graph import QFactGraph, classify, ALTERNATING_LINE3
+from .graph import (ALTERNATING_LINE3, DISCONNECTED, MONOTONIC_LINE3, OTHER,
+                    SINGLETON, TOTALLY_ORDERED, TRIANGLE, TWO_LINE, QFactGraph,
+                    classify)
 from .redsets import minimal_window, r_set, string_parameter
 
 PRIME = "prime"
@@ -125,8 +127,11 @@ def _cut_window(cfg: AltLineConfig) -> Interval:
 
 def cut_general_conditions(cfg: AltLineConfig) -> bool:
     """The three window-membership conditions of the cut-simplicity test."""
+    return _general_conditions(cfg, _cut_window(cfg))
+
+
+def _general_conditions(cfg: AltLineConfig, window: Interval) -> bool:
     dg = cfg.diagram
-    window = _cut_window(cfg)
     jp, sp, mp = cfg.other_color, cfg.other_weight, cfg.other_label
     if jp not in window:
         return False
@@ -136,17 +141,6 @@ def cut_general_conditions(cfg: AltLineConfig) -> bool:
     gap = cfg.iso_label - mp - window.dual_coxeter()
     return r_set(dg, window.reflect(cfg.iso_color), cfg.iso_weight, jp, sp,
                  window).member(gap)
-
-
-def cut_weight_drop_condition(cfg: AltLineConfig) -> bool:
-    """The extra condition for isolated weight r > 1 (vacuous at r = 1)."""
-    r = cfg.iso_weight
-    if r == 1:
-        return True
-    window = _cut_window(cfg)
-    return not r_set(cfg.diagram, cfg.iso_color, r - 1, cfg.other_color,
-                     cfg.other_weight, window).contains_signed(
-                         cfg.iso_label - cfg.other_label + 1)
 
 
 def alt_line_cut_simple(cfg: AltLineConfig) -> bool:
@@ -161,7 +155,13 @@ def alt_line_cut_simple(cfg: AltLineConfig) -> bool:
     graph is not prime.
     """
     cfg.validate()
-    return cut_general_conditions(cfg) and cut_weight_drop_condition(cfg)
+    window = _cut_window(cfg)
+    if not _general_conditions(cfg, window):
+        return False
+    r = cfg.iso_weight
+    return r == 1 or not r_set(cfg.diagram, cfg.iso_color, r - 1, cfg.other_color,
+                               cfg.other_weight, window).contains_signed(
+                                   cfg.iso_label - cfg.other_label + 1)
 
 
 def alt_line_conditions_ineq(cfg: AltLineConfig) -> bool:
@@ -279,74 +279,68 @@ def _vertex_params(g: QFactGraph, ids) -> list[str]:
     return [g.vertices[v].label() for v in ids]
 
 
+def _decided(primality: str, rule: str, cites: str, params: dict) -> Verdict:
+    return Verdict(primality, certificate=[CertStep(rule, cites, params)])
+
+
 def is_prime(g: QFactGraph) -> Verdict:
     """Three-valued primality verdict with a rule-by-rule certificate.
 
-    Rules are tried in order; the first decisive one wins.  A tree is not
-    prime once one of its alternating triples has a simple end cut, since
-    every connected subgraph of a prime tree is prime; the first such triple
-    by sorted vertex ids is the certificate's witness.
+    The shape tag of classify(g) selects the rule.  A tree is not prime once
+    one of its alternating triples has a simple end cut, since every
+    connected subgraph of a prime tree is prime; the first such triple by
+    sorted vertex ids is the certificate's witness.
     """
     if not g.vertices:
         raise ValueError("cannot decide primality of an empty graph")
-    steps: list[CertStep] = []
-    comps = g.components()
-    if len(comps) > 1:
-        steps.append(CertStep(
-            "disconnected", "a prime module has a connected q-factorization graph",
-            {"components": [_vertex_params(g, c) for c in comps]}))
-        return Verdict(NOT_PRIME, certificate=steps)
-    if len(g) == 1:
-        steps.append(CertStep(
-            "singleton", "a single Kirillov-Reshetikhin factor admits no "
-            "nontrivial dissociate splitting", {"vertex": g.vertices[0].label()}))
-        return Verdict(PRIME, certificate=steps)
-    if len(g) == 2:
-        steps.append(CertStep(
-            "two_vertex", "derived rule: any splitting separates the two linked "
-            "factors, whose ordered tensor product is reducible by the arrow",
-            {"epsilon": g.arrows[0].epsilon}))
-        return Verdict(PRIME, certificate=steps)
-    if g.is_totally_ordered():
-        steps.append(CertStep(
-            "totally_ordered", "totally ordered q-factorization graphs are prime "
-            "in type A", {}))
-        return Verdict(PRIME, certificate=steps)
     shape = classify(g)
-    if shape.tag == ALTERNATING_LINE3:
+    tag = shape.tag
+    if tag == DISCONNECTED:
+        return _decided(
+            NOT_PRIME, "disconnected", "a prime module has a connected "
+            "q-factorization graph",
+            {"components": [_vertex_params(g, c) for c in shape.components]})
+    if tag == SINGLETON:
+        return _decided(
+            PRIME, "singleton", "a single Kirillov-Reshetikhin factor admits no "
+            "nontrivial dissociate splitting", {"vertex": g.vertices[0].label()})
+    if tag == TWO_LINE:
+        return _decided(
+            PRIME, "two_vertex", "derived rule: any splitting separates the two "
+            "linked factors, whose ordered tensor product is reducible by the "
+            "arrow", {"epsilon": g.arrows[0].epsilon})
+    if tag in (TRIANGLE, MONOTONIC_LINE3, TOTALLY_ORDERED):
+        return _decided(PRIME, "totally_ordered", "totally ordered "
+                        "q-factorization graphs are prime in type A", {})
+    if tag == ALTERNATING_LINE3:
         e1, mid, e2 = shape.line_order
         for iso, other in ((e1, e2), (e2, e1)):
             cfg = _alt_configs(g, mid, iso, other)
             if alt_line_cut_simple(cfg):
-                steps.append(CertStep(
-                    "alt_line_cut", "three-vertex alternating line: the cut "
-                    "isolating one end is a simple tensor product",
-                    {"isolated": g.vertices[iso].label(), "config": cfg.params_json()}))
-                return Verdict(NOT_PRIME, certificate=steps)
-        steps.append(CertStep(
-            "alt_line_prime", "three-vertex alternating line: neither endpoint "
-            "cut is a simple tensor product, and this criterion is exact",
-            {"ends": _vertex_params(g, (e1, e2))}))
-        return Verdict(PRIME, certificate=steps)
-    if not g.is_tree():
-        steps.append(CertStep(
-            "inconclusive", "no implemented rule decides graphs with cycles", {}))
-        return Verdict(UNKNOWN, certificate=steps)
+                return _decided(
+                    NOT_PRIME, "alt_line_cut", "three-vertex alternating line: "
+                    "the cut isolating one end is a simple tensor product",
+                    {"isolated": g.vertices[iso].label(), "config": cfg.params_json()})
+        return _decided(
+            PRIME, "alt_line_prime", "three-vertex alternating line: neither "
+            "endpoint cut is a simple tensor product, and this criterion is exact",
+            {"ends": _vertex_params(g, (e1, e2))})
+    if tag == OTHER:
+        return _decided(UNKNOWN, "inconclusive",
+                        "no implemented rule decides graphs with cycles", {})
+    # The tag is TREE: the alternating-triple scan, then the dual-pair rule.
     triple = _first_simple_triple(g)
     if triple is not None:
-        steps.append(CertStep(
-            "subgraph_not_prime", "every proper connected subgraph of a prime "
-            "tree is prime; a non-prime subgraph refutes primality",
-            {"subgraph": _vertex_params(g, triple)}))
-        return Verdict(NOT_PRIME, certificate=steps)
+        return _decided(
+            NOT_PRIME, "subgraph_not_prime", "every proper connected subgraph "
+            "of a prime tree is prime; a non-prime subgraph refutes primality",
+            {"subgraph": _vertex_params(g, triple)})
     if _tree_dual_pairs_simple(g):
-        steps.append(CertStep(
-            "dual_pairs_simple", "a tree is prime when the dual-pair tensor "
-            "product of every non-adjacent vertex pair is simple (both orders "
-            "checked)", {}))
-        return Verdict(PRIME, certificate=steps)
-    steps.append(CertStep("inconclusive", "no implemented rule applies", {}))
-    return Verdict(UNKNOWN, certificate=steps)
+        return _decided(
+            PRIME, "dual_pairs_simple", "a tree is prime when the dual-pair "
+            "tensor product of every non-adjacent vertex pair is simple (both "
+            "orders checked)", {})
+    return _decided(UNKNOWN, "inconclusive", "no implemented rule applies", {})
 
 
 def _first_simple_triple(g: QFactGraph) -> tuple[int, ...] | None:

@@ -66,11 +66,6 @@ class DrinfeldPoly:
         return DrinfeldPoly(tuple(sorted(self.roots + other.roots)))
 
 
-def expand(factor: KRFactor) -> DrinfeldPoly:
-    """Fundamental-root multiset of a single KR factor."""
-    return DrinfeldPoly.from_roots((factor.color, e) for e in factor.roots())
-
-
 def expand_all(factors) -> DrinfeldPoly:
     return DrinfeldPoly.from_roots((f.color, e) for f in factors for e in f.roots())
 

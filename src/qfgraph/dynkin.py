@@ -101,8 +101,3 @@ class DynkinA:
         self.check_node(j)
         self.check_node(k)
         return Interval.hull(i, j).distance_to(k)
-
-    def dual_node(self, i: int) -> int:
-        """Diagram automorphism i -> n + 1 - i (color duality)."""
-        self.check_node(i)
-        return self.n + 1 - i

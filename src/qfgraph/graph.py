@@ -42,10 +42,6 @@ class ShapeClass:
     components: tuple[tuple[int, ...], ...]
     line_order: tuple[int, ...] | None = None
 
-    @property
-    def component_count(self) -> int:
-        return len(self.components)
-
 
 @dataclass(frozen=True)
 class QFactGraph:
@@ -88,10 +84,7 @@ class QFactGraph:
         return self._in[v]
 
     def undirected_neighbors(self, v: int) -> list[int]:
-        return sorted(set(self._out[v]) | set(self._in[v]))
-
-    def undirected_edges(self) -> set[frozenset]:
-        return {frozenset((a.tail, a.head)) for a in self.arrows}
+        return sorted(self._out[v] + self._in[v])
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Weakly connected components as sorted vertex-id tuples."""
@@ -112,11 +105,13 @@ class QFactGraph:
             comps.append(tuple(sorted(comp)))
         return tuple(comps)
 
-    def is_connected(self) -> bool:
-        return len(self.components()) == 1
-
     def is_tree(self) -> bool:
-        return self.is_connected() and len(self.undirected_edges()) == len(self) - 1
+        """Connected with one arrow fewer than vertices.
+
+        Counting arrows counts edges: build_graph joins a pair only in the
+        direction of its positive exponent gap, so no pair is joined twice.
+        """
+        return len(self.arrows) == len(self) - 1 and len(self.components()) == 1
 
     def is_totally_ordered(self) -> bool:
         """All vertex pairs comparable in the arrow-generated partial order."""
@@ -232,7 +227,7 @@ def classify(g: QFactGraph) -> ShapeClass:
         return ShapeClass(MONOTONIC_LINE3, comps, order)
     if g.is_totally_ordered():
         return ShapeClass(TOTALLY_ORDERED, comps)
-    if g.is_tree():
+    if len(g.arrows) == n - 1:  # connected, so a tree (see QFactGraph.is_tree)
         return ShapeClass(TREE, comps)
     return ShapeClass(OTHER, comps)
 

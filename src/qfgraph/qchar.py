@@ -47,18 +47,12 @@ class LWeight:
             data[key] = data.get(key, 0) + mult
         return LWeight.from_dict(data)
 
-    def inverse(self) -> "LWeight":
-        return LWeight(tuple((k, -v) for k, v in self.entries))
-
     def shift(self, delta: int) -> "LWeight":
         """Translate every exponent; rebasing the formal spectral parameter."""
         return LWeight(tuple(sorted((((c, e + delta), v) for (c, e), v in self.entries))))
 
     def is_dominant(self) -> bool:
         return all(v > 0 for _, v in self.entries)
-
-    def is_identity(self) -> bool:
-        return not self.entries
 
     def to_json(self) -> list:
         return [{"color": c, "exponent": e, "power": v} for (c, e), v in self.entries]

@@ -43,12 +43,11 @@ class RSet:
         return len(self.elements)
 
 
-def r_set(diagram: DynkinA, i: int, r: int, j: int, s: int,
-          window: Interval | None = None) -> RSet:
-    """Reducibility set of the colored pair (i, r), (j, s) over the window.
+def _span(diagram: DynkinA, i: int, j: int,
+          window: Interval | None) -> tuple[int, int]:
+    """d(i, j) and d([i, j], boundary of the window), after checking the colors.
 
-    The window defaults to the whole diagram.  Both colors must lie in the
-    window and both weights must be positive.
+    The window defaults to the whole diagram.
     """
     lo, hi = 1, diagram.n
     if window is not None:
@@ -56,10 +55,21 @@ def r_set(diagram: DynkinA, i: int, r: int, j: int, s: int,
         lo, hi = window.lo, window.hi
     if not (lo <= i <= hi and lo <= j <= hi):
         raise ValueError(f"colors ({i}, {j}) not inside window [{lo}, {hi}]")
+    return abs(i - j), min(i - lo, j - lo, hi - i, hi - j)
+
+
+def r_set(diagram: DynkinA, i: int, r: int, j: int, s: int,
+          window: Interval | None = None) -> RSet:
+    """Reducibility set of the colored pair (i, r), (j, s) over the window.
+
+    The window defaults to the whole diagram.  Both colors must lie in the
+    window and both weights must be positive.
+    """
+    d, reach = _span(diagram, i, j, window)
     if r < 1 or s < 1:
         raise ValueError(f"weights must be positive, got ({r}, {s})")
-    base = r + s + abs(i - j)
-    reach = min(i - lo, j - lo, hi - i, hi - j)
+    base = r + s + d
+    lo, hi = (1, diagram.n) if window is None else (window.lo, window.hi)
     return RSet(range(base - 2 * min(r, s) + 2, base + 2 * reach + 1, 2),
                 params=(i, r, j, s, (lo, hi)))
 
@@ -84,18 +94,13 @@ def string_parameter(diagram: DynkinA, i: int, r: int, j: int, s: int, m: int,
     outside [-d([i,j], boundary), min(r, s)), so callers can use this as a
     membership probe.
     """
-    if window is None:
-        window = diagram.whole()
-    diagram.check_interval(window)
-    if i not in window or j not in window:
-        raise ValueError(f"colors ({i}, {j}) not inside window [{window.lo}, {window.hi}]")
+    d, reach = _span(diagram, i, j, window)
     if m <= 0:
         return None
-    twice_p = r + s + diagram.distance(i, j) - m
+    twice_p = r + s + d - m
     if twice_p % 2 != 0:
         return None
     p = twice_p // 2
-    reach = window.boundary_distance(Interval.hull(i, j))
     if -reach <= p < min(r, s):
         return p
     return None

@@ -96,6 +96,16 @@ def test_graph_command(capsys, tmp_path):
     assert dot_path.read_text().startswith("digraph")
 
 
+def test_graph_dot_to_unwritable_path_is_an_input_error(capsys, tmp_path):
+    path = write_input(tmp_path, 3, COSUBPT)
+    for target in (tmp_path, tmp_path / "missing" / "g.dot"):
+        code, out, err = run(capsys, ["graph", path, "--dot", str(target)])
+        assert code == 1 and out == ""
+        assert err.startswith(f"input error: cannot write {target}: ")
+        assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_classify_command(capsys, tmp_path):
     path = write_input(tmp_path, 3, COSUBPT)
     code, out, _ = run(capsys, ["classify", path])

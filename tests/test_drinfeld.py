@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qfgraph.drinfeld import (DrinfeldPoly, KRFactor, dual, expand, expand_all,
+from qfgraph.drinfeld import (DrinfeldPoly, KRFactor, dual, expand_all,
                               is_dissociate, normalize, q_factorize)
 from qfgraph.dynkin import DynkinA, Interval
 from qfgraph.redsets import sl2_set
@@ -10,9 +10,9 @@ from qfgraph.sweeps import merge_factorize
 
 
 def test_expand_examples():
-    assert expand(KRFactor(1, 3, 2)).roots == ((1, 2), (1, 4))
-    assert expand(KRFactor(2, 0, 1)).roots == ((2, 0),)
-    assert expand(KRFactor(3, 6, 3)).roots == ((3, 4), (3, 6), (3, 8))
+    assert expand_all([KRFactor(1, 3, 2)]).roots == ((1, 2), (1, 4))
+    assert expand_all([KRFactor(2, 0, 1)]).roots == ((2, 0),)
+    assert expand_all([KRFactor(3, 6, 3)]).roots == ((3, 4), (3, 6), (3, 8))
 
 
 def test_factor_roots_progression():
@@ -24,12 +24,13 @@ def test_factor_roots_progression():
 
 def test_q_factorize_merges_weight_one_pair():
     'two gap-2 roots of one color coalesce into a single weight-2 string'
-    poly = DrinfeldPoly.from_roots([(1, 2), (1, 4)]) * expand(KRFactor(2, 0, 2))
+    poly = DrinfeldPoly.from_roots([(1, 2), (1, 4)]) * \
+        expand_all([KRFactor(2, 0, 2)])
     assert q_factorize(poly) == (KRFactor(1, 3, 2), KRFactor(2, 0, 2))
 
 
 def test_q_factorize_keeps_distinct_strings():
-    poly = DrinfeldPoly.from_roots([(3, 8)]) * expand(KRFactor(3, 6, 3))
+    poly = DrinfeldPoly.from_roots([(3, 8)]) * expand_all([KRFactor(3, 6, 3)])
     assert poly.roots == ((3, 4), (3, 6), (3, 8), (3, 8))
     assert q_factorize(poly) == (KRFactor(3, 6, 3), KRFactor(3, 8, 1))
     assert not sl2_set(1, 3).contains_signed(2)
@@ -102,8 +103,8 @@ def test_multiply():
     pi = DrinfeldPoly.from_roots([(1, 0)])
     assert pi * unit == pi
     assert (pi * pi).roots == ((1, 0), (1, 0))
-    assert (expand(KRFactor(1, 1, 2)) * expand(KRFactor(2, 5, 1))).roots \
-        == ((1, 0), (1, 2), (2, 5))
+    product = expand_all([KRFactor(1, 1, 2)]) * expand_all([KRFactor(2, 5, 1)])
+    assert product.roots == ((1, 0), (1, 2), (2, 5))
 
 
 def test_dual_whole_diagram():

@@ -73,14 +73,15 @@ def test_dual_coxeter():
 
 
 def test_dual_node():
-    assert DynkinA(2).dual_node(1) == 2
-    assert DynkinA(3).dual_node(2) == 2
-    assert DynkinA(5).dual_node(1) == 5
+    'color duality i -> n + 1 - i is the reflection of the whole diagram'
+    assert DynkinA(2).whole().reflect(1) == 2
+    assert DynkinA(3).whole().reflect(2) == 2
+    assert DynkinA(5).whole().reflect(1) == 5
     for n in range(1, 7):
-        dg = DynkinA(n)
-        for i in dg.nodes():
-            assert dg.dual_node(dg.dual_node(i)) == i
-            assert dg.dual_node(i) == dg.whole().reflect(i)
+        whole = DynkinA(n).whole()
+        for i in whole.lo, whole.hi, (whole.lo + whole.hi) // 2:
+            assert whole.reflect(whole.reflect(i)) == i
+            assert whole.reflect(i) == n + 1 - i
 
 
 def test_boundary_distance():

@@ -129,6 +129,52 @@ def test_string_parameter_round_trip():
                     assert r + s + dg.distance(i, j) - 2 * p == m
 
 
+def _interval_string_parameter(diagram, i, r, j, s, m, window=None):
+    """string_parameter as it was written over Interval objects."""
+    if window is None:
+        window = diagram.whole()
+    diagram.check_interval(window)
+    if i not in window or j not in window:
+        raise ValueError(f"colors ({i}, {j}) not inside window "
+                         f"[{window.lo}, {window.hi}]")
+    if m <= 0:
+        return None
+    twice_p = r + s + diagram.distance(i, j) - m
+    if twice_p % 2 != 0:
+        return None
+    p = twice_p // 2
+    reach = window.boundary_distance(Interval.hull(i, j))
+    if -reach <= p < min(r, s):
+        return p
+    return None
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_string_parameter_matches_interval_oracle():
+    'same value or error everywhere, colors outside the window and m <= 0 included'
+    for n in range(1, 7):
+        dg = DynkinA(n)
+        windows = [None] + [Interval(a, b) for a in range(1, n + 2)
+                            for b in range(a, n + 2)]
+        for window, i, j in itertools.product(windows, dg.nodes(), dg.nodes()):
+            args = (dg, i, 1, j, 1, 1, window)
+            want = _outcome(_interval_string_parameter, *args)
+            assert _outcome(string_parameter, *args) == want, args
+            if isinstance(want, str):
+                continue  # the window and color checks come before any use of r, s, m
+            for r, s in itertools.product(range(1, 5), repeat=2):
+                for m in range(-1, r + s + n + 2):
+                    args = (dg, i, r, j, s, m, window)
+                    assert _outcome(string_parameter, *args) == \
+                        _outcome(_interval_string_parameter, *args), args
+
+
 def test_minimal_window_brute_force():
     'formula window is admissible, minimal, and the unique minimum by inclusion'
     for n in range(1, 7):

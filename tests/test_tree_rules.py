@@ -1,24 +1,29 @@
-"""The tree rules against the subset recursion they replace.
+"""The primality engine against the code paths it replaces.
 
-The engine decides a tree with one scan of its alternating triples.  The
-oracle below decides it by recursion instead: into every proper connected
-subgraph, smallest first, memoized up to exponent translation, then the
-dual-pair rule, then a search of tree-edge cuts for a neighbor witness.
-Both must give byte-identical traced verdicts, and the witness search must
-never be the rule that decides.
+The engine picks a rule from the shape tag of one classify pass and decides
+a tree with one scan of its alternating triples.  The oracle below finds the
+shape with the chain of graph queries the engine used to make (components,
+vertex count, total order, classify, an edge-set tree test) and decides a
+tree by recursion: into every proper connected subgraph, smallest first,
+memoized up to exponent translation, then the dual-pair rule, then a search
+of tree-edge cuts for a neighbor witness.  Both must give byte-identical
+traced verdicts, and the witness search must never be the rule that decides.
 """
 
 import json
 import random
 import time
+from collections import Counter
 
-from qfgraph.decision import (NOT_PRIME, PRIME, UNKNOWN, CertStep, Verdict,
-                              _alt_configs, alt_line_cut_simple, decide,
-                              dual_pair_simple, is_prime, is_real)
+from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, CertStep,
+                              Verdict, _alt_configs, alt_line_cut_simple,
+                              decide, dual_pair_simple, is_prime)
 from qfgraph.drinfeld import KRFactor
 from qfgraph.dynkin import DynkinA
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
-from qfgraph.graph import build_graph
+from qfgraph.graph import (ALTERNATING_LINE3, DISCONNECTED, OTHER, TREE,
+                           TRIANGLE, QFactGraph, build_graph, classify)
+from qfgraph.redsets import r_set
 from qfgraph.sweeps import random_tree_graph
 
 TREE_RULES = ("subgraph_not_prime", "dual_pairs_simple", "inconclusive")
@@ -31,14 +36,74 @@ def _canonical_key(g) -> tuple:
     return (g.diagram.n, verts, arrows)
 
 
+def _verdict(primality: str, rule: str, cites: str, params: dict) -> Verdict:
+    return Verdict(primality, certificate=[CertStep(rule, cites, params)])
+
+
+def _old_is_tree(g) -> bool:
+    edges = {frozenset((a.tail, a.head)) for a in g.arrows}
+    return len(g.components()) == 1 and len(edges) == len(g) - 1
+
+
+def _old_shape_rules(g):
+    """The rules the engine tried before the tree rules; None for a tree."""
+    comps = g.components()
+    if len(comps) > 1:
+        return _verdict(NOT_PRIME, "disconnected", "a prime module has a "
+                        "connected q-factorization graph",
+                        {"components": [[g.vertices[v].label() for v in c]
+                                        for c in comps]})
+    if len(g) == 1:
+        return _verdict(PRIME, "singleton", "a single Kirillov-Reshetikhin "
+                        "factor admits no nontrivial dissociate splitting",
+                        {"vertex": g.vertices[0].label()})
+    if len(g) == 2:
+        return _verdict(PRIME, "two_vertex", "derived rule: any splitting "
+                        "separates the two linked factors, whose ordered "
+                        "tensor product is reducible by the arrow",
+                        {"epsilon": g.arrows[0].epsilon})
+    if g.is_totally_ordered():
+        return _verdict(PRIME, "totally_ordered", "totally ordered "
+                        "q-factorization graphs are prime in type A", {})
+    shape = classify(g)
+    if shape.tag == ALTERNATING_LINE3:
+        e1, mid, e2 = shape.line_order
+        for iso, other in ((e1, e2), (e2, e1)):
+            cfg = _alt_configs(g, mid, iso, other)
+            if alt_line_cut_simple(cfg):
+                return _verdict(NOT_PRIME, "alt_line_cut", "three-vertex "
+                                "alternating line: the cut isolating one end "
+                                "is a simple tensor product",
+                                {"isolated": g.vertices[iso].label(),
+                                 "config": cfg.params_json()})
+        return _verdict(PRIME, "alt_line_prime", "three-vertex alternating "
+                        "line: neither endpoint cut is a simple tensor "
+                        "product, and this criterion is exact",
+                        {"ends": [g.vertices[e1].label(), g.vertices[e2].label()]})
+    if not _old_is_tree(g):
+        return _verdict(UNKNOWN, "inconclusive",
+                        "no implemented rule decides graphs with cycles", {})
+    return None
+
+
 def oracle_is_prime(g, memo: dict, witness_fired: list) -> Verdict:
     key = _canonical_key(g)
     if key not in memo:
-        verdict = is_prime(g)
-        if g.is_tree() and verdict.certificate[-1].rule in TREE_RULES:
+        verdict = _old_shape_rules(g)
+        if verdict is None:
             verdict = _oracle_tree_rules(g, memo, witness_fired)
         memo[key] = verdict
     return memo[key]
+
+
+def oracle_is_real(g) -> Verdict:
+    if _old_is_tree(g):
+        return Verdict(reality=REAL, certificate=[CertStep(
+            "tree_real", "a q-factorization graph afforded by a tree is real "
+            "in type A", {})])
+    return Verdict(reality=UNKNOWN, certificate=[CertStep(
+        "inconclusive", "no reality rule applies to graphs that are not "
+        "trees", {})])
 
 
 def _oracle_tree_rules(g, memo: dict, witness_fired: list) -> Verdict:
@@ -100,7 +165,7 @@ def _traced(verdict: Verdict) -> str:
 
 def _agree(g, witness_fired: list) -> str:
     p = oracle_is_prime(g, {}, witness_fired)
-    r = is_real(g)
+    r = oracle_is_real(g)
     want = Verdict(p.primality, r.reality, p.certificate + r.certificate)
     got = decide(g)
     assert _traced(got) == _traced(want), [v.label() for v in g.vertices]
@@ -125,6 +190,63 @@ def test_scan_matches_recursion_on_fixtures():
     for dg, factors in families:
         _agree(build_graph(factors, dg), witness_fired)
     assert witness_fired == []
+
+
+def _random_factor_list(rng: random.Random):
+    """Up to six factors, most linked to an earlier one, some placed anywhere."""
+    n = rng.randint(1, 4)
+    diagram = DynkinA(n)
+    factors = [KRFactor(rng.randint(1, n), 0, rng.randint(1, 3))]
+    for _ in range(rng.randint(0, 5)):
+        color, weight = rng.randint(1, n), rng.randint(1, 3)
+        if rng.random() < 0.2:
+            exponent = rng.randint(-12, 12)
+        else:
+            base = rng.choice(factors)
+            gaps = r_set(diagram, color, weight, base.color, base.weight).sorted()
+            exponent = base.exponent + rng.choice((-1, 1)) * rng.choice(gaps)
+        factors.append(KRFactor(color, exponent, weight))
+    return diagram, factors
+
+
+def test_dispatch_matches_old_chain_on_random_factor_lists():
+    rng = random.Random(20261018)
+    witness_fired: list = []
+    tags = Counter()
+    for _ in range(2000):
+        diagram, factors = _random_factor_list(rng)
+        g = build_graph(factors, diagram)
+        tags[classify(g).tag] += 1
+        _agree(g, witness_fired)
+    assert witness_fired == []
+    for tag in (DISCONNECTED, TRIANGLE, ALTERNATING_LINE3, OTHER, TREE):
+        assert tags[tag] > 0, tag
+
+
+def test_decide_walks_a_tree_at_most_twice(monkeypatch):
+    rng = random.Random(7)
+    trees = [g for g in (random_tree_graph(rng, max_rank=6, max_vertices=8,
+                                           max_weight=4) for _ in range(300))
+             if len(g) >= 4]
+    diagram, factors = cosubpt_factors()
+    trees.append(build_graph(factors, diagram))
+    calls = Counter()
+    for name in ("components", "is_totally_ordered", "is_tree"):
+        method = getattr(QFactGraph, name)
+
+        def counted(self, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self)
+
+        monkeypatch.setattr(QFactGraph, name, counted)
+    assert len(trees) > 100
+    for g in trees:
+        calls.clear()
+        is_prime(g)
+        assert calls == {"components": 1, "is_totally_ordered": 1}
+        calls.clear()
+        decide(g)
+        assert calls["components"] <= 2 and calls["is_totally_ordered"] <= 1
 
 
 def test_sixteen_vertex_tree_without_simple_triple():
