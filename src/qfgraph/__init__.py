@@ -15,12 +15,12 @@ from .graph import Arrow, QFactGraph, ShapeClass, build_graph, classify
 from .qchar import (ColumnTableau, LWeight, SocleHead, box_lweight,
                     dominant_product_lweights, fundamental_qchar, socle_head,
                     tableau_lweight)
-from .redsets import RSet, minimal_window, r_set, sl2_set, string_parameter
+from .redsets import minimal_window, r_set, sl2_set, string_parameter
 
 __all__ = [
     "AltLineConfig", "Arrow", "CaseParams", "CertStep", "ColumnTableau",
     "DrinfeldPoly", "DynkinA", "Interval", "KRFactor", "LWeight",
-    "QFactGraph", "RSet", "ShapeClass", "SocleHead", "Verdict",
+    "QFactGraph", "ShapeClass", "SocleHead", "Verdict",
     "alt_line_conditions_ineq", "alt_line_cut_simple", "box_lweight",
     "build_graph", "c3aline_config", "case_parameters", "classify", "decide",
     "dominant_product_lweights", "dual", "dual_pair_simple", "expand_all",

@@ -72,7 +72,7 @@ def cmd_rset(args) -> int:
     if args.jlo is not None:
         window = Interval(args.jlo, args.jhi)
     rs = r_set(diagram, args.i, args.r, args.j, args.s, window)
-    print("{" + ", ".join(str(m) for m in rs.sorted()) + "}")
+    print("{" + ", ".join(map(str, rs)) + "}")
     return 0
 
 

@@ -56,17 +56,17 @@ class AltLineConfig:
         dg = self.diagram
         for c in (self.iso_color, self.middle_color, self.other_color):
             dg.check_node(c)
-        if not r_set(dg, self.iso_color, self.iso_weight,
-                     self.middle_color, self.middle_weight).contains_signed(self.iso_label):
+        if self.iso_label not in r_set(dg, self.iso_color, self.iso_weight,
+                                       self.middle_color, self.middle_weight):
             raise ValueError(f"label {self.iso_label} is not an admissible arrow gap "
                              f"for the isolated end")
-        if not r_set(dg, self.middle_color, self.middle_weight,
-                     self.other_color, self.other_weight).contains_signed(self.other_label):
+        if self.other_label not in r_set(dg, self.middle_color, self.middle_weight,
+                                         self.other_color, self.other_weight):
             raise ValueError(f"label {self.other_label} is not an admissible arrow gap "
                              f"for the other end")
-        ends_gap = self.iso_label - self.other_label
-        if r_set(dg, self.iso_color, self.iso_weight,
-                 self.other_color, self.other_weight).member(ends_gap):
+        ends_gap = abs(self.iso_label - self.other_label)
+        if ends_gap in r_set(dg, self.iso_color, self.iso_weight,
+                             self.other_color, self.other_weight):
             raise ValueError("end vertices are adjacent; the line is not alternating")
 
     def params_json(self) -> dict:
@@ -135,12 +135,11 @@ def _general_conditions(cfg: AltLineConfig, window: Interval) -> bool:
     jp, sp, mp = cfg.other_color, cfg.other_weight, cfg.other_label
     if jp not in window:
         return False
-    if not r_set(dg, cfg.middle_color, cfg.middle_weight, jp, sp,
-                 window).contains_signed(mp):
+    if mp not in r_set(dg, cfg.middle_color, cfg.middle_weight, jp, sp, window):
         return False
-    gap = cfg.iso_label - mp - window.dual_coxeter()
-    return r_set(dg, window.reflect(cfg.iso_color), cfg.iso_weight, jp, sp,
-                 window).member(gap)
+    gap = abs(cfg.iso_label - mp - window.dual_coxeter())
+    return gap in r_set(dg, window.reflect(cfg.iso_color), cfg.iso_weight, jp, sp,
+                        window)
 
 
 def alt_line_cut_simple(cfg: AltLineConfig) -> bool:
@@ -159,9 +158,9 @@ def alt_line_cut_simple(cfg: AltLineConfig) -> bool:
     if not _general_conditions(cfg, window):
         return False
     r = cfg.iso_weight
-    return r == 1 or not r_set(cfg.diagram, cfg.iso_color, r - 1, cfg.other_color,
-                               cfg.other_weight, window).contains_signed(
-                                   cfg.iso_label - cfg.other_label + 1)
+    return r == 1 or (cfg.iso_label - cfg.other_label + 1
+                      not in r_set(cfg.diagram, cfg.iso_color, r - 1,
+                                   cfg.other_color, cfg.other_weight, window))
 
 
 def alt_line_conditions_ineq(cfg: AltLineConfig) -> bool:
@@ -216,8 +215,8 @@ def extra_condition_uniform(cfg: AltLineConfig) -> bool:
 def dual_pair_simple(w1: KRFactor, w2: KRFactor, diagram: DynkinA) -> bool:
     """Is (dual of w1) tensor w2 simple over the whole diagram?"""
     d = dual(w1, diagram)
-    gap = d.exponent - w2.exponent
-    return not r_set(diagram, d.color, w1.weight, w2.color, w2.weight).member(gap)
+    gap = abs(d.exponent - w2.exponent)
+    return gap not in r_set(diagram, d.color, w1.weight, w2.color, w2.weight)
 
 
 def c3aline_config(diagram: DynkinA, i: int, r: int, j: int, s: int,
@@ -227,7 +226,7 @@ def c3aline_config(diagram: DynkinA, i: int, r: int, j: int, s: int,
     This is the configuration of one factor tensored against itself times a
     linked (j, s) factor; the cut test on it is always simple.
     """
-    if not r_set(diagram, i, r, j, s).contains_signed(m):
+    if m not in r_set(diagram, i, r, j, s):
         raise ValueError(f"gap {m} not admissible for colors ({i}, {j}) weights ({r}, {s})")
     return AltLineConfig(diagram, i, r, m, j, s, i, r, m)
 

@@ -114,7 +114,7 @@ def is_dissociate(factors) -> bool:
             u, v = factors[a], factors[b]
             if u.color != v.color:
                 continue
-            if sl2_set(u.weight, v.weight).contains_signed(abs(u.exponent - v.exponent)):
+            if abs(u.exponent - v.exponent) in sl2_set(u.weight, v.weight):
                 return False
     return True
 

@@ -113,20 +113,21 @@ class QFactGraph:
         """
         return len(self.arrows) == len(self) - 1 and len(self.components()) == 1
 
+    def exponent_order(self) -> tuple[int, ...]:
+        """Vertex ids by descending exponent, ties in id order."""
+        return tuple(sorted(range(len(self.vertices)),
+                            key=lambda v: -self.vertices[v].exponent))
+
     def is_totally_ordered(self) -> bool:
-        """All vertex pairs comparable in the arrow-generated partial order."""
-        n = len(self.vertices)
-        reach = [set() for _ in range(n)]
-        for v in range(n):
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                for w in self.out_neighbors(u):
-                    if w not in reach[v]:
-                        reach[v].add(w)
-                        stack.append(w)
-        return all(v in reach[u] or u in reach[v]
-                   for u in range(n) for v in range(u + 1, n))
+        """All vertex pairs comparable in the arrow-generated partial order.
+
+        Arrows run from higher to lower exponent, so a total order can only
+        be the exponent order, and no vertex lies strictly between two
+        neighbors in it: the order is total exactly when each consecutive
+        pair is joined by an arrow.  Equal exponents are never joined.
+        """
+        order = self.exponent_order()
+        return all((u, v) in self._arrow_map for u, v in zip(order, order[1:]))
 
     # -- construction and transforms ----------------------------------------
 
@@ -194,7 +195,7 @@ def build_graph(factors, diagram: DynkinA) -> QFactGraph:
             gap = u.exponent - v.exponent
             if gap <= 0:
                 continue
-            if r_set(diagram, u.color, u.weight, v.color, v.weight).contains_signed(gap):
+            if gap in r_set(diagram, u.color, u.weight, v.color, v.weight):
                 arrows.append(Arrow(t, h, gap))
     return QFactGraph(diagram, vertices, tuple(arrows), refactorized)
 
@@ -210,34 +211,17 @@ def classify(g: QFactGraph) -> ShapeClass:
     if n == 1:
         return ShapeClass(SINGLETON, comps)
     if n == 2:
-        return ShapeClass(TWO_LINE, comps, line_order=_two_line_order(g))
+        return ShapeClass(TWO_LINE, comps, g.exponent_order())
     if n == 3:
-        narrows = len(g.arrows)
-        if narrows == 3:
+        if len(g.arrows) == 3:
             return ShapeClass(TRIANGLE, comps)
         middle = next(v for v in range(3) if len(g.undirected_neighbors(v)) == 2)
+        if len(g.out_neighbors(middle)) == 1:  # one arrow in, one out
+            return ShapeClass(MONOTONIC_LINE3, comps, g.exponent_order())
         ends = [v for v in range(3) if v != middle]
-        if g.arrow_between(middle, ends[0]) is not None and \
-           g.arrow_between(middle, ends[1]) is not None:
-            return ShapeClass(ALTERNATING_LINE3, comps, (ends[0], middle, ends[1]))
-        if g.arrow_between(ends[0], middle) is not None and \
-           g.arrow_between(ends[1], middle) is not None:
-            return ShapeClass(ALTERNATING_LINE3, comps, (ends[0], middle, ends[1]))
-        order = _monotonic_order3(g, middle, ends)
-        return ShapeClass(MONOTONIC_LINE3, comps, order)
+        return ShapeClass(ALTERNATING_LINE3, comps, (ends[0], middle, ends[1]))
     if g.is_totally_ordered():
         return ShapeClass(TOTALLY_ORDERED, comps)
     if len(g.arrows) == n - 1:  # connected, so a tree (see QFactGraph.is_tree)
         return ShapeClass(TREE, comps)
     return ShapeClass(OTHER, comps)
-
-
-def _two_line_order(g: QFactGraph) -> tuple[int, ...]:
-    a = g.arrows[0]
-    return (a.tail, a.head)
-
-
-def _monotonic_order3(g: QFactGraph, middle: int, ends) -> tuple[int, ...]:
-    if g.arrow_between(ends[0], middle) is not None:
-        return (ends[0], middle, ends[1])
-    return (ends[1], middle, ends[0])

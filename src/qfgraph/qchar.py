@@ -11,11 +11,17 @@ resulting socle / head data.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .dynkin import DynkinA
 from .drinfeld import KRFactor
 from .redsets import r_set, string_parameter
+
+# Largest number C(n+1, i) * C(n+1, j) of l-weight pairs the brute-force
+# product may multiply out.  The dominant-pair sweep (rank <= 6) needs at
+# most 1225; without a bound, rank 20 would never finish.
+MAX_PRODUCT_PAIRS = 10**6
 
 
 @dataclass(frozen=True)
@@ -136,8 +142,14 @@ def dominant_product_lweights(diagram: DynkinA, i: int, j: int,
     Computed by brute force: every pairwise product of the two q-characters
     (the j-side rebased at exponent m), filtered for dominance.  The closed
     two-element form lives in socle_head; tests hold the two routes equal.
+    Products of more than MAX_PRODUCT_PAIRS pairs are refused.
     """
     _fundamental_pre(diagram, i, j, m)
+    pairs = math.comb(diagram.n + 1, i) * math.comb(diagram.n + 1, j)
+    if pairs > MAX_PRODUCT_PAIRS:
+        raise ValueError(f"the product of fundamentals {i} and {j} at rank "
+                         f"{diagram.n} has {pairs} l-weight pairs, more than "
+                         f"{MAX_PRODUCT_PAIRS}")
     left = fundamental_qchar(diagram, i)
     right = [w.shift(m) for w in fundamental_qchar(diagram, j)]
     return frozenset(a * b for a in left for b in right if (a * b).is_dominant())
@@ -192,8 +204,7 @@ def socle_head(diagram: DynkinA, i: int, j: int, m: int) -> SocleHead:
     socle = tuple(f for f in (lo_factor, hi_factor) if f is not None)
     dropped = 2 - len(socle)
     if lo_factor is not None and hi_factor is not None:
-        pair_set = r_set(diagram, lo_color, 1, hi_color, 1)
-        if pair_set.member(diagram.distance(i, j)):
+        if diagram.distance(i, j) in r_set(diagram, lo_color, 1, hi_color, 1):
             raise AssertionError("socle pair unexpectedly fails the simplicity test")
     head = (KRFactor(i, 0, 1), KRFactor(j, m, 1))
     return SocleHead(socle, head, dropped, p)

@@ -6,41 +6,16 @@ modules (restricted to J) is reducible.  Its type-A closed form is
 
     { r + s + d(i,j) - 2p : -d([i,j], boundary of J) <= p < min(r, s) }.
 
-As p runs over its window the elements form one step-2 progression, kept as
-a range, so membership is an exact parity-and-window test and no set is ever
-materialized.
+As p runs over its window the elements form one step-2 progression, and
+r_set and sl2_set return it as a bare increasing `range`.  Membership is an
+exact parity-and-window test and no set is ever materialized.  `m in rs` is
+literal: negative gaps and zero are never members, so a caller asking about
+reducibility in either order tests `abs(m) in rs`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dynkin import DynkinA, Interval
-
-
-@dataclass(frozen=True)
-class RSet:
-    """A reducibility set, as a step-2 range, together with its generating data."""
-
-    elements: range
-    params: tuple
-
-    def member(self, m: int) -> bool:
-        """True when |m| lies in the set (reducibility in either order)."""
-        return abs(m) in self.elements
-
-    def contains_signed(self, m: int) -> bool:
-        """Literal membership; negative and zero values are never members."""
-        return m in self.elements
-
-    def sorted(self) -> tuple[int, ...]:
-        return tuple(self.elements)
-
-    def __contains__(self, m: int) -> bool:
-        return self.member(m)
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
 
 def _span(diagram: DynkinA, i: int, j: int,
@@ -59,7 +34,7 @@ def _span(diagram: DynkinA, i: int, j: int,
 
 
 def r_set(diagram: DynkinA, i: int, r: int, j: int, s: int,
-          window: Interval | None = None) -> RSet:
+          window: Interval | None = None) -> range:
     """Reducibility set of the colored pair (i, r), (j, s) over the window.
 
     The window defaults to the whole diagram.  Both colors must lie in the
@@ -69,12 +44,10 @@ def r_set(diagram: DynkinA, i: int, r: int, j: int, s: int,
     if r < 1 or s < 1:
         raise ValueError(f"weights must be positive, got ({r}, {s})")
     base = r + s + d
-    lo, hi = (1, diagram.n) if window is None else (window.lo, window.hi)
-    return RSet(range(base - 2 * min(r, s) + 2, base + 2 * reach + 1, 2),
-                params=(i, r, j, s, (lo, hi)))
+    return range(base - 2 * min(r, s) + 2, base + 2 * reach + 1, 2)
 
 
-def sl2_set(r: int, s: int) -> RSet:
+def sl2_set(r: int, s: int) -> range:
     """Rank-one reducibility set {r + s - 2p : 0 <= p < min(r, s)}.
 
     This is the single-node window set; it governs whether two same-color
@@ -82,8 +55,7 @@ def sl2_set(r: int, s: int) -> RSet:
     """
     if r < 1 or s < 1:
         raise ValueError(f"weights must be positive, got ({r}, {s})")
-    return RSet(range(r + s - 2 * min(r, s) + 2, r + s + 1, 2),
-                params=(None, r, None, s, None))
+    return range(r + s - 2 * min(r, s) + 2, r + s + 1, 2)
 
 
 def string_parameter(diagram: DynkinA, i: int, r: int, j: int, s: int, m: int,

@@ -52,9 +52,8 @@ def iter_linked_pairs(diagram: DynkinA, max_weight: int):
     """All (i, r, j, s, m) with m an admissible arrow gap between dissociate factors."""
     for i, j in itertools.product(diagram.nodes(), repeat=2):
         for r, s in itertools.product(range(1, max_weight + 1), repeat=2):
-            gaps = r_set(diagram, i, r, j, s).sorted()
-            for m in gaps:
-                if i == j and sl2_set(r, s).contains_signed(m):
+            for m in r_set(diagram, i, r, j, s):
+                if i == j and m in sl2_set(r, s):
                     continue
                 yield i, r, j, s, m
 
@@ -66,13 +65,12 @@ def iter_alt_line_configs(max_rank: int, max_weight: int):
         for i, r, j, s, m in iter_linked_pairs(diagram, max_weight):
             for jp in diagram.nodes():
                 for sp in range(1, max_weight + 1):
-                    for mp in r_set(diagram, j, s, jp, sp).sorted():
-                        if j == jp and sl2_set(s, sp).contains_signed(mp):
+                    for mp in r_set(diagram, j, s, jp, sp):
+                        if j == jp and mp in sl2_set(s, sp):
                             continue
-                        ends = r_set(diagram, i, r, jp, sp)
-                        if ends.member(m - mp):
+                        if abs(m - mp) in r_set(diagram, i, r, jp, sp):
                             continue
-                        if i == jp and sl2_set(r, sp).contains_signed(abs(m - mp)):
+                        if i == jp and abs(m - mp) in sl2_set(r, sp):
                             continue
                         yield AltLineConfig(diagram, i, r, m, j, s, jp, sp, mp)
 
@@ -138,7 +136,7 @@ def check_dominant_pair(max_rank: int = 6) -> SweepResult:
         diagram = DynkinA(n)
         for i, j in itertools.product(diagram.nodes(), repeat=2):
             qchar_i = set(fundamental_qchar(diagram, i))
-            for m in r_set(diagram, i, 1, j, 1).sorted():
+            for m in r_set(diagram, i, 1, j, 1):
                 result.checked += 1
                 dominant = dominant_product_lweights(diagram, i, j, m)
                 sh = socle_head(diagram, i, j, m)
@@ -180,37 +178,38 @@ def check_redsets_algebra(max_rank: int = 8, max_weight: int = 5) -> SweepResult
                 for window in containing:
                     result.checked += 1
                     rs = r_set(diagram, i, r, j, s, window)
-                    if rs.elements != r_set(diagram, j, s, i, r, window).elements:
-                        result.fail(f"symmetry fails {rs.params}")
-                    if any((e - (r + s + diagram.distance(i, j))) % 2 for e in rs.elements):
-                        result.fail(f"parity fails {rs.params}")
+                    params = (i, r, j, s, window)
+                    if rs != r_set(diagram, j, s, i, r, window):
+                        result.fail(f"symmetry fails {params}")
+                    if any((e - (r + s + diagram.distance(i, j))) % 2 for e in rs):
+                        result.fail(f"parity fails {params}")
                     reach = window.boundary_distance(hull)
                     if len(rs) != min(r, s) + reach:
-                        result.fail(f"cardinality fails {rs.params}")
+                        result.fail(f"cardinality fails {params}")
                     top = r + s + diagram.distance(i, j) + 2 * reach
                     bottom = r + s + diagram.distance(i, j) - 2 * (min(r, s) - 1)
-                    if rs.sorted() != tuple(range(bottom, top + 1, 2)):
-                        result.fail(f"extremes/steps fail {rs.params}")
-                    if not set(rs.elements) <= set(global_set.elements):
-                        result.fail(f"monotonicity into whole diagram fails {rs.params}")
-                    for m in rs.elements:
+                    if tuple(rs) != tuple(range(bottom, top + 1, 2)):
+                        result.fail(f"extremes/steps fail {params}")
+                    if not set(rs) <= set(global_set):
+                        result.fail(f"monotonicity into whole diagram fails {params}")
+                    for m in rs:
                         p = string_parameter(diagram, i, r, j, s, m, window)
                         if p is None or r + s + diagram.distance(i, j) - 2 * p != m:
                             result.fail(f"string-parameter round trip fails "
-                                        f"{rs.params} m={m}")
+                                        f"{params} m={m}")
                 for wa, wb in itertools.combinations(containing, 2):
                     small, big = (wa, wb) if wb.contains_interval(wa) else (wb, wa)
                     if big.contains_interval(small):
-                        a_set = set(r_set(diagram, i, r, j, s, small).elements)
-                        b_set = set(r_set(diagram, i, r, j, s, big).elements)
+                        a_set = set(r_set(diagram, i, r, j, s, small))
+                        b_set = set(r_set(diagram, i, r, j, s, big))
                         if not a_set <= b_set:
                             result.fail(f"monotonicity fails {i},{r},{j},{s} "
                                         f"{small} vs {big}")
-                for m in global_set.sorted():
+                for m in global_set:
                     result.checked += 1
                     formula = minimal_window(diagram, i, r, j, s, m)
                     admissible = [w for w in containing
-                                  if r_set(diagram, i, r, j, s, w).contains_signed(m)]
+                                  if m in r_set(diagram, i, r, j, s, w)]
                     if formula is None or formula not in admissible:
                         result.fail(f"minimal window not admissible {i},{r},{j},{s} m={m}")
                         continue
@@ -219,8 +218,7 @@ def check_redsets_algebra(max_rank: int = 8, max_weight: int = 5) -> SweepResult
                                     f"{i},{r},{j},{s} m={m}")
                     proper = [w for w in containing
                               if formula.contains_interval(w) and w != formula]
-                    if any(r_set(diagram, i, r, j, s, w).contains_signed(m)
-                           for w in proper):
+                    if any(m in r_set(diagram, i, r, j, s, w) for w in proper):
                         result.fail(f"minimal window not minimal {i},{r},{j},{s} m={m}")
     return result
 
@@ -239,7 +237,7 @@ def random_tree_graph(rng: random.Random, max_rank: int = 5,
         parent = rng.choice(factors)
         color = rng.randint(1, n)
         weight = rng.randint(1, max_weight)
-        gaps = r_set(diagram, color, weight, parent.color, parent.weight).sorted()
+        gaps = r_set(diagram, color, weight, parent.color, parent.weight)
         gap = rng.choice(gaps) * rng.choice((-1, 1))
         candidate = KRFactor(color, parent.exponent + gap, weight)
         trial = build_graph(factors + [candidate], diagram)
@@ -302,7 +300,7 @@ def _merge_once(segments: list[tuple[int, int]], rng: random.Random | None) -> b
             wa = (hi_a - lo_a) // 2 + 1
             wb = (hi_b - lo_b) // 2 + 1
             gap = abs((lo_a + hi_a) - (lo_b + hi_b)) // 2
-            if not sl2_set(wa, wb).contains_signed(gap):
+            if gap not in sl2_set(wa, wb):
                 continue
             union = (min(lo_a, lo_b), max(hi_a, hi_b))
             inter_lo, inter_hi = max(lo_a, lo_b), min(hi_a, hi_b)

@@ -193,6 +193,21 @@ def test_qchar_product_command(capsys):
     assert len(payload["dominant"]) == 2
 
 
+def test_qchar_product_over_the_pair_limit_is_an_input_error():
+    'C(21, 10)^2 l-weight pairs: refused before any is multiplied'
+    src = os.path.dirname(os.path.dirname(qfgraph.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "qfgraph.cli", "qchar-product",
+                           "--rank", "20", "--i", "10", "--j", "10", "--m", "2"],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("input error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_examples_command(capsys):
     for name in ("newprimex", "cosubpt", "cesubpt"):
         code, out, _ = run(capsys, ["examples", name])

@@ -122,19 +122,19 @@ def test_socle_pair_simplicity_whenever_nontrivial():
     for n in range(1, 7):
         dg = DynkinA(n)
         for i, j in itertools.product(dg.nodes(), repeat=2):
-            for m in r_set(dg, i, 1, j, 1).sorted():
+            for m in r_set(dg, i, 1, j, 1):
                 sh = socle_head(dg, i, j, m)
                 if len(sh.socle) == 2:
                     a, b = sh.socle
-                    assert not r_set(dg, a.color, 1, b.color, 1).member(
-                        a.exponent - b.exponent)
+                    assert abs(a.exponent - b.exponent) not in \
+                        r_set(dg, a.color, 1, b.color, 1)
 
 
 def test_socle_head_matches_brute_force_dominants():
     for n in range(1, 6):
         dg = DynkinA(n)
         for i, j in itertools.product(dg.nodes(), repeat=2):
-            for m in r_set(dg, i, 1, j, 1).sorted():
+            for m in r_set(dg, i, 1, j, 1):
                 sh = socle_head(dg, i, j, m)
                 assert dominant_product_lweights(dg, i, j, m) == \
                     frozenset({sh.head_lweight(), sh.socle_lweight()})

@@ -7,15 +7,15 @@ from qfgraph.redsets import minimal_window, r_set, sl2_set, string_parameter
 
 
 def test_r_set_examples():
-    assert r_set(DynkinA(2), 1, 1, 2, 1).sorted() == (3,)
-    assert r_set(DynkinA(3), 3, 3, 1, 2).sorted() == (5, 7)
-    assert r_set(DynkinA(2), 2, 2, 1, 1).sorted() == (4,)
+    assert r_set(DynkinA(2), 1, 1, 2, 1) == range(3, 4, 2)
+    assert tuple(r_set(DynkinA(3), 3, 3, 1, 2)) == (5, 7)
+    assert tuple(r_set(DynkinA(2), 2, 2, 1, 1)) == (4,)
 
 
 def test_r_set_window_argument():
     dg = DynkinA(3)
-    assert r_set(dg, 2, 1, 2, 1, Interval(2, 2)).sorted() == (2,)
-    assert r_set(dg, 2, 1, 2, 1, Interval(1, 3)).sorted() == (2, 4)
+    assert tuple(r_set(dg, 2, 1, 2, 1, Interval(2, 2))) == (2,)
+    assert tuple(r_set(dg, 2, 1, 2, 1, Interval(1, 3))) == (2, 4)
     with pytest.raises(ValueError):
         r_set(dg, 1, 1, 3, 1, Interval(1, 2))
     with pytest.raises(ValueError):
@@ -23,9 +23,11 @@ def test_r_set_window_argument():
 
 
 def test_sl2_set_examples():
-    assert sl2_set(1, 1).sorted() == (2,)
-    assert sl2_set(2, 2).sorted() == (2, 4)
-    assert sl2_set(1, 3).sorted() == (4,)
+    assert type(sl2_set(1, 1)) is range
+    assert tuple(sl2_set(1, 1)) == (2,)
+    assert tuple(sl2_set(2, 2)) == (2, 4)
+    assert tuple(sl2_set(1, 3)) == (4,)
+    assert 4 in sl2_set(1, 3) and 2 not in sl2_set(1, 3)
 
 
 def test_sl2_set_is_single_node_window():
@@ -34,17 +36,19 @@ def test_sl2_set_is_single_node_window():
         for i in dg.nodes():
             for r, s in itertools.product(range(1, 5), repeat=2):
                 window = Interval(i, i)
-                assert sl2_set(r, s).elements == \
-                    r_set(dg, i, r, i, s, window).elements
+                assert sl2_set(r, s) == r_set(dg, i, r, i, s, window)
 
 
 def test_member():
-    assert r_set(DynkinA(3), 3, 3, 1, 2).member(-5)
-    assert not r_set(DynkinA(3), 1, 2, 3, 1).member(7)
-    assert not r_set(DynkinA(3), 1, 2, 3, 1).member(0)
+    'a bare range: `in` is literal, `abs(m) in` asks about either order'
+    assert type(r_set(DynkinA(3), 3, 3, 1, 2)) is range
+    assert abs(-5) in r_set(DynkinA(3), 3, 3, 1, 2)
+    assert -5 not in r_set(DynkinA(3), 3, 3, 1, 2)
+    assert abs(7) not in r_set(DynkinA(3), 1, 2, 3, 1)
+    assert abs(0) not in r_set(DynkinA(3), 1, 2, 3, 1)
     rs = r_set(DynkinA(2), 1, 1, 2, 1)
-    assert rs.contains_signed(3) and not rs.contains_signed(-3)
-    assert 3 in rs and -3 in rs and 5 not in rs
+    assert 3 in rs and -3 not in rs
+    assert abs(3) in rs and abs(-3) in rs and abs(5) not in rs
 
 
 def test_string_parameter_examples():
@@ -80,14 +84,14 @@ def test_set_shape_properties():
                     continue
                 for r, s in itertools.product(range(1, 4), repeat=2):
                     rs = r_set(dg, i, r, j, s, window)
-                    assert rs.elements == r_set(dg, j, s, i, r, window).elements
-                    assert all(m > 0 for m in rs.elements)
+                    assert rs == r_set(dg, j, s, i, r, window)
+                    assert all(m > 0 for m in rs)
                     d = dg.distance(i, j)
-                    assert all((m - r - s - d) % 2 == 0 for m in rs.elements)
+                    assert all((m - r - s - d) % 2 == 0 for m in rs)
                     reach = window.boundary_distance(hull)
                     assert len(rs) == min(r, s) + reach
-                    assert max(rs.elements) == r + s + d + 2 * reach
-                    assert min(rs.elements) == r + s + d - 2 * (min(r, s) - 1)
+                    assert max(rs) == r + s + d + 2 * reach
+                    assert min(rs) == r + s + d - 2 * (min(r, s) - 1)
 
 
 def test_monotonicity_in_window():
@@ -100,8 +104,8 @@ def test_monotonicity_in_window():
             if not big.contains_interval(small):
                 continue
             for r, s in ((1, 1), (2, 3)):
-                assert set(r_set(dg, i, r, j, s, small).elements) <= \
-                    set(r_set(dg, i, r, j, s, big).elements)
+                assert set(r_set(dg, i, r, j, s, small)) <= \
+                    set(r_set(dg, i, r, j, s, big))
 
 
 def test_range_matches_enumerated_set():
@@ -115,7 +119,7 @@ def test_range_matches_enumerated_set():
                 for r, s in itertools.product(range(1, 7), repeat=2):
                     base = r + s + dg.distance(i, j)
                     expected = frozenset(base - 2 * p for p in range(-reach, min(r, s)))
-                    assert r_set(dg, i, r, j, s, window).sorted() == tuple(sorted(expected))
+                    assert tuple(r_set(dg, i, r, j, s, window)) == tuple(sorted(expected))
 
 
 def test_string_parameter_round_trip():
@@ -123,7 +127,7 @@ def test_string_parameter_round_trip():
         dg = DynkinA(n)
         for i, j in itertools.product(dg.nodes(), repeat=2):
             for r, s in itertools.product(range(1, 4), repeat=2):
-                for m in r_set(dg, i, r, j, s).sorted():
+                for m in r_set(dg, i, r, j, s):
                     p = string_parameter(dg, i, r, j, s, m)
                     assert p is not None
                     assert r + s + dg.distance(i, j) - 2 * p == m
@@ -183,11 +187,11 @@ def test_minimal_window_brute_force():
         for i, j in itertools.product(dg.nodes(), repeat=2):
             hull = Interval.hull(i, j)
             for r, s in itertools.product(range(1, 4), repeat=2):
-                for m in r_set(dg, i, r, j, s).sorted():
+                for m in r_set(dg, i, r, j, s):
                     formula = minimal_window(dg, i, r, j, s, m)
                     admissible = [
                         w for w in windows
                         if w.contains_interval(hull)
-                        and r_set(dg, i, r, j, s, w).contains_signed(m)]
+                        and m in r_set(dg, i, r, j, s, w)]
                     assert formula in admissible
                     assert all(w.contains_interval(formula) for w in admissible)

@@ -3,11 +3,12 @@
 The engine picks a rule from the shape tag of one classify pass and decides
 a tree with one scan of its alternating triples.  The oracle below finds the
 shape with the chain of graph queries the engine used to make (components,
-vertex count, total order, classify, an edge-set tree test) and decides a
-tree by recursion: into every proper connected subgraph, smallest first,
+vertex count, a reachability closure for the total order, classify, an
+edge-set tree test) and decides a tree by recursion: into every proper connected subgraph, smallest first,
 memoized up to exponent translation, then the dual-pair rule, then a search
 of tree-edge cuts for a neighbor witness.  Both must give byte-identical
 traced verdicts, and the witness search must never be the rule that decides.
+The closure also checks the engine's own total-order test and line orders.
 """
 
 import json
@@ -21,8 +22,9 @@ from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, CertStep,
 from qfgraph.drinfeld import KRFactor
 from qfgraph.dynkin import DynkinA
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
-from qfgraph.graph import (ALTERNATING_LINE3, DISCONNECTED, OTHER, TREE,
-                           TRIANGLE, QFactGraph, build_graph, classify)
+from qfgraph.graph import (ALTERNATING_LINE3, DISCONNECTED, MONOTONIC_LINE3,
+                           OTHER, TREE, TRIANGLE, TWO_LINE, QFactGraph,
+                           build_graph, classify)
 from qfgraph.redsets import r_set
 from qfgraph.sweeps import random_tree_graph
 
@@ -38,6 +40,28 @@ def _canonical_key(g) -> tuple:
 
 def _verdict(primality: str, rule: str, cites: str, params: dict) -> Verdict:
     return Verdict(primality, certificate=[CertStep(rule, cites, params)])
+
+
+def _reach(g) -> list[set]:
+    """Vertices reachable from each vertex along arrows (transitive closure)."""
+    n = len(g.vertices)
+    reach = [set() for _ in range(n)]
+    for v in range(n):
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in g.out_neighbors(u):
+                if w not in reach[v]:
+                    reach[v].add(w)
+                    stack.append(w)
+    return reach
+
+
+def _closure_totally_ordered(g) -> bool:
+    reach = _reach(g)
+    n = len(g.vertices)
+    return all(v in reach[u] or u in reach[v]
+               for u in range(n) for v in range(u + 1, n))
 
 
 def _old_is_tree(g) -> bool:
@@ -62,7 +86,7 @@ def _old_shape_rules(g):
                         "separates the two linked factors, whose ordered "
                         "tensor product is reducible by the arrow",
                         {"epsilon": g.arrows[0].epsilon})
-    if g.is_totally_ordered():
+    if _closure_totally_ordered(g):
         return _verdict(PRIME, "totally_ordered", "totally ordered "
                         "q-factorization graphs are prime in type A", {})
     shape = classify(g)
@@ -203,7 +227,7 @@ def _random_factor_list(rng: random.Random):
             exponent = rng.randint(-12, 12)
         else:
             base = rng.choice(factors)
-            gaps = r_set(diagram, color, weight, base.color, base.weight).sorted()
+            gaps = r_set(diagram, color, weight, base.color, base.weight)
             exponent = base.exponent + rng.choice((-1, 1)) * rng.choice(gaps)
         factors.append(KRFactor(color, exponent, weight))
     return diagram, factors
@@ -221,6 +245,40 @@ def test_dispatch_matches_old_chain_on_random_factor_lists():
     assert witness_fired == []
     for tag in (DISCONNECTED, TRIANGLE, ALTERNATING_LINE3, OTHER, TREE):
         assert tags[tag] > 0, tag
+
+
+def test_total_order_and_line_order_match_closure():
+    'chain test on the exponent order == reachability closure, ties and cycles included'
+    rng = random.Random(5)
+    seen = Counter()
+    for _ in range(20000):
+        n = rng.randint(1, 5)
+        diagram = DynkinA(n)
+        factors = [KRFactor(rng.randint(1, n), rng.randint(-6, 6), rng.randint(1, 3))
+                   for _ in range(rng.randint(1, 7))]
+        g = build_graph(factors, diagram)
+        exponents = [v.exponent for v in g.vertices]
+        reach = _reach(g)
+        ordered = _closure_totally_ordered(g)
+        assert g.is_totally_ordered() == ordered, [v.label() for v in g.vertices]
+        shape = classify(g)
+        if ordered:
+            by_reach = sorted(range(len(g)), key=lambda v: -len(reach[v]))
+            assert list(g.exponent_order()) == by_reach
+        if shape.tag in (TWO_LINE, MONOTONIC_LINE3):
+            assert ordered and shape.line_order == g.exponent_order()
+        elif shape.tag == ALTERNATING_LINE3:
+            e1, mid, e2 = shape.line_order
+            assert e1 < e2 and g.adjacent(mid, e1) and g.adjacent(mid, e2)
+            assert not ordered and not g.adjacent(e1, e2)
+        else:
+            assert shape.line_order is None
+        seen[shape.tag] += 1
+        seen["ordered" if ordered else "unordered"] += 1
+        seen["tie"] += len(set(exponents)) < len(exponents)
+    for key in (TWO_LINE, MONOTONIC_LINE3, ALTERNATING_LINE3, OTHER,
+                "ordered", "unordered", "tie"):
+        assert seen[key] > 0, key
 
 
 def test_decide_walks_a_tree_at_most_twice(monkeypatch):
