@@ -5,28 +5,25 @@ sets of Kirillov-Reshetikhin pairs, and decide primality and reality of the
 associated simple module with a certificate of the rules used.
 """
 
-from .decision import (AltLineConfig, CaseParams, CertStep, Verdict,
+from .decision import (AltLineConfig, CertStep, Verdict,
                        alt_line_conditions_ineq, alt_line_cut_simple,
                        c3aline_config, case_parameters, decide,
                        dual_pair_simple, is_prime, is_real)
 from .drinfeld import DrinfeldPoly, KRFactor, dual, expand_all, q_factorize
 from .dynkin import DynkinA, Interval
 from .graph import Arrow, QFactGraph, ShapeClass, build_graph, classify
-from .qchar import (ColumnTableau, LWeight, SocleHead, box_lweight,
-                    dominant_product_lweights, fundamental_qchar, socle_head,
-                    tableau_lweight)
+from .qchar import (LWeight, SocleHead, dominant_product_lweights,
+                    fundamental_qchar, socle_head)
 from .redsets import minimal_window, r_set, sl2_set, string_parameter
 
 __all__ = [
-    "AltLineConfig", "Arrow", "CaseParams", "CertStep", "ColumnTableau",
-    "DrinfeldPoly", "DynkinA", "Interval", "KRFactor", "LWeight",
-    "QFactGraph", "ShapeClass", "SocleHead", "Verdict",
-    "alt_line_conditions_ineq", "alt_line_cut_simple", "box_lweight",
+    "AltLineConfig", "Arrow", "CertStep", "DrinfeldPoly", "DynkinA",
+    "Interval", "KRFactor", "LWeight", "QFactGraph", "ShapeClass",
+    "SocleHead", "Verdict", "alt_line_conditions_ineq", "alt_line_cut_simple",
     "build_graph", "c3aline_config", "case_parameters", "classify", "decide",
     "dominant_product_lweights", "dual", "dual_pair_simple", "expand_all",
     "fundamental_qchar", "is_prime", "is_real", "minimal_window",
     "q_factorize", "r_set", "sl2_set", "socle_head", "string_parameter",
-    "tableau_lweight",
 ]
 
 __version__ = "0.1.0"

@@ -25,6 +25,10 @@ from .qchar import dominant_product_lweights, socle_head
 from .redsets import r_set
 from .sweeps import CHECKS
 
+# Largest reducibility set `rset` prints; each element is written out, so a
+# set of 10^10 elements would need about a terabyte.
+MAX_RSET_ELEMENTS = 10**6
+
 
 def load_input(path: str) -> tuple[DynkinA, list[KRFactor]]:
     try:
@@ -72,6 +76,9 @@ def cmd_rset(args) -> int:
     if args.jlo is not None:
         window = Interval(args.jlo, args.jhi)
     rs = r_set(diagram, args.i, args.r, args.j, args.s, window)
+    if rs[MAX_RSET_ELEMENTS:]:  # a slice, not len(): len() overflows past 2^63
+        raise ValueError(f"the reducibility set has more than "
+                         f"{MAX_RSET_ELEMENTS} elements")
     print("{" + ", ".join(map(str, rs)) + "}")
     return 0
 
@@ -152,16 +159,19 @@ def cmd_sweep(args) -> int:
     except KeyError:
         raise ValueError(f"unknown check {args.check!r}; choose from "
                          f"{', '.join(sorted(CHECKS))}") from None
-    kwargs = {}
-    if args.check in ("forms-agree", "c3aline"):
-        kwargs = {"max_rank": args.max_rank, "max_weight": args.max_weight}
+    if args.check in ("duality", "confluence"):
+        kwargs = {"trials": args.trials, "seed": args.seed}
     elif args.check == "dominant-pair":
         kwargs = {"max_rank": args.max_rank}
-    elif args.check == "redsets-algebra":
+    else:
+        kwargs = {"max_rank": args.max_rank, "max_weight": args.max_weight}
+    for name, value in kwargs.items():
+        if name != "seed" and value < 1:  # a check must not pass on zero cases
+            raise ValueError(f"--{name.replace('_', '-')} must be at least 1, "
+                             f"got {value}")
+    if args.check == "redsets-algebra":
         kwargs = {"max_rank": min(args.max_rank + 2, 8),
                   "max_weight": args.max_weight + 1}
-    elif args.check in ("duality", "confluence"):
-        kwargs = {"trials": args.trials, "seed": args.seed}
     result = check(**kwargs)
     for line in result.lines():
         print(line)

@@ -82,14 +82,12 @@ class AltLineConfig:
 
 @dataclass(frozen=True)
 class CaseParams:
-    """String parameters and minimal window attached to a configuration."""
+    """String parameters of both arrows and the sign-split pair."""
 
     p: int
     p_prime: int
     p_plus: int
     p_minus: int
-    window: Interval
-    h_check: int
 
 
 def case_parameters(cfg: AltLineConfig) -> CaseParams:
@@ -112,9 +110,7 @@ def case_parameters(cfg: AltLineConfig) -> CaseParams:
     base = r + sp + dg.distance(i, jp)
     if m - mp != base - 2 * p_plus or mp - m != base - 2 * p_minus:
         raise AssertionError("sign-split identities violated")
-    window = minimal_window(dg, i, r, j, s, m)
-    assert window is not None
-    return CaseParams(p, pp, p_plus, p_minus, window, window.dual_coxeter())
+    return CaseParams(p, pp, p_plus, p_minus)
 
 
 def _cut_window(cfg: AltLineConfig) -> Interval:

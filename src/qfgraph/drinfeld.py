@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .dynkin import DynkinA, Interval
+from .dynkin import DynkinA
 from .redsets import sl2_set
 
 
@@ -61,9 +61,6 @@ class DrinfeldPoly:
     @classmethod
     def from_roots(cls, roots) -> "DrinfeldPoly":
         return cls(tuple(sorted((int(c), int(e)) for c, e in roots)))
-
-    def __mul__(self, other: "DrinfeldPoly") -> "DrinfeldPoly":
-        return DrinfeldPoly(tuple(sorted(self.roots + other.roots)))
 
 
 def expand_all(factors) -> DrinfeldPoly:
@@ -132,17 +129,12 @@ def normalize(factors) -> tuple[tuple[KRFactor, ...], bool]:
                  for f in factors), True
 
 
-def dual(factor: KRFactor, diagram: DynkinA, window: Interval | None = None) -> KRFactor:
-    """Highest-weight datum of the right dual module, within the window.
+def dual(factor: KRFactor, diagram: DynkinA) -> KRFactor:
+    """Highest-weight datum of the right dual module over the whole diagram.
 
-    The color reflects through the window and the exponent drops by the
-    window's dual Coxeter number.
+    The color i goes to n + 1 - i and the exponent drops by the dual Coxeter
+    number n + 1.
     """
-    if window is None:
-        window = diagram.whole()
-    diagram.check_interval(window)
-    if factor.color not in window:
-        raise ValueError(f"color {factor.color} outside window [{window.lo}, {window.hi}]")
-    return KRFactor(window.reflect(factor.color),
-                    factor.exponent - window.dual_coxeter(),
-                    factor.weight)
+    diagram.check_node(factor.color)
+    n = diagram.n
+    return KRFactor(n + 1 - factor.color, factor.exponent - (n + 1), factor.weight)

@@ -87,9 +87,6 @@ class DynkinA:
         if J.hi > self.n:
             raise ValueError(f"interval [{J.lo}, {J.hi}] exceeds rank {self.n}")
 
-    def whole(self) -> Interval:
-        return Interval(1, self.n)
-
     def distance(self, i: int, j: int) -> int:
         self.check_node(i)
         self.check_node(j)

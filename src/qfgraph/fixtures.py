@@ -10,6 +10,7 @@ consulted by the engine itself.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, _alt_configs,
@@ -118,7 +119,9 @@ def run_cosubpt() -> ExampleReport:
     report.add("no arrow between 3@8 and 1@1",
                not g.adjacent(ids["3^1@8"], ids["1^2@1"]))
     report.add("shape is a tree", classify(g).tag == TREE)
-    triples = g.connected_subgraphs(3)
+    # In a tree a connected three-vertex subgraph is a vertex and two neighbors.
+    triples = [g.induced((v, a, b)) for v in range(len(g))
+               for a, b in itertools.combinations(g.undirected_neighbors(v), 2)]
     report.add("exactly two connected three-vertex subgraphs", len(triples) == 2)
     tags = sorted(classify(t).tag for t in triples)
     report.add("one monotonic and one alternating triple",

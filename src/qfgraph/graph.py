@@ -9,11 +9,10 @@ label along any path equals the exponent difference of its endpoints.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .dynkin import DynkinA
-from .drinfeld import KRFactor, normalize
+from .drinfeld import KRFactor, dual, normalize
 from .redsets import r_set
 
 SINGLETON = "singleton"
@@ -135,22 +134,6 @@ class QFactGraph:
         """Induced subgraph on the given vertex ids (rebuilt, so re-sorted)."""
         return build_graph([self.vertices[v] for v in ids], self.diagram)
 
-    def connected_subgraphs(self, size: int) -> list["QFactGraph"]:
-        """All weakly connected induced subgraphs on `size` vertices."""
-        out = []
-        for ids in itertools.combinations(range(len(self.vertices)), size):
-            chosen = set(ids)
-            stack, seen = [ids[0]], {ids[0]}
-            while stack:
-                v = stack.pop()
-                for w in self.undirected_neighbors(v):
-                    if w in chosen and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) == len(ids):
-                out.append(self.induced(ids))
-        return out
-
     def arrow_dual(self) -> "QFactGraph":
         """Reverse every arrow by negating all exponents."""
         flipped = [KRFactor(v.color, -v.exponent, v.weight) for v in self.vertices]
@@ -159,11 +142,8 @@ class QFactGraph:
         return g
 
     def color_dual(self) -> "QFactGraph":
-        """Apply the diagram automorphism and the dual exponent shift."""
-        n = self.diagram.n
-        mapped = [KRFactor(n + 1 - v.color, v.exponent - (n + 1), v.weight)
-                  for v in self.vertices]
-        g = build_graph(mapped, self.diagram)
+        """Replace every vertex by its right dual over the whole diagram."""
+        g = build_graph([dual(v, self.diagram) for v in self.vertices], self.diagram)
         assert not g.was_refactorized
         return g
 

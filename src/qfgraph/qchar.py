@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .dynkin import DynkinA
@@ -64,65 +65,27 @@ class LWeight:
         return [{"color": c, "exponent": e, "power": v} for (c, e), v in self.entries]
 
 
-@dataclass(frozen=True)
-class ColumnTableau:
-    """Strictly increasing column with entries in {1, ..., n+1}."""
-
-    entries: tuple[int, ...]
-    support: int
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("a column tableau needs at least one box")
-        if any(b >= a for a, b in zip(self.entries[1:], self.entries)):
-            raise ValueError(f"column entries must strictly increase: {self.entries}")
-        if self.entries[0] < 1:
-            raise ValueError(f"column entries must be at least 1: {self.entries}")
-
-    @property
-    def height(self) -> int:
-        return len(self.entries)
-
-
-def box_lweight(diagram: DynkinA, entry: int, support: int) -> LWeight:
-    """l-weight of one box: omega_{i, q^{s+i-1}} * omega_{i-1, q^{s+i}}^{-1}.
-
-    The extreme entries 1 and n+1 contribute a single factor because
-    omega_0 and omega_{n+1} are trivial.
-    """
-    n = diagram.n
-    if not 1 <= entry <= n + 1:
-        raise ValueError(f"box entry {entry} out of range 1..{n + 1}")
-    out = LWeight.identity()
-    if entry <= n:
-        out = out * LWeight.fundamental(entry, support + entry - 1)
-    if entry - 1 >= 1:
-        out = out * LWeight.fundamental(entry - 1, support + entry, -1)
-    return out
-
-
-def tableau_lweight(diagram: DynkinA, tableau: ColumnTableau) -> LWeight:
-    """Product of the box l-weights, box j sitting at support s + 2(k - j)."""
-    if tableau.entries[-1] > diagram.n + 1:
-        raise ValueError(f"entries {tableau.entries} exceed {diagram.n + 1}")
-    k = tableau.height
-    out = LWeight.identity()
-    for j, entry in enumerate(tableau.entries, start=1):
-        out = out * box_lweight(diagram, entry, tableau.support + 2 * (k - j))
-    return out
-
-
 def fundamental_qchar(diagram: DynkinA, i: int) -> tuple[LWeight, ...]:
     """All l-weights of the i-th fundamental module, based at exponent 0.
 
-    One monomial per strictly increasing column of height i supported at
-    1 - i; the column (1, ..., i) gives the highest l-weight omega_{i, q^0}.
+    One monomial per strictly increasing column of height i with entries in
+    {1, ..., n+1}, supported at s = 1 - i: box j with entry b sits at support
+    t = s + 2(i - j) and contributes omega_{b, q^{t+b-1}} * omega_{b-1,
+    q^{t+b}}^{-1}, where omega_0 and omega_{n+1} are trivial.  The column
+    (1, ..., i) gives the highest l-weight omega_{i, q^0}.
     """
     diagram.check_node(i)
     n = diagram.n
     out = []
-    for combo in itertools.combinations(range(1, n + 2), i):
-        out.append(tableau_lweight(diagram, ColumnTableau(combo, 1 - i)))
+    for column in itertools.combinations(range(1, n + 2), i):
+        data: Counter = Counter()
+        for j, entry in enumerate(column, start=1):
+            support = 1 - i + 2 * (i - j)
+            if entry <= n:
+                data[entry, support + entry - 1] += 1
+            if entry > 1:
+                data[entry - 1, support + entry] -= 1
+        out.append(LWeight.from_dict(data))
     return tuple(out)
 
 

@@ -68,7 +68,8 @@ def test_criterion_3_four_vertex_tree():
                     ("3^3@6", "1^2@1", 5)}
     ids = {g.vertices[v].label(): v for v in range(len(g))}
     ok &= not g.adjacent(ids["3^1@8"], ids["1^2@1"])
-    triples = g.connected_subgraphs(3)
+    triples = [g.induced((v, a, b)) for v in range(len(g))
+               for a, b in itertools.combinations(g.undirected_neighbors(v), 2)]
     ok &= len(triples) == 2
     ok &= all(is_prime(t).primality == PRIME for t in triples)
     mid = ids["1^2@1"]
@@ -104,8 +105,7 @@ def test_criterion_5_symmetric_config_always_simple():
 
 def test_criterion_6_duality_invariance():
     start = time.time()
-    result = check_duality(trials=1000, seed=2024, max_rank=5,
-                           max_vertices=5, max_weight=3)
+    result = check_duality(trials=1000, seed=2024)
     ok = result.passed and result.checked == 1000
     if not ok:
         print(result.failures)
@@ -151,7 +151,7 @@ def test_criterion_8_qcharacters():
 
 def test_criterion_9_factorization_confluence():
     start = time.time()
-    result = check_confluence(trials=1000, seed=7, max_rank=5, max_roots=10)
+    result = check_confluence(trials=1000, seed=7)
     ok = result.passed and result.checked == 1000
     if not ok:
         print(result.failures)

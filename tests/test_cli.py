@@ -45,6 +45,21 @@ def test_rset_window_and_errors(capsys):
     code, _, err = run(capsys, ["rset", "--rank", "2", "--i", "1", "--r", "1",
                                 "--j", "3", "--s", "1"])
     assert code == 1 and "input error" in err
+    # At most 10^6 elements are printed; the check does not depend on the set size.
+    code, out, _ = run(capsys, ["rset", "--rank", "1", "--i", "1", "--r", "1000000",
+                                "--j", "1", "--s", "1000000"])
+    assert code == 0 and out.count(",") == 10 ** 6 - 1
+    for argv in (["--rank", "1", "--i", "1", "--r", "1000001",
+                  "--j", "1", "--s", "1000001"],
+                 ["--rank", "20000000000", "--i", "10000000000", "--r", "1",
+                  "--j", "10000000000", "--s", "1"],
+                 ["--rank", "2", "--i", "1", "--r", str(10 ** 30), "--j", "2",
+                  "--s", str(10 ** 30)]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["rset"] + argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == "input error: the reducibility set has more than 1000000 elements\n"
 
 
 def test_prime_command(capsys, tmp_path):
@@ -218,11 +233,31 @@ def test_examples_command(capsys):
 
 
 def test_sweep_command(capsys):
-    code, out, _ = run(capsys, ["sweep", "--check", "c3aline",
-                                "--max-rank", "3", "--max-weight", "2"])
-    assert code == 0 and out.startswith("PASS: c3aline")
+    'every check runs through cli.main with the arguments cmd_sweep builds'
+    for check, bounds, cases in (
+            ("forms-agree", ["--max-rank", "2", "--max-weight", "2"], 22),
+            ("c3aline", ["--max-rank", "3", "--max-weight", "2"], 44),
+            ("dominant-pair", ["--max-rank", "2"], 5),
+            ("redsets-algebra", ["--max-rank", "1", "--max-weight", "1"], 218),
+            ("duality", ["--trials", "5"], 5),
+            ("confluence", ["--trials", "5", "--seed", "3"], 5)):
+        code, out, err = run(capsys, ["sweep", "--check", check] + bounds)
+        assert (code, out, err) == (0, f"PASS: {check} ({cases} cases checked)\n", "")
     code, _, err = run(capsys, ["sweep", "--check", "nosuch"])
     assert code == 1 and "unknown check" in err
+    # A check never passes on zero cases; flags the check does not read are ignored.
+    for check, flag, value in (("forms-agree", "--max-rank", 0),
+                               ("c3aline", "--max-weight", 0),
+                               ("dominant-pair", "--max-rank", -1),
+                               ("redsets-algebra", "--max-weight", 0),
+                               ("duality", "--trials", -5),
+                               ("confluence", "--trials", 0)):
+        code, out, err = run(capsys, ["sweep", "--check", check, flag, str(value)])
+        assert (code, out) == (1, "")
+        assert err == f"input error: {flag} must be at least 1, got {value}\n"
+    code, out, _ = run(capsys, ["sweep", "--check", "dominant-pair", "--max-rank", "1",
+                                "--max-weight", "0", "--trials", "0"])
+    assert code == 0 and out.startswith("PASS: dominant-pair")
 
 
 def test_malformed_inputs(capsys, tmp_path):

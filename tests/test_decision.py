@@ -9,6 +9,7 @@ from qfgraph.drinfeld import KRFactor
 from qfgraph.dynkin import DynkinA, Interval
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
 from qfgraph.graph import build_graph
+from qfgraph.redsets import minimal_window
 
 A2 = DynkinA(2)
 
@@ -79,19 +80,27 @@ def test_validate_rejects_bad_configs():
         cfg(DynkinA(3), (2, 2, 3), (1, 2), (3, 2, 6)).validate()
 
 
-def test_case_parameters_examples():
-    params = case_parameters(cfg(A2, (2, 2, 4), (1, 1), (2, 1, 3)))
-    assert (params.p, params.p_prime) == (0, 0)
-    assert params.window == Interval(1, 2) and params.h_check == 3
+def _cut_window(c):
+    return minimal_window(c.diagram, c.iso_color, c.iso_weight,
+                          c.middle_color, c.middle_weight, c.iso_label)
 
-    params = case_parameters(cfg(A2, (2, 1, 3), (1, 1), (2, 2, 4)))
+
+def test_case_parameters_examples():
+    c = cfg(A2, (2, 2, 4), (1, 1), (2, 1, 3))
+    params = case_parameters(c)
     assert (params.p, params.p_prime) == (0, 0)
-    assert params.window == Interval(1, 2) and params.h_check == 3
+    assert _cut_window(c) == Interval(1, 2) and _cut_window(c).dual_coxeter() == 3
+
+    c = cfg(A2, (2, 1, 3), (1, 1), (2, 2, 4))
+    params = case_parameters(c)
+    assert (params.p, params.p_prime) == (0, 0)
+    assert _cut_window(c) == Interval(1, 2) and _cut_window(c).dual_coxeter() == 3
 
     for r in range(2, 9):
-        params = case_parameters(cfg(A2, (1, r, r + 1), (2, 2), (1, 1, 4)))
+        c = cfg(A2, (1, r, r + 1), (2, 2), (1, 1, 4))
+        params = case_parameters(c)
         assert params.p == 1
-        assert params.window == Interval(1, 2) and params.h_check == 3
+        assert _cut_window(c) == Interval(1, 2) and _cut_window(c).dual_coxeter() == 3
 
 
 def test_case_parameters_signed_identities():

@@ -4,7 +4,7 @@ import pytest
 
 from qfgraph.drinfeld import (DrinfeldPoly, KRFactor, dual, expand_all,
                               is_dissociate, normalize, q_factorize)
-from qfgraph.dynkin import DynkinA, Interval
+from qfgraph.dynkin import DynkinA
 from qfgraph.redsets import sl2_set
 from qfgraph.sweeps import merge_factorize
 
@@ -24,13 +24,12 @@ def test_factor_roots_progression():
 
 def test_q_factorize_merges_weight_one_pair():
     'two gap-2 roots of one color coalesce into a single weight-2 string'
-    poly = DrinfeldPoly.from_roots([(1, 2), (1, 4)]) * \
-        expand_all([KRFactor(2, 0, 2)])
+    poly = expand_all([KRFactor(1, 2, 1), KRFactor(1, 4, 1), KRFactor(2, 0, 2)])
     assert q_factorize(poly) == (KRFactor(1, 3, 2), KRFactor(2, 0, 2))
 
 
 def test_q_factorize_keeps_distinct_strings():
-    poly = DrinfeldPoly.from_roots([(3, 8)]) * expand_all([KRFactor(3, 6, 3)])
+    poly = expand_all([KRFactor(3, 8, 1), KRFactor(3, 6, 3)])
     assert poly.roots == ((3, 4), (3, 6), (3, 8), (3, 8))
     assert q_factorize(poly) == (KRFactor(3, 6, 3), KRFactor(3, 8, 1))
     assert 2 not in sl2_set(1, 3)
@@ -98,15 +97,6 @@ def test_normalize_matches_merge_oracle():
         assert normalize(factors) == (expected, expected != tuple(sorted(factors)))
 
 
-def test_multiply():
-    unit = DrinfeldPoly(())
-    pi = DrinfeldPoly.from_roots([(1, 0)])
-    assert pi * unit == pi
-    assert (pi * pi).roots == ((1, 0), (1, 0))
-    product = expand_all([KRFactor(1, 1, 2)]) * expand_all([KRFactor(2, 5, 1)])
-    assert product.roots == ((1, 0), (1, 2), (2, 5))
-
-
 def test_dual_whole_diagram():
     dg = DynkinA(2)
     assert dual(KRFactor(1, 7, 2), dg) == KRFactor(2, 4, 2)
@@ -114,10 +104,11 @@ def test_dual_whole_diagram():
 
 
 def test_dual_in_window():
+    'the dual is taken over the whole diagram; a color outside it is an error'
     dg = DynkinA(2)
-    assert dual(KRFactor(1, 0, 1), dg, Interval(1, 2)) == KRFactor(2, -3, 1)
-    with pytest.raises(ValueError):
-        dual(KRFactor(3, 0, 1), DynkinA(3), Interval(1, 2))
+    assert dual(KRFactor(1, 0, 1), dg) == KRFactor(2, -3, 1)
+    with pytest.raises(ValueError, match="node 3 out of range for rank 2"):
+        dual(KRFactor(3, 0, 1), dg)
 
 
 def test_dual_twice_is_exponent_shift():

@@ -74,11 +74,11 @@ def test_dual_coxeter():
 
 def test_dual_node():
     'color duality i -> n + 1 - i is the reflection of the whole diagram'
-    assert DynkinA(2).whole().reflect(1) == 2
-    assert DynkinA(3).whole().reflect(2) == 2
-    assert DynkinA(5).whole().reflect(1) == 5
+    assert Interval(1, 2).reflect(1) == 2
+    assert Interval(1, 3).reflect(2) == 2
+    assert Interval(1, 5).reflect(1) == 5
     for n in range(1, 7):
-        whole = DynkinA(n).whole()
+        whole = Interval(1, n)
         for i in whole.lo, whole.hi, (whole.lo + whole.hi) // 2:
             assert whole.reflect(whole.reflect(i)) == i
             assert whole.reflect(i) == n + 1 - i

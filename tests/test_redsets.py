@@ -136,7 +136,7 @@ def test_string_parameter_round_trip():
 def _interval_string_parameter(diagram, i, r, j, s, m, window=None):
     """string_parameter as it was written over Interval objects."""
     if window is None:
-        window = diagram.whole()
+        window = Interval(1, diagram.n)
     diagram.check_interval(window)
     if i not in window or j not in window:
         raise ValueError(f"colors ({i}, {j}) not inside window "

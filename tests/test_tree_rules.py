@@ -11,6 +11,7 @@ traced verdicts, and the witness search must never be the rule that decides.
 The closure also checks the engine's own total-order test and line orders.
 """
 
+import itertools
 import json
 import random
 import time
@@ -159,9 +160,26 @@ def _oracle_tree_rules(g, memo: dict, witness_fired: list) -> Verdict:
         CertStep("inconclusive", "no implemented rule applies", {})])
 
 
+def connected_subgraphs(g, size: int) -> list:
+    """All weakly connected induced subgraphs of g on `size` vertices."""
+    out = []
+    for ids in itertools.combinations(range(len(g)), size):
+        chosen = set(ids)
+        stack, seen = [ids[0]], {ids[0]}
+        while stack:
+            v = stack.pop()
+            for w in g.undirected_neighbors(v):
+                if w in chosen and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) == len(ids):
+            out.append(g.induced(ids))
+    return out
+
+
 def _tree_subgraph_not_prime(g, memo: dict, witness_fired: list):
     for size in range(2, len(g)):
-        for sub in g.connected_subgraphs(size):
+        for sub in connected_subgraphs(g, size):
             if oracle_is_prime(sub, memo, witness_fired).primality == NOT_PRIME:
                 return sub
     return None
@@ -214,6 +232,24 @@ def test_scan_matches_recursion_on_fixtures():
     for dg, factors in families:
         _agree(build_graph(factors, dg), witness_fired)
     assert witness_fired == []
+
+
+def test_neighbor_pair_triples_are_the_connected_triples():
+    'in a tree the connected 3-subsets are a vertex with two of its neighbors'
+    rng = random.Random(20261019)
+    graphs = [build_graph(factors, dg) for dg, factors in
+              [newprimex_factors(r) for r in range(1, 9)] + [cosubpt_factors()]]
+    graphs += [random_tree_graph(rng, max_rank=6, max_vertices=8, max_weight=4)
+               for _ in range(1000)]
+    counts = Counter()
+    for g in graphs:
+        assert g.is_tree()
+        want = sorted(sub.vertices for sub in connected_subgraphs(g, 3))
+        got = sorted(g.induced((v, a, b)).vertices for v in range(len(g))
+                     for a, b in itertools.combinations(g.undirected_neighbors(v), 2))
+        assert got == want, [v.label() for v in g.vertices]
+        counts[len(want)] += 1
+    assert counts[0] > 0 and max(counts) >= 6
 
 
 def _random_factor_list(rng: random.Random):
