@@ -169,9 +169,6 @@ def cmd_sweep(args) -> int:
         if name != "seed" and value < 1:  # a check must not pass on zero cases
             raise ValueError(f"--{name.replace('_', '-')} must be at least 1, "
                              f"got {value}")
-    if args.check == "redsets-algebra":
-        kwargs = {"max_rank": min(args.max_rank + 2, 8),
-                  "max_weight": args.max_weight + 1}
     result = check(**kwargs)
     for line in result.lines():
         print(line)

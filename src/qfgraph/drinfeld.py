@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .dynkin import DynkinA
 from .redsets import sl2_set
@@ -104,14 +105,21 @@ def q_factorize(poly: DrinfeldPoly) -> tuple[KRFactor, ...]:
 
 
 def is_dissociate(factors) -> bool:
-    """True when no two same-color factors would coalesce into one q-string."""
-    factors = list(factors)
-    for a in range(len(factors)):
+    """True when no two same-color factors would coalesce into one q-string.
+
+    Every element of sl2_set(r, s) is at most r + s, so in (color, exponent)
+    order the scan from a factor of weight r stops at the first partner of
+    another color or more than r + (largest weight) above it.
+    """
+    factors = sorted(factors, key=attrgetter("color", "exponent"))
+    w_max = max((f.weight for f in factors), default=0)
+    for a, u in enumerate(factors):
         for b in range(a + 1, len(factors)):
-            u, v = factors[a], factors[b]
-            if u.color != v.color:
-                continue
-            if abs(u.exponent - v.exponent) in sl2_set(u.weight, v.weight):
+            v = factors[b]
+            gap = v.exponent - u.exponent
+            if v.color != u.color or gap > u.weight + w_max:
+                break
+            if gap in sl2_set(u.weight, v.weight):
                 return False
     return True
 

@@ -9,6 +9,7 @@ label along any path equals the exponent difference of its endpoints.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .dynkin import DynkinA
@@ -157,24 +158,41 @@ class QFactGraph:
         return "\n".join(lines) + "\n"
 
 
+def _exponent_window(factors):
+    """A function taking (lo, hi) to the ids of the factors with exponent in [lo, hi].
+
+    The factors are sorted by exponent once; each query bisects that order,
+    so its cost grows with the number of ids it returns, not with the number
+    of factors.  The ids come back in ascending order.
+    """
+    exponents = [f.exponent for f in factors]
+    order = sorted(range(len(factors)), key=exponents.__getitem__)
+    exponents.sort()
+    return lambda lo, hi: sorted(order[bisect_left(exponents, lo):
+                                       bisect_right(exponents, hi)])
+
+
 def build_graph(factors, diagram: DynkinA) -> QFactGraph:
     """Build the q-factorization graph of the given multiset of factors.
 
     Inputs that are only a pre-factorization (some same-color pair coalesces)
     are normalized through q_factorize first and flagged in the result.
+
+    Every element of r_set(i, r, j, s) is at most r + s + d(i, j) + 2 * reach
+    <= r + s + n - 1, so a tail of weight r only needs the heads whose
+    exponent lies at most r + (largest weight) + n - 1 below its own.
     """
     factors = list(factors)
     for f in factors:
         diagram.check_node(f.color)
     vertices, refactorized = normalize(factors)
+    within = _exponent_window(vertices)
+    slack = max((v.weight for v in vertices), default=0) + diagram.n - 1
     arrows = []
     for t, u in enumerate(vertices):
-        for h, v in enumerate(vertices):
-            if t == h:
-                continue
+        for h in within(u.exponent - u.weight - slack, u.exponent - 1):
+            v = vertices[h]
             gap = u.exponent - v.exponent
-            if gap <= 0:
-                continue
             if gap in r_set(diagram, u.color, u.weight, v.color, v.weight):
                 arrows.append(Arrow(t, h, gap))
     return QFactGraph(diagram, vertices, tuple(arrows), refactorized)

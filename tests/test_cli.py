@@ -233,12 +233,13 @@ def test_examples_command(capsys):
 
 
 def test_sweep_command(capsys):
-    'every check runs through cli.main with the arguments cmd_sweep builds'
+    'every check runs through cli.main at the bounds its flags give'
     for check, bounds, cases in (
             ("forms-agree", ["--max-rank", "2", "--max-weight", "2"], 22),
             ("c3aline", ["--max-rank", "3", "--max-weight", "2"], 44),
             ("dominant-pair", ["--max-rank", "2"], 5),
-            ("redsets-algebra", ["--max-rank", "1", "--max-weight", "1"], 218),
+            ("redsets-algebra", ["--max-rank", "1", "--max-weight", "1"], 3),
+            ("redsets-algebra", ["--max-rank", "3", "--max-weight", "2"], 218),
             ("duality", ["--trials", "5"], 5),
             ("confluence", ["--trials", "5", "--seed", "3"], 5)):
         code, out, err = run(capsys, ["sweep", "--check", check] + bounds)

@@ -1,7 +1,10 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
+import qfgraph.drinfeld
 from qfgraph.drinfeld import (DrinfeldPoly, KRFactor, dual, expand_all,
                               is_dissociate, normalize, q_factorize)
 from qfgraph.dynkin import DynkinA
@@ -95,6 +98,48 @@ def test_normalize_matches_merge_oracle():
                    for _ in range(rng.randint(1, 6))]
         expected = merge_factorize(expand_all(factors))
         assert normalize(factors) == (expected, expected != tuple(sorted(factors)))
+
+
+def all_pairs_dissociate(factors) -> bool:
+    """The test is_dissociate replaced: every pair, in input order."""
+    return not any(u.color == v.color
+                   and abs(u.exponent - v.exponent) in sl2_set(u.weight, v.weight)
+                   for u, v in itertools.combinations(factors, 2))
+
+
+def test_windowed_dissociate_matches_all_pairs_oracle():
+    'unsorted input, ties, negatives, a weight of 10^9 and rank 1 included'
+    rng = random.Random(41)
+    seen = Counter()
+    for k in range(5000):
+        n = rng.randint(1, 3)
+        spread = rng.choice((3, 10, 40))
+        factors = [KRFactor(rng.randint(1, n), rng.randint(-spread, spread),
+                            rng.randint(1, 4)) for _ in range(rng.randint(0, 9))]
+        if k % 10 == 0 and factors:
+            factors[0] = KRFactor(factors[0].color, factors[0].exponent, 10**9)
+        rng.shuffle(factors)
+        want = all_pairs_dissociate(factors)
+        assert is_dissociate(factors) == want, factors
+        seen[want] += 1
+        seen["huge", want] += any(f.weight == 10**9 for f in factors)
+    for key in (True, False, ("huge", True), ("huge", False)):
+        assert seen[key] > 100, (key, seen)
+
+
+def test_dissociate_scan_stops_at_the_window(monkeypatch):
+    '2000 weight-2 strings 3 apart per color: one sl2_set test each, not 2 * 10^6'
+    size = 2000
+    factors = [KRFactor(k % 4 + 1, 3 * (k // 4), 2) for k in range(size)]
+    calls = Counter()
+
+    def counted(*args):
+        calls["sl2_set"] += 1
+        return sl2_set(*args)
+
+    monkeypatch.setattr(qfgraph.drinfeld, "sl2_set", counted)
+    assert is_dissociate(reversed(factors))
+    assert calls["sl2_set"] <= size
 
 
 def test_dual_whole_diagram():

@@ -1,13 +1,17 @@
+import random
+from collections import Counter
 from math import comb
 
 import pytest
 
+import qfgraph.graph
 from qfgraph.drinfeld import KRFactor
 from qfgraph.dynkin import DynkinA
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
 from qfgraph.graph import (ALTERNATING_LINE3, DISCONNECTED, MONOTONIC_LINE3,
                            OTHER, SINGLETON, TOTALLY_ORDERED, TREE, TRIANGLE,
-                           TWO_LINE, build_graph, classify)
+                           TWO_LINE, Arrow, build_graph, classify)
+from qfgraph.redsets import r_set
 
 
 def arrow_set(g):
@@ -154,3 +158,70 @@ def test_classify_rejects_empty():
     g = build_graph([], DynkinA(2))
     with pytest.raises(ValueError):
         classify(g)
+
+
+def all_pairs_arrows(vertices, diagram) -> tuple:
+    """The construction build_graph replaced: every ordered pair, in id order."""
+    arrows = []
+    for t, u in enumerate(vertices):
+        for h, v in enumerate(vertices):
+            gap = u.exponent - v.exponent
+            if t != h and gap > 0 and \
+                    gap in r_set(diagram, u.color, u.weight, v.color, v.weight):
+                arrows.append(Arrow(t, h, gap))
+    return tuple(arrows)
+
+
+def test_windowed_arrows_match_all_pairs_oracle():
+    'same arrows in the same order: rank 1, ties, negatives, weight 10^9, re-factorized'
+    rng = random.Random(20261020)
+    seen = Counter()
+    for k in range(4000):
+        n = 1 if k % 5 == 0 else rng.randint(2, 6)
+        diagram = DynkinA(n)
+        spread = rng.choice((2, 6, 30))
+        factors = [KRFactor(rng.randint(1, n), rng.randint(-spread, spread),
+                            rng.randint(1, 4)) for _ in range(rng.randint(1, 10))]
+        if k % 10 == 1:  # widens every window; a partner about 10^9 away
+            huge = factors[0] = KRFactor(factors[0].color, factors[0].exponent, 10**9)
+            color, weight = rng.randint(1, n), rng.randint(1, 4)
+            gap = rng.choice(r_set(diagram, color, weight, huge.color, huge.weight))
+            factors.append(KRFactor(color, huge.exponent + rng.choice((-1, 1)) * gap,
+                                    weight))
+        if k % 4 == 2:  # one root on top of a string: normalize joins them
+            f = factors[0]
+            factors.append(KRFactor(f.color, f.exponent + f.weight + 1, 1))
+        g = build_graph(factors, diagram)
+        assert g.arrows == all_pairs_arrows(g.vertices, diagram), \
+            [v.label() for v in g.vertices]
+        exponents = [v.exponent for v in g.vertices]
+        seen["rank 1"] += n == 1 and len(g) > 1  # never an arrow: dissociate
+        seen["tie"] += len(set(exponents)) < len(exponents)
+        seen["negative"] += min(exponents) < 0
+        seen["weight 10^9 arrow"] += any(
+            g.vertices[a.tail].weight >= 10**9 or g.vertices[a.head].weight >= 10**9
+            for a in g.arrows)
+        seen["re-factorized"] += g.was_refactorized
+        seen["pruned"] += max(exponents) - min(exponents) > \
+            2 * max(v.weight for v in g.vertices) + n - 1
+    for key in ("rank 1", "tie", "negative", "weight 10^9 arrow",
+                "re-factorized", "pruned"):
+        assert seen[key] > 50, (key, seen)
+
+
+def test_sparse_build_tests_few_gaps(monkeypatch):
+    'rank 4, V = 2000 exponents over 40 V: at most 2 V gap tests, not V (V - 1)'
+    rng = random.Random(4)
+    size = 2000
+    factors = [KRFactor(rng.randint(1, 4), rng.randint(0, 40 * size), rng.randint(1, 3))
+               for _ in range(size)]
+    calls = Counter()
+
+    def counted(*args):
+        calls["r_set"] += 1
+        return r_set(*args)
+
+    monkeypatch.setattr(qfgraph.graph, "r_set", counted)
+    g = build_graph(factors, DynkinA(4))
+    assert len(g) > size * 0.9 and g.arrows
+    assert calls["r_set"] <= 2 * size

@@ -17,9 +17,11 @@ import random
 import time
 from collections import Counter
 
+import qfgraph.decision
 from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, CertStep,
-                              Verdict, _alt_configs, alt_line_cut_simple,
-                              decide, dual_pair_simple, is_prime)
+                              Verdict, _alt_configs, _tree_dual_pairs_simple,
+                              alt_line_cut_simple, decide, dual_pair_simple,
+                              is_prime)
 from qfgraph.drinfeld import KRFactor
 from qfgraph.dynkin import DynkinA
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
@@ -131,6 +133,14 @@ def oracle_is_real(g) -> Verdict:
         "trees", {})])
 
 
+def all_pairs_dual_simple(g) -> bool:
+    """The dual-pair rule over every non-adjacent pair, both orders."""
+    n = len(g)
+    return all(dual_pair_simple(g.vertices[u], g.vertices[v], g.diagram)
+               and dual_pair_simple(g.vertices[v], g.vertices[u], g.diagram)
+               for u in range(n) for v in range(u + 1, n) if not g.adjacent(u, v))
+
+
 def _oracle_tree_rules(g, memo: dict, witness_fired: list) -> Verdict:
     sub = _tree_subgraph_not_prime(g, memo, witness_fired)
     if sub is not None:
@@ -138,10 +148,7 @@ def _oracle_tree_rules(g, memo: dict, witness_fired: list) -> Verdict:
             "subgraph_not_prime", "every proper connected subgraph of a prime "
             "tree is prime; a non-prime subgraph refutes primality",
             {"subgraph": [v.label() for v in sub.vertices]})])
-    n = len(g)
-    if all(dual_pair_simple(g.vertices[u], g.vertices[v], g.diagram)
-           and dual_pair_simple(g.vertices[v], g.vertices[u], g.diagram)
-           for u in range(n) for v in range(u + 1, n) if not g.adjacent(u, v)):
+    if all_pairs_dual_simple(g):
         return Verdict(PRIME, certificate=[CertStep(
             "dual_pairs_simple", "a tree is prime when the dual-pair tensor "
             "product of every non-adjacent vertex pair is simple (both orders "
@@ -341,6 +348,47 @@ def test_decide_walks_a_tree_at_most_twice(monkeypatch):
         calls.clear()
         decide(g)
         assert calls["components"] <= 2 and calls["is_totally_ordered"] <= 1
+
+
+def test_windowed_dual_pairs_match_all_pairs_oracle():
+    'random trees and random factor lists, with both answers and pruned windows'
+    rng = random.Random(20261021)
+    graphs = [random_tree_graph(rng, max_rank=6, max_vertices=10, max_weight=4)
+              for _ in range(1500)]
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        spread = rng.choice((4, 15, 60))
+        factors = [KRFactor(rng.randint(1, n), rng.randint(-spread, spread),
+                            rng.randint(1, 3)) for _ in range(rng.randint(1, 9))]
+        graphs.append(build_graph(factors, DynkinA(n)))
+    seen = Counter()
+    for g in graphs:
+        want = all_pairs_dual_simple(g)
+        assert _tree_dual_pairs_simple(g) == want, [v.label() for v in g.vertices]
+        exponents = [v.exponent for v in g.vertices]
+        wide = max(exponents) - min(exponents) > \
+            2 * max(v.weight for v in g.vertices) + 2 * g.diagram.n + 1
+        seen[g.is_tree(), want] += 1
+        seen["pruned", want] += wide
+    for key in ((True, True), (True, False), (False, True), (False, False),
+                ("pruned", True), ("pruned", False)):
+        assert seen[key] > 50, (key, seen)
+
+
+def test_spread_out_dual_pairs_need_no_test(monkeypatch):
+    '2000 vertices 20 apart: no dual pair in reach, at most V tests, not V (V - 1)'
+    size = 2000
+    g = build_graph([KRFactor(k % 4 + 1, 20 * k, k % 3 + 1) for k in range(size)],
+                    DynkinA(4))
+    calls = Counter()
+
+    def counted(*args):
+        calls["dual_pair_simple"] += 1
+        return dual_pair_simple(*args)
+
+    monkeypatch.setattr(qfgraph.decision, "dual_pair_simple", counted)
+    assert len(g) == size and _tree_dual_pairs_simple(g)
+    assert calls["dual_pair_simple"] <= size
 
 
 def test_sixteen_vertex_tree_without_simple_triple():
