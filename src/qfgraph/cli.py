@@ -23,11 +23,14 @@ from .fixtures import EXAMPLE_NAMES, run_example
 from .graph import QFactGraph, build_graph, classify
 from .qchar import dominant_product_lweights, socle_head
 from .redsets import r_set
-from .sweeps import CHECKS
+from .sweeps import CHECKS, MAX_SWEEP_RANK, MAX_SWEEP_TRIALS, MAX_SWEEP_WEIGHT
 
 # Largest reducibility set `rset` prints; each element is written out, so a
 # set of 10^10 elements would need about a terabyte.
 MAX_RSET_ELEMENTS = 10**6
+
+SWEEP_CAPS = {"max_rank": MAX_SWEEP_RANK, "max_weight": MAX_SWEEP_WEIGHT,
+              "trials": MAX_SWEEP_TRIALS}
 
 
 def load_input(path: str) -> tuple[DynkinA, list[KRFactor]]:
@@ -166,8 +169,13 @@ def cmd_sweep(args) -> int:
     else:
         kwargs = {"max_rank": args.max_rank, "max_weight": args.max_weight}
     for name, value in kwargs.items():
-        if name != "seed" and value < 1:  # a check must not pass on zero cases
-            raise ValueError(f"--{name.replace('_', '-')} must be at least 1, "
+        if name == "seed":
+            continue
+        flag = f"--{name.replace('_', '-')}"
+        if value < 1:  # a check must not pass on zero cases
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+        if value > SWEEP_CAPS[name]:
+            raise ValueError(f"{flag} must be at most {SWEEP_CAPS[name]}, "
                              f"got {value}")
     result = check(**kwargs)
     for line in result.lines():

@@ -39,6 +39,10 @@ class AltLineConfig:
     the criterion's quantities unchanged).  `iso_label` is the exponent gap
     m on the arrow joining the middle to the end being isolated and
     `other_label` the gap m' on the remaining arrow.
+
+    A config is validated when it is built, which raises ValueError on a
+    line that is not alternating; `window` then holds the minimal window J
+    of the isolating arrow, which the cut test reads.
     """
 
     diagram: DynkinA
@@ -51,6 +55,13 @@ class AltLineConfig:
     other_weight: int
     other_label: int
     middle_is_source: bool = True
+    window: Interval = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.validate()
+        object.__setattr__(self, "window", minimal_window(
+            self.diagram, self.iso_color, self.iso_weight,
+            self.middle_color, self.middle_weight, self.iso_label))
 
     def validate(self) -> None:
         dg = self.diagram
@@ -113,21 +124,9 @@ def case_parameters(cfg: AltLineConfig) -> CaseParams:
     return CaseParams(p, pp, p_plus, p_minus)
 
 
-def _cut_window(cfg: AltLineConfig) -> Interval:
-    window = minimal_window(cfg.diagram, cfg.iso_color, cfg.iso_weight,
-                            cfg.middle_color, cfg.middle_weight, cfg.iso_label)
-    if window is None:
-        raise ValueError("isolating label is outside the unrestricted reducibility set")
-    return window
-
-
 def cut_general_conditions(cfg: AltLineConfig) -> bool:
     """The three window-membership conditions of the cut-simplicity test."""
-    return _general_conditions(cfg, _cut_window(cfg))
-
-
-def _general_conditions(cfg: AltLineConfig, window: Interval) -> bool:
-    dg = cfg.diagram
+    dg, window = cfg.diagram, cfg.window
     jp, sp, mp = cfg.other_color, cfg.other_weight, cfg.other_label
     if jp not in window:
         return False
@@ -149,14 +148,12 @@ def alt_line_cut_simple(cfg: AltLineConfig) -> bool:
     not in the J-set at weight r - 1.  A True value means the three-vertex
     graph is not prime.
     """
-    cfg.validate()
-    window = _cut_window(cfg)
-    if not _general_conditions(cfg, window):
+    if not cut_general_conditions(cfg):
         return False
     r = cfg.iso_weight
     return r == 1 or (cfg.iso_label - cfg.other_label + 1
                       not in r_set(cfg.diagram, cfg.iso_color, r - 1,
-                                   cfg.other_color, cfg.other_weight, window))
+                                   cfg.other_color, cfg.other_weight, cfg.window))
 
 
 def alt_line_conditions_ineq(cfg: AltLineConfig) -> bool:
@@ -167,9 +164,9 @@ def alt_line_conditions_ineq(cfg: AltLineConfig) -> bool:
     conditions become -p' <= -p - d(j', [i,j]), the shifted parameter
     r + p' - 1 landing in [p + d(j', [i,j]), min(r, s')), and r <= s'; for
     p > 0 they become j' in [i,j], p' >= 0, r - p + p' - 1 in [0, min(r, s')),
-    and (r <= s' or p != p').
+    and (r <= s' or p != p').  The hull [lo, hi] of i and j and the window
+    stay plain integers; `cfg.window` is not read.
     """
-    cfg.validate()
     dg = cfg.diagram
     i, r = cfg.iso_color, cfg.iso_weight
     j, s = cfg.middle_color, cfg.middle_weight
@@ -178,11 +175,10 @@ def alt_line_conditions_ineq(cfg: AltLineConfig) -> bool:
     pp = string_parameter(dg, j, s, jp, sp, cfg.other_label)
     if p is None or pp is None:
         raise ValueError("arrow labels are outside the unrestricted reducibility sets")
-    hull = Interval.hull(i, j)
-    offset = hull.distance_to(jp)
+    lo, hi = (i, j) if i <= j else (j, i)
+    offset = max(lo - jp, jp - hi, 0)
     if p <= 0:
-        window = Interval(hull.lo + p, hull.hi - p)
-        if jp not in window:
+        if not lo + p <= jp <= hi - p:
             return False
         if -pp > -p - offset:
             return False
@@ -190,7 +186,7 @@ def alt_line_conditions_ineq(cfg: AltLineConfig) -> bool:
         if not (p + offset <= shifted < min(r, sp)):
             return False
         return r <= sp
-    if jp not in hull:
+    if not lo <= jp <= hi:
         return False
     if pp < 0:
         return False

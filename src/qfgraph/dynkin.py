@@ -97,4 +97,5 @@ class DynkinA:
         self.check_node(i)
         self.check_node(j)
         self.check_node(k)
-        return Interval.hull(i, j).distance_to(k)
+        lo, hi = (i, j) if i <= j else (j, i)
+        return max(lo - k, k - hi, 0)

@@ -115,7 +115,8 @@ def dominant_product_lweights(diagram: DynkinA, i: int, j: int,
                          f"{MAX_PRODUCT_PAIRS}")
     left = fundamental_qchar(diagram, i)
     right = [w.shift(m) for w in fundamental_qchar(diagram, j)]
-    return frozenset(a * b for a in left for b in right if (a * b).is_dominant())
+    products = (a * b for a in left for b in right)
+    return frozenset(w for w in products if w.is_dominant())
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,11 @@ def _span(diagram: DynkinA, i: int, j: int,
     if window is not None:
         diagram.check_interval(window)
         lo, hi = window.lo, window.hi
-    if not (lo <= i <= hi and lo <= j <= hi):
+    a, b = (i, j) if i <= j else (j, i)
+    if not (lo <= a and b <= hi):
         raise ValueError(f"colors ({i}, {j}) not inside window [{lo}, {hi}]")
-    return abs(i - j), min(i - lo, j - lo, hi - i, hi - j)
+    below, above = a - lo, hi - b
+    return b - a, below if below < above else above
 
 
 def r_set(diagram: DynkinA, i: int, r: int, j: int, s: int,
@@ -44,7 +46,7 @@ def r_set(diagram: DynkinA, i: int, r: int, j: int, s: int,
     if r < 1 or s < 1:
         raise ValueError(f"weights must be positive, got ({r}, {s})")
     base = r + s + d
-    return range(base - 2 * min(r, s) + 2, base + 2 * reach + 1, 2)
+    return range(base - 2 * (r if r < s else s) + 2, base + 2 * reach + 1, 2)
 
 
 def sl2_set(r: int, s: int) -> range:
@@ -73,7 +75,7 @@ def string_parameter(diagram: DynkinA, i: int, r: int, j: int, s: int, m: int,
     if twice_p % 2 != 0:
         return None
     p = twice_p // 2
-    if -reach <= p < min(r, s):
+    if -reach <= p < r and p < s:
         return p
     return None
 
@@ -89,7 +91,6 @@ def minimal_window(diagram: DynkinA, i: int, r: int, j: int, s: int,
     p = string_parameter(diagram, i, r, j, s, m)
     if p is None:
         return None
-    hull = Interval.hull(i, j)
-    if p >= 0:
-        return hull
-    return Interval(hull.lo + p, hull.hi - p)
+    widen = -p if p < 0 else 0
+    lo, hi = (i, j) if i <= j else (j, i)
+    return Interval(lo - widen, hi + widen)

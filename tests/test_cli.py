@@ -6,6 +6,7 @@ import time
 
 import qfgraph
 from qfgraph.cli import main, make_parser
+from qfgraph.sweeps import MAX_SWEEP_RANK, MAX_SWEEP_TRIALS, MAX_SWEEP_WEIGHT
 
 
 def write_input(tmp_path, rank, factors, name="input.json"):
@@ -259,6 +260,25 @@ def test_sweep_command(capsys):
     code, out, _ = run(capsys, ["sweep", "--check", "dominant-pair", "--max-rank", "1",
                                 "--max-weight", "0", "--trials", "0"])
     assert code == 0 and out.startswith("PASS: dominant-pair")
+
+
+def test_sweep_refuses_bounds_above_caps(capsys):
+    'each cap is inclusive; flags the check does not read are not capped'
+    for check, flag, cap in (("forms-agree", "--max-rank", MAX_SWEEP_RANK),
+                             ("c3aline", "--max-weight", MAX_SWEEP_WEIGHT),
+                             ("dominant-pair", "--max-rank", MAX_SWEEP_RANK),
+                             ("duality", "--trials", MAX_SWEEP_TRIALS)):
+        for value in (cap + 1, 1000 * cap):
+            code, out, err = run(capsys, ["sweep", "--check", check, flag, str(value)])
+            assert (code, out) == (1, "")
+            assert err == f"input error: {flag} must be at most {cap}, got {value}\n"
+    code, out, _ = run(capsys, ["sweep", "--check", "c3aline", "--max-rank",
+                                str(MAX_SWEEP_RANK), "--max-weight",
+                                str(MAX_SWEEP_WEIGHT)])
+    assert code == 0 and out.startswith("PASS: c3aline")
+    code, out, _ = run(capsys, ["sweep", "--check", "confluence", "--trials", "2",
+                                "--max-rank", "1000", "--max-weight", "1000"])
+    assert code == 0 and out.startswith("PASS: confluence")
 
 
 def test_malformed_inputs(capsys, tmp_path):

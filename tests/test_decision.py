@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+import qfgraph.decision
 from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, AltLineConfig,
                               alt_line_conditions_ineq, alt_line_cut_simple,
                               c3aline_config, case_parameters, decide,
@@ -10,6 +13,7 @@ from qfgraph.dynkin import DynkinA, Interval
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
 from qfgraph.graph import build_graph
 from qfgraph.redsets import minimal_window
+from qfgraph.sweeps import check_forms_agree
 
 A2 = DynkinA(2)
 
@@ -74,10 +78,32 @@ def test_uniform_extra_condition_on_examples():
 
 
 def test_validate_rejects_bad_configs():
-    with pytest.raises(ValueError):
-        cfg(A2, (2, 2, 7), (1, 1), (2, 1, 3)).validate()
-    with pytest.raises(ValueError):
-        cfg(DynkinA(3), (2, 2, 3), (1, 2), (3, 2, 6)).validate()
+    'a config is validated when it is built'
+    with pytest.raises(ValueError, match="^label 7 is not an admissible arrow gap "
+                                         "for the isolated end$"):
+        cfg(A2, (2, 2, 7), (1, 1), (2, 1, 3))
+    with pytest.raises(ValueError, match="^end vertices are adjacent; the line is "
+                                         "not alternating$"):
+        cfg(DynkinA(3), (2, 2, 3), (1, 2), (3, 2, 6))
+
+
+def test_forms_agree_validates_and_windows_each_config_once(monkeypatch):
+    calls = Counter()
+    window, validate = minimal_window, AltLineConfig.validate
+
+    def counted_window(*args):
+        calls["minimal_window"] += 1
+        return window(*args)
+
+    def counted_validate(self):
+        calls["validate"] += 1
+        validate(self)
+
+    monkeypatch.setattr(qfgraph.decision, "minimal_window", counted_window)
+    monkeypatch.setattr(AltLineConfig, "validate", counted_validate)
+    result = check_forms_agree(3, 2)
+    assert result.passed and result.checked > 0
+    assert calls == {"minimal_window": result.checked, "validate": result.checked}
 
 
 def _cut_window(c):
@@ -90,6 +116,7 @@ def test_case_parameters_examples():
     params = case_parameters(c)
     assert (params.p, params.p_prime) == (0, 0)
     assert _cut_window(c) == Interval(1, 2) and _cut_window(c).dual_coxeter() == 3
+    assert c.window == _cut_window(c) and "window" not in repr(c)
 
     c = cfg(A2, (2, 1, 3), (1, 1), (2, 2, 4))
     params = case_parameters(c)

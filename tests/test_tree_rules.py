@@ -405,3 +405,42 @@ def test_sixteen_vertex_tree_without_simple_triple():
     assert verdict.primality == UNKNOWN
     assert [step.rule for step in verdict.certificate] == ["inconclusive"]
     assert elapsed < 1.0
+
+
+def oracle_random_tree_graph(rng: random.Random, max_rank: int = 5,
+                             max_vertices: int = 5, max_weight: int = 3) -> QFactGraph:
+    """The tree generator that builds the whole graph for every candidate leaf."""
+    n = rng.randint(1, max_rank)
+    diagram = DynkinA(n)
+    factors = [KRFactor(rng.randint(1, n), 0, rng.randint(1, max_weight))]
+    graph = build_graph(factors, diagram)
+    target = rng.randint(1, max_vertices)
+    attempts = 0
+    while len(factors) < target and attempts < 40:
+        attempts += 1
+        parent = rng.choice(factors)
+        color = rng.randint(1, n)
+        weight = rng.randint(1, max_weight)
+        gaps = r_set(diagram, color, weight, parent.color, parent.weight)
+        gap = rng.choice(gaps) * rng.choice((-1, 1))
+        candidate = KRFactor(color, parent.exponent + gap, weight)
+        trial = build_graph(factors + [candidate], diagram)
+        if trial.was_refactorized or not trial.is_tree() or \
+                len(trial) != len(factors) + 1:
+            continue
+        factors.append(candidate)
+        graph = trial
+    return graph
+
+
+def test_tree_generator_matches_build_per_candidate_oracle():
+    'same graphs from the same draws, at the default bounds and at (6, 8, 4)'
+    for bounds, max_vertices in (((), 5), ((6, 8, 4), 8)):
+        rng, oracle_rng = random.Random(4242), random.Random(4242)
+        sizes = set()
+        for _ in range(3000):
+            g = random_tree_graph(rng, *bounds)
+            assert g == oracle_random_tree_graph(oracle_rng, *bounds)
+            assert rng.getstate() == oracle_rng.getstate()
+            sizes.add(len(g))
+        assert sizes == set(range(1, max_vertices + 1))
