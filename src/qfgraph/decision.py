@@ -20,7 +20,7 @@ from .dynkin import DynkinA, Interval
 from .drinfeld import KRFactor, dual
 from .graph import (ALTERNATING_LINE3, DISCONNECTED, MONOTONIC_LINE3, OTHER,
                     SINGLETON, TOTALLY_ORDERED, TRIANGLE, TWO_LINE, QFactGraph,
-                    _exponent_window, classify)
+                    _exponent_groups, classify)
 from .redsets import minimal_window, r_set, string_parameter
 
 PRIME = "prime"
@@ -355,16 +355,15 @@ def _first_simple_triple(g: QFactGraph) -> tuple[int, ...] | None:
 def _tree_dual_pairs_simple(g: QFactGraph) -> bool:
     """Is the dual-pair product simple for every non-adjacent pair, both orders?
 
-    The dual of u sits at e_u - (n + 1), and r_set is bounded by r + s + n - 1,
-    so only a v within r_u + (largest weight) + n - 1 of that exponent can
-    make (dual of u) tensor v reducible.
+    The dual of u sits at e_u - (n + 1) in u's parity class, and r_set is
+    bounded by r + s + n - 1, so only a v of that class within r_u + s + n - 1
+    of that exponent can make (dual of u) tensor v reducible.
     """
     n = g.diagram.n
-    within = _exponent_window(g.vertices)
-    slack = max(v.weight for v in g.vertices) + n - 1
+    within = _exponent_groups(g.vertices, n)
     for u, wu in enumerate(g.vertices):
         shifted = wu.exponent - (n + 1)
-        for v in within(shifted - wu.weight - slack, shifted + wu.weight + slack):
+        for v in within(u, shifted - wu.weight, shifted + wu.weight, 1):
             if v != u and not g.adjacent(u, v) and \
                     not dual_pair_simple(wu, g.vertices[v], g.diagram):
                 return False

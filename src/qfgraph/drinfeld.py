@@ -9,7 +9,6 @@ by 2 and centered at its exponent.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -47,10 +46,14 @@ class KRFactor:
             color, exponent, weight = data["color"], data["exponent"], data["weight"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"factor object needs color/exponent/weight: {data!r}") from exc
-        if not all(isinstance(v, int) and not isinstance(v, bool)
-                   for v in (color, exponent, weight)):
+        if not (type(color) is int and type(exponent) is int
+                and type(weight) is int):
             raise ValueError(f"factor fields must be integers: {data!r}")
         return cls(color, exponent, weight)
+
+
+# KRFactor's dataclass order, compared in C instead of through __lt__.
+_SORT_KEY = attrgetter("color", "exponent", "weight")
 
 
 @dataclass(frozen=True)
@@ -78,11 +81,13 @@ def _peel(spans) -> tuple[KRFactor, ...]:
     whenever the level drops at x.  The cost depends on the number of spans,
     not on their weights.
     """
-    events: dict[tuple[int, int], Counter] = {}
+    events: dict[tuple[int, int], dict[int, int]] = {}
     for color, lo, hi in spans:
-        delta = events.setdefault((color, lo % 2), Counter())
-        delta[lo] += 1
-        delta[hi + 2] -= 1
+        delta = events.get((color, lo % 2))
+        if delta is None:
+            delta = events[color, lo % 2] = {}
+        delta[lo] = delta.get(lo, 0) + 1
+        delta[hi + 2] = delta.get(hi + 2, 0) - 1
     factors = []
     for (color, _), delta in events.items():
         starts: list[int] = []
@@ -91,7 +96,7 @@ def _peel(spans) -> tuple[KRFactor, ...]:
             for _ in range(-delta[x]):
                 lo = starts.pop()
                 factors.append(KRFactor(color, (lo + x - 2) // 2, (x - lo) // 2))
-    return tuple(sorted(factors))
+    return tuple(sorted(factors, key=_SORT_KEY))
 
 
 def q_factorize(poly: DrinfeldPoly) -> tuple[KRFactor, ...]:
@@ -107,19 +112,26 @@ def q_factorize(poly: DrinfeldPoly) -> tuple[KRFactor, ...]:
 def is_dissociate(factors) -> bool:
     """True when no two same-color factors would coalesce into one q-string.
 
-    Every element of sl2_set(r, s) is at most r + s, so in (color, exponent)
-    order the scan from a factor of weight r stops at the first partner of
-    another color or more than r + (largest weight) above it.
+    Every element of sl2_set(r, s) lies in [2, r + s], so of a coalescing
+    pair the heavier factor, of weight r, has the other one within 2r of it.
+    Each distinct factor scans its own color in (color, exponent) order
+    outwards from itself, up to 2r on both sides, and tests the lighter
+    partners (of equal weight, only the one above).  Copies never coalesce,
+    since a gap of 0 is in no set, and are tested once.
     """
-    factors = sorted(factors, key=attrgetter("color", "exponent"))
-    w_max = max((f.weight for f in factors), default=0)
-    for a, u in enumerate(factors):
-        for b in range(a + 1, len(factors)):
-            v = factors[b]
-            gap = v.exponent - u.exponent
-            if v.color != u.color or gap > u.weight + w_max:
+    keys = list(dict.fromkeys(sorted(map(_SORT_KEY, factors))))
+    for a, (c, e, r) in enumerate(keys):
+        for b in range(a + 1, len(keys)):
+            color, exponent, s = keys[b]
+            if color != c or exponent - e > 2 * r:
                 break
-            if gap in sl2_set(u.weight, v.weight):
+            if s <= r and exponent - e in sl2_set(r, s):
+                return False
+        for b in range(a - 1, -1, -1):
+            color, exponent, s = keys[b]
+            if color != c or e - exponent > 2 * r:
+                break
+            if s < r and e - exponent in sl2_set(r, s):
                 return False
     return True
 
@@ -130,7 +142,7 @@ def normalize(factors) -> tuple[tuple[KRFactor, ...], bool]:
     A dissociate input is already its own q-factorization and is kept as
     given; anything else is re-factorized from the factors' spans.
     """
-    factors = tuple(sorted(factors))
+    factors = tuple(sorted(factors, key=_SORT_KEY))
     if is_dissociate(factors):
         return factors, False
     return _peel((f.color, f.exponent - f.weight + 1, f.exponent + f.weight - 1)

@@ -57,14 +57,6 @@ class Interval:
             )
         return min(sub.lo - self.lo, self.hi - sub.hi)
 
-    def distance_to(self, k: int) -> int:
-        """Distance from node k to this interval (0 when k lies inside).
-
-        Equals (d(k, lo) + d(k, hi) - d(lo, hi)) / 2, the usual tree formula
-        for the distance from a point to a geodesic.
-        """
-        return max(self.lo - k, k - self.hi, 0)
-
 
 @dataclass(frozen=True)
 class DynkinA:

@@ -158,18 +158,53 @@ class QFactGraph:
         return "\n".join(lines) + "\n"
 
 
-def _exponent_window(factors):
-    """A function taking (lo, hi) to the ids of the factors with exponent in [lo, hi].
+# Most candidate (tail, head) pairs build_graph examines before it refuses
+# the input, so also the most arrows a graph can have.  The largest build of
+# any fixture, test or benchmark input examines 2669.  A refused build has
+# spent about 1.2 s and 100 MB (1500 factors in one window, one per color at
+# rank 1500; one core of a 2-vCPU Intel Xeon VM, Python 3.11).
+MAX_BUILD_PAIRS = 5 * 10**5
 
-    The factors are sorted by exponent once; each query bisects that order,
-    so its cost grows with the number of ids it returns, not with the number
-    of factors.  The ids come back in ascending order.
+
+def _exponent_groups(factors, n: int):
+    """A function taking (v, lo, hi, above) to sorted ids of v's parity class.
+
+    Every element of r_set(i, r, j, s) has the parity of r + s + i + j, so
+    an arrow or a dual pair joins only factors of one parity class
+    (exponent + weight + color) mod 2.  Each class is split into groups by
+    weight.bit_length() and each group is sorted by exponent once.  A group
+    whose largest weight is w has slack w + n - 1, and the query returns
+    the ids of v's class with exponent in [lo - slack, hi + above * slack],
+    each group with its own slack: a factor of weight 10^9 widens only its
+    own group.  The cost of a query grows with the number of ids it returns
+    and the number of groups, not with the number of factors.
     """
     exponents = [f.exponent for f in factors]
-    order = sorted(range(len(factors)), key=exponents.__getitem__)
-    exponents.sort()
-    return lambda lo, hi: sorted(order[bisect_left(exponents, lo):
-                                       bisect_right(exponents, hi)])
+    parity = [(f.exponent + f.weight + f.color) % 2 for f in factors]
+    groups: dict[tuple[int, int], list] = {}  # key -> [exponents, ids, weight]
+    for v in sorted(range(len(factors)), key=exponents.__getitem__):
+        w = factors[v].weight
+        group = groups.get((parity[v], w.bit_length()))
+        if group is None:
+            groups[parity[v], w.bit_length()] = [[exponents[v]], [v], w]
+        else:
+            group[0].append(exponents[v])
+            group[1].append(v)
+            if w > group[2]:
+                group[2] = w
+    classes: tuple[list, list] = ([], [])
+    for (p, _), (exps, ids, w) in groups.items():
+        classes[p].append((exps, ids, w + n - 1))
+
+    def within(v: int, lo: int, hi: int, above: int) -> list[int]:
+        found: list[int] = []
+        for exps, ids, slack in classes[parity[v]]:
+            found += ids[bisect_left(exps, lo - slack):
+                         bisect_right(exps, hi + above * slack)]
+        found.sort()
+        return found
+
+    return within
 
 
 def build_graph(factors, diagram: DynkinA) -> QFactGraph:
@@ -179,21 +214,37 @@ def build_graph(factors, diagram: DynkinA) -> QFactGraph:
     are normalized through q_factorize first and flagged in the result.
 
     Every element of r_set(i, r, j, s) is at most r + s + d(i, j) + 2 * reach
-    <= r + s + n - 1, so a tail of weight r only needs the heads whose
-    exponent lies at most r + (largest weight) + n - 1 below its own.
+    <= r + s + n - 1, so a tail of weight r only needs the heads of its
+    parity class whose exponent lies at most r + s + n - 1 below its own
+    (see _exponent_groups).  Each reducibility set is computed once per
+    build.  An input whose scan would examine more than MAX_BUILD_PAIRS
+    candidate heads is refused with ValueError.
     """
     factors = list(factors)
     for f in factors:
         diagram.check_node(f.color)
     vertices, refactorized = normalize(factors)
-    within = _exponent_window(vertices)
-    slack = max((v.weight for v in vertices), default=0) + diagram.n - 1
+    within = _exponent_groups(vertices, diagram.n)
+    sides = [(v.color, v.weight) for v in vertices]
+    sets: dict[tuple[int, int], dict[tuple[int, int], range]] = {}
+    examined = 0
     arrows = []
     for t, u in enumerate(vertices):
-        for h in within(u.exponent - u.weight - slack, u.exponent - 1):
-            v = vertices[h]
-            gap = u.exponent - v.exponent
-            if gap in r_set(diagram, u.color, u.weight, v.color, v.weight):
+        e, r = u.exponent, u.weight
+        heads = within(t, e - r, e - 1, 0)
+        examined += len(heads)
+        if examined > MAX_BUILD_PAIRS:
+            raise ValueError(f"the graph build would examine more than "
+                             f"{MAX_BUILD_PAIRS} vertex pairs")
+        row = sets.get(sides[t])
+        if row is None:
+            row = sets[sides[t]] = {}
+        for h in heads:
+            rs = row.get(sides[h])
+            if rs is None:
+                rs = row[sides[h]] = r_set(diagram, *sides[t], *sides[h])
+            gap = e - vertices[h].exponent
+            if gap in rs:
                 arrows.append(Arrow(t, h, gap))
     return QFactGraph(diagram, vertices, tuple(arrows), refactorized)
 

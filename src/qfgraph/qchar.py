@@ -58,9 +58,6 @@ class LWeight:
         """Translate every exponent; rebasing the formal spectral parameter."""
         return LWeight(tuple(sorted((((c, e + delta), v) for (c, e), v in self.entries))))
 
-    def is_dominant(self) -> bool:
-        return all(v > 0 for _, v in self.entries)
-
     def to_json(self) -> list:
         return [{"color": c, "exponent": e, "power": v} for (c, e), v in self.entries]
 
@@ -103,9 +100,10 @@ def dominant_product_lweights(diagram: DynkinA, i: int, j: int,
     """Dominant l-weights of the product of two linked fundamental modules.
 
     Computed by brute force: every pairwise product of the two q-characters
-    (the j-side rebased at exponent m), filtered for dominance.  The closed
-    two-element form lives in socle_head; tests hold the two routes equal.
-    Products of more than MAX_PRODUCT_PAIRS pairs are refused.
+    (the j-side rebased at exponent m), summed as plain multiplicity maps
+    and filtered for dominance; only the dominant ones become LWeights.  The
+    closed two-element form lives in socle_head; tests hold the two routes
+    equal.  Products of more than MAX_PRODUCT_PAIRS pairs are refused.
     """
     _fundamental_pre(diagram, i, j, m)
     pairs = math.comb(diagram.n + 1, i) * math.comb(diagram.n + 1, j)
@@ -113,10 +111,17 @@ def dominant_product_lweights(diagram: DynkinA, i: int, j: int,
         raise ValueError(f"the product of fundamentals {i} and {j} at rank "
                          f"{diagram.n} has {pairs} l-weight pairs, more than "
                          f"{MAX_PRODUCT_PAIRS}")
-    left = fundamental_qchar(diagram, i)
-    right = [w.shift(m) for w in fundamental_qchar(diagram, j)]
-    products = (a * b for a in left for b in right)
-    return frozenset(w for w in products if w.is_dominant())
+    left = [w.as_dict() for w in fundamental_qchar(diagram, i)]
+    right = [w.shift(m).entries for w in fundamental_qchar(diagram, j)]
+    dominant = set()
+    for a in left:
+        for b in right:
+            data = a.copy()
+            for key, mult in b:
+                data[key] = data.get(key, 0) + mult
+            if min(data.values(), default=0) >= 0:
+                dominant.add(LWeight.from_dict(data))
+    return frozenset(dominant)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ MAX_FAILURES = 5
 # Largest bounds the `sweep` command accepts, so that its largest run takes
 # about a minute (one core of a 2-vCPU Intel Xeon VM, Python 3.11):
 # forms-agree at rank 9 and weight 6 checks 3.1 10^6 cases in 61 s,
-# dominant-pair at rank 9 takes 37 s, and duality at 150 000 trials 48 s.
+# dominant-pair at rank 9 takes 10 s, and duality at 150 000 trials 48 s.
 # Without caps, `--max-rank 1000` never finishes.
 MAX_SWEEP_RANK = 9
 MAX_SWEEP_WEIGHT = 6

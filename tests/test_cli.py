@@ -5,6 +5,7 @@ import sys
 import time
 
 import qfgraph
+import qfgraph.graph
 from qfgraph.cli import main, make_parser
 from qfgraph.sweeps import MAX_SWEEP_RANK, MAX_SWEEP_TRIALS, MAX_SWEEP_WEIGHT
 
@@ -181,6 +182,30 @@ def test_prime_cross_color_pair_of_huge_weight(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert (payload["primality"], payload["reality"]) == ("prime", "real")
+
+
+def test_prime_on_copies_of_one_factor(capsys, tmp_path):
+    '8000 copies: one vertex each, no arrow, and no pairwise scan of the copies'
+    path = write_input(tmp_path, 1, [{"color": 1, "exponent": 0, "weight": 1}] * 8000)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["prime", "--trace", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["primality"], payload["reality"]) == ("not_prime", "unknown")
+    assert len(payload["certificate"][0]["params"]["components"]) == 8000
+
+
+def test_build_over_the_pair_budget_is_an_input_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(qfgraph.graph, "MAX_BUILD_PAIRS", 2)
+    path = write_input(tmp_path, 3, COSUBPT)
+    for command in ("prime", "real", "classify", "graph"):
+        code, out, err = run(capsys, [command, path])
+        assert (code, out) == (1, "")
+        assert err == "input error: the graph build would examine more than 2 " \
+                      "vertex pairs\n"
+    code, _, _ = run(capsys, ["factorize", path])
+    assert code == 0
 
 
 def test_deeply_nested_json_is_an_input_error(tmp_path):

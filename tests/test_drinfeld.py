@@ -108,7 +108,7 @@ def all_pairs_dissociate(factors) -> bool:
 
 
 def test_windowed_dissociate_matches_all_pairs_oracle():
-    'unsorted input, ties, negatives, a weight of 10^9 and rank 1 included'
+    'unsorted input, ties, negatives, copies, a weight of 10^9 and rank 1 included'
     rng = random.Random(41)
     seen = Counter()
     for k in range(5000):
@@ -118,17 +118,28 @@ def test_windowed_dissociate_matches_all_pairs_oracle():
                             rng.randint(1, 4)) for _ in range(rng.randint(0, 9))]
         if k % 10 == 0 and factors:
             factors[0] = KRFactor(factors[0].color, factors[0].exponent, 10**9)
+        if k % 10 == 5 and factors:  # far from the rest, maybe with a partner
+            huge = factors[0] = KRFactor(factors[0].color, -5 * 10**9, 10**9)
+            weight = rng.randint(1, 4)
+            gap = rng.choice(sl2_set(huge.weight, weight)) + rng.choice((0, 1))
+            factors.append(KRFactor(huge.color, huge.exponent
+                                    + rng.choice((-1, 1)) * gap, weight))
+        if k % 3 == 1 and factors:
+            factors += rng.choices(factors, k=rng.randint(1, 4))
         rng.shuffle(factors)
         want = all_pairs_dissociate(factors)
         assert is_dissociate(factors) == want, factors
         seen[want] += 1
         seen["huge", want] += any(f.weight == 10**9 for f in factors)
-    for key in (True, False, ("huge", True), ("huge", False)):
+        seen["far huge", want] += any(f.exponent == -5 * 10**9 for f in factors)
+        seen["copies", want] += len(set(factors)) < len(factors)
+    for key in (True, False, ("huge", True), ("huge", False), ("far huge", True),
+                ("far huge", False), ("copies", True), ("copies", False)):
         assert seen[key] > 100, (key, seen)
 
 
 def test_dissociate_scan_stops_at_the_window(monkeypatch):
-    '2000 weight-2 strings 3 apart per color: one sl2_set test each, not 2 * 10^6'
+    '2000 strings 3 apart per color, 8000 copies, a far weight-10^9 factor: O(V) tests'
     size = 2000
     factors = [KRFactor(k % 4 + 1, 3 * (k // 4), 2) for k in range(size)]
     calls = Counter()
@@ -140,6 +151,13 @@ def test_dissociate_scan_stops_at_the_window(monkeypatch):
     monkeypatch.setattr(qfgraph.drinfeld, "sl2_set", counted)
     assert is_dissociate(reversed(factors))
     assert calls["sl2_set"] <= size
+    calls.clear()  # copies are never tested
+    assert is_dissociate([KRFactor(1, 0, 1)] * 8000)
+    assert calls["sl2_set"] == 0
+    # a far weight-10^9 factor widens only its own scan
+    factors = [KRFactor(1, 3 * k, 1) for k in range(size)]
+    assert is_dissociate(factors + [KRFactor(1, -5 * 10**9, 10**9)])
+    assert calls["sl2_set"] <= size + 1
 
 
 def test_dual_whole_diagram():

@@ -110,4 +110,3 @@ def test_interval_basics():
     assert Interval.hull(5, 2) == J
     assert J.contains_interval(Interval(3, 4))
     assert not J.contains_interval(Interval(1, 4))
-    assert J.distance_to(1) == 1 and J.distance_to(3) == 0 and J.distance_to(7) == 2

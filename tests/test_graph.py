@@ -172,6 +172,10 @@ def all_pairs_arrows(vertices, diagram) -> tuple:
     return tuple(arrows)
 
 
+def weight_bucket(w: int) -> str:
+    return "1-3" if w <= 3 else "4-15" if w <= 15 else "10^9"
+
+
 def test_windowed_arrows_match_all_pairs_oracle():
     'same arrows in the same order: rank 1, ties, negatives, weight 10^9, re-factorized'
     rng = random.Random(20261020)
@@ -179,10 +183,11 @@ def test_windowed_arrows_match_all_pairs_oracle():
     for k in range(4000):
         n = 1 if k % 5 == 0 else rng.randint(2, 6)
         diagram = DynkinA(n)
-        spread = rng.choice((2, 6, 30))
+        spread = rng.choice((2, 6, 30, 60))
         factors = [KRFactor(rng.randint(1, n), rng.randint(-spread, spread),
-                            rng.randint(1, 4)) for _ in range(rng.randint(1, 10))]
-        if k % 10 == 1:  # widens every window; a partner about 10^9 away
+                            rng.randint(1, 3) if rng.random() < 0.6 else rng.randint(4, 15))
+                   for _ in range(rng.randint(1, 10))]
+        if k % 10 == 1:  # widens its own group; a partner about 10^9 away
             huge = factors[0] = KRFactor(factors[0].color, factors[0].exponent, 10**9)
             color, weight = rng.randint(1, n), rng.randint(1, 4)
             gap = rng.choice(r_set(diagram, color, weight, huge.color, huge.weight))
@@ -204,13 +209,21 @@ def test_windowed_arrows_match_all_pairs_oracle():
         seen["re-factorized"] += g.was_refactorized
         seen["pruned"] += max(exponents) - min(exponents) > \
             2 * max(v.weight for v in g.vertices) + n - 1
-    for key in ("rank 1", "tie", "negative", "weight 10^9 arrow",
-                "re-factorized", "pruned"):
+        seen["both parity classes"] += len(
+            {(v.exponent + v.weight + v.color) % 2 for v in g.vertices}) == 2
+        for bucket in {weight_bucket(v.weight) for v in g.vertices}:
+            seen["bucket " + bucket] += 1
+        seen["arrow across buckets"] += any(
+            weight_bucket(g.vertices[a.tail].weight)
+            != weight_bucket(g.vertices[a.head].weight) for a in g.arrows)
+    for key in ("rank 1", "tie", "negative", "weight 10^9 arrow", "re-factorized",
+                "pruned", "both parity classes", "bucket 1-3", "bucket 4-15",
+                "bucket 10^9", "arrow across buckets"):
         assert seen[key] > 50, (key, seen)
 
 
-def test_sparse_build_tests_few_gaps(monkeypatch):
-    'rank 4, V = 2000 exponents over 40 V: at most 2 V gap tests, not V (V - 1)'
+def test_sparse_build_tests_few_gaps(monkeypatch, count_window_ids):
+    'rank 4, V = 2000 exponents over 40 V, and a weight-10^9 factor: O(V) work, not V^2'
     rng = random.Random(4)
     size = 2000
     factors = [KRFactor(rng.randint(1, 4), rng.randint(0, 40 * size), rng.randint(1, 3))
@@ -225,3 +238,23 @@ def test_sparse_build_tests_few_gaps(monkeypatch):
     g = build_graph(factors, DynkinA(4))
     assert len(g) > size * 0.9 and g.arrows
     assert calls["r_set"] <= 2 * size
+    examined = count_window_ids(qfgraph.graph)
+    heavy = build_graph(factors + [KRFactor(1, -5 * 10**9, 10**9)], DynkinA(4))
+    assert arrow_set(heavy) == arrow_set(g)
+    assert 0 < examined["ids"] <= 2 * size
+
+
+def test_build_refuses_past_the_pair_budget(monkeypatch, count_window_ids):
+    'one id over MAX_BUILD_PAIRS raises ValueError; exactly at it the graph is built'
+    rng = random.Random(5)
+    factors = [KRFactor(c, rng.randint(0, 40), 1) for c in range(1, 41)]
+    diagram = DynkinA(40)
+    examined = count_window_ids(qfgraph.graph)
+    g = build_graph(factors, diagram)
+    budget = examined["ids"]
+    assert budget > len(g.arrows) > 100
+    monkeypatch.setattr(qfgraph.graph, "MAX_BUILD_PAIRS", budget)
+    assert build_graph(factors, diagram).arrows == g.arrows
+    monkeypatch.setattr(qfgraph.graph, "MAX_BUILD_PAIRS", budget - 1)
+    with pytest.raises(ValueError, match=f"more than {budget - 1} vertex pairs"):
+        build_graph(factors, diagram)

@@ -351,16 +351,25 @@ def test_decide_walks_a_tree_at_most_twice(monkeypatch):
 
 
 def test_windowed_dual_pairs_match_all_pairs_oracle():
-    'random trees and random factor lists, with both answers and pruned windows'
+    'random trees and factor lists: both answers, pruned windows, weights 1 to 10^9'
     rng = random.Random(20261021)
     graphs = [random_tree_graph(rng, max_rank=6, max_vertices=10, max_weight=4)
               for _ in range(1500)]
-    for _ in range(1500):
+    for k in range(1500):
         n = rng.randint(1, 5)
-        spread = rng.choice((4, 15, 60))
+        diagram = DynkinA(n)
+        spread = rng.choice((4, 15, 60, 120))
         factors = [KRFactor(rng.randint(1, n), rng.randint(-spread, spread),
-                            rng.randint(1, 3)) for _ in range(rng.randint(1, 9))]
-        graphs.append(build_graph(factors, DynkinA(n)))
+                            rng.randint(1, 3) if rng.random() < 0.6 else rng.randint(4, 15))
+                   for _ in range(rng.randint(1, 9))]
+        if k % 5 == 1:  # a weight-10^9 factor and a partner its dual may reach
+            huge = factors[0] = KRFactor(factors[0].color, factors[0].exponent, 10**9)
+            color, weight = rng.randint(1, n), rng.randint(1, 4)
+            gap = rng.choice(r_set(diagram, n + 1 - huge.color, huge.weight,
+                                   color, weight)) + rng.choice((0, 0, 1))
+            factors.append(KRFactor(color, huge.exponent - (n + 1)
+                                    + rng.choice((-1, 1)) * gap, weight))
+        graphs.append(build_graph(factors, diagram))
     seen = Counter()
     for g in graphs:
         want = all_pairs_dual_simple(g)
@@ -370,16 +379,24 @@ def test_windowed_dual_pairs_match_all_pairs_oracle():
             2 * max(v.weight for v in g.vertices) + 2 * g.diagram.n + 1
         seen[g.is_tree(), want] += 1
         seen["pruned", want] += wide
+        seen["both parity classes"] += len(
+            {(v.exponent + v.weight + v.color) % 2 for v in g.vertices}) == 2
+        weights = [v.weight for v in g.vertices]
+        seen["bucket 1-3"] += min(weights) <= 3
+        seen["bucket 4-15"] += any(4 <= w <= 15 for w in weights)
+        seen["bucket 10^9", want] += max(weights) >= 10**9
     for key in ((True, True), (True, False), (False, True), (False, False),
-                ("pruned", True), ("pruned", False)):
+                ("pruned", True), ("pruned", False), "both parity classes",
+                "bucket 1-3", "bucket 4-15", ("bucket 10^9", True),
+                ("bucket 10^9", False)):
         assert seen[key] > 50, (key, seen)
 
 
-def test_spread_out_dual_pairs_need_no_test(monkeypatch):
-    '2000 vertices 20 apart: no dual pair in reach, at most V tests, not V (V - 1)'
+def test_spread_out_dual_pairs_need_no_test(monkeypatch, count_window_ids):
+    '2000 vertices 20 apart, and a weight-10^9 factor: at most V tests, not V (V - 1)'
     size = 2000
-    g = build_graph([KRFactor(k % 4 + 1, 20 * k, k % 3 + 1) for k in range(size)],
-                    DynkinA(4))
+    factors = [KRFactor(k % 4 + 1, 20 * k, k % 3 + 1) for k in range(size)]
+    g = build_graph(factors, DynkinA(4))
     calls = Counter()
 
     def counted(*args):
@@ -389,6 +406,10 @@ def test_spread_out_dual_pairs_need_no_test(monkeypatch):
     monkeypatch.setattr(qfgraph.decision, "dual_pair_simple", counted)
     assert len(g) == size and _tree_dual_pairs_simple(g)
     assert calls["dual_pair_simple"] <= size
+    heavy = build_graph(factors + [KRFactor(1, -5 * 10**9, 10**9)], DynkinA(4))
+    examined = count_window_ids(qfgraph.decision)
+    assert len(heavy) == size + 1 and _tree_dual_pairs_simple(heavy)
+    assert 0 < examined["ids"] <= 2 * size
 
 
 def test_sixteen_vertex_tree_without_simple_triple():
