@@ -340,16 +340,23 @@ def _first_simple_triple(g: QFactGraph) -> tuple[int, ...] | None:
     An alternating triple is a middle vertex with two out-neighbors or two
     in-neighbors; in a tree no other connected three-vertex subgraph can be
     non-prime, because a monotonic path is totally ordered.
+
+    Neighbor lists are sorted (build_graph lists arrows in (tail, head)
+    order), so a middle's pairs come in sorted-triple order; each stream
+    stops at its first simple triple or at the first one not below the best.
     """
-    triples = []
+    best = None
     for mid in range(len(g)):
         for ends in (g.out_neighbors(mid), g.in_neighbors(mid)):
-            triples.extend((mid, a, b) for a, b in itertools.combinations(ends, 2))
-    for mid, a, b in sorted(triples, key=sorted):
-        if alt_line_cut_simple(_alt_configs(g, mid, a, b)) or \
-                alt_line_cut_simple(_alt_configs(g, mid, b, a)):
-            return tuple(sorted((mid, a, b)))
-    return None
+            for a, b in itertools.combinations(ends, 2):
+                key = tuple(sorted((mid, a, b)))
+                if best is not None and key >= best:
+                    break
+                if alt_line_cut_simple(_alt_configs(g, mid, a, b)) or \
+                        alt_line_cut_simple(_alt_configs(g, mid, b, a)):
+                    best = key
+                    break
+    return best
 
 
 def _tree_dual_pairs_simple(g: QFactGraph) -> bool:

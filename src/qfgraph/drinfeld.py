@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .dynkin import DynkinA
-from .redsets import sl2_set
 
 
 @dataclass(frozen=True, order=True)
@@ -71,8 +70,8 @@ def expand_all(factors) -> DrinfeldPoly:
     return DrinfeldPoly.from_roots((f.color, e) for f in factors for e in f.roots())
 
 
-def _peel(spans) -> tuple[KRFactor, ...]:
-    """q-factorization of a multiset of (color, lo, hi) step-2 spans.
+def _peel(spans) -> list[tuple[int, int, int]]:
+    """q-factorization of (color, lo, hi) step-2 spans, as sorted key tuples.
 
     On one color and exponent parity the root multiplicity is a step
     function; the output strings are the maximal runs of {multiplicity >= k}
@@ -81,22 +80,27 @@ def _peel(spans) -> tuple[KRFactor, ...]:
     whenever the level drops at x.  The cost depends on the number of spans,
     not on their weights.
     """
-    events: dict[tuple[int, int], dict[int, int]] = {}
+    events: dict[int, dict[int, int]] = {}
     for color, lo, hi in spans:
-        delta = events.get((color, lo % 2))
+        group = 2 * color + lo % 2  # an int key hashes faster than a pair
+        delta = events.get(group)
         if delta is None:
-            delta = events[color, lo % 2] = {}
+            delta = events[group] = {}
         delta[lo] = delta.get(lo, 0) + 1
         delta[hi + 2] = delta.get(hi + 2, 0) - 1
-    factors = []
-    for (color, _), delta in events.items():
+    keys = []
+    for group, delta in events.items():
+        color = group // 2
         starts: list[int] = []
         for x in sorted(delta):
-            starts.extend([x] * delta[x])
-            for _ in range(-delta[x]):
-                lo = starts.pop()
-                factors.append(KRFactor(color, (lo + x - 2) // 2, (x - lo) // 2))
-    return tuple(sorted(factors, key=_SORT_KEY))
+            d = delta[x]
+            if d > 0:
+                starts.extend([x] * d)
+            else:
+                for _ in range(-d):
+                    lo = starts.pop()
+                    keys.append((color, (lo + x - 2) // 2, (x - lo) // 2))
+    return sorted(keys)
 
 
 def q_factorize(poly: DrinfeldPoly) -> tuple[KRFactor, ...]:
@@ -106,47 +110,29 @@ def q_factorize(poly: DrinfeldPoly) -> tuple[KRFactor, ...]:
     reducibility set of their weights, and the expanded roots of the output
     reproduce the input multiset exactly.
     """
-    return _peel((c, e, e) for c, e in poly.roots)
+    # tuple() of a list, not of a generator: a tuple grown by resizing raised
+    # peak RSS by about 1 MB over repeated confluence sweeps.
+    return tuple([KRFactor(*k) for k in _peel((c, e, e) for c, e in poly.roots)])
 
 
+# Kept as a name because the benchmark's tracer (perfbench/tracer.py) wraps it.
 def is_dissociate(factors) -> bool:
-    """True when no two same-color factors would coalesce into one q-string.
-
-    Every element of sl2_set(r, s) lies in [2, r + s], so of a coalescing
-    pair the heavier factor, of weight r, has the other one within 2r of it.
-    Each distinct factor scans its own color in (color, exponent) order
-    outwards from itself, up to 2r on both sides, and tests the lighter
-    partners (of equal weight, only the one above).  Copies never coalesce,
-    since a gap of 0 is in no set, and are tested once.
-    """
-    keys = list(dict.fromkeys(sorted(map(_SORT_KEY, factors))))
-    for a, (c, e, r) in enumerate(keys):
-        for b in range(a + 1, len(keys)):
-            color, exponent, s = keys[b]
-            if color != c or exponent - e > 2 * r:
-                break
-            if s <= r and exponent - e in sl2_set(r, s):
-                return False
-        for b in range(a - 1, -1, -1):
-            color, exponent, s = keys[b]
-            if color != c or e - exponent > 2 * r:
-                break
-            if s < r and e - exponent in sl2_set(r, s):
-                return False
-    return True
+    return not normalize(factors)[1]
 
 
 def normalize(factors) -> tuple[tuple[KRFactor, ...], bool]:
     """The sorted q-factorization of the product, and whether it differs.
 
-    A dissociate input is already its own q-factorization and is kept as
-    given; anything else is re-factorized from the factors' spans.
+    The factorization is unique and the peel's output is dissociate, so the
+    input is its own q-factorization exactly when the peel of its spans gives
+    back its keys; it is then kept as given.
     """
     factors = tuple(sorted(factors, key=_SORT_KEY))
-    if is_dissociate(factors):
+    keys = _peel((f.color, f.exponent - f.weight + 1, f.exponent + f.weight - 1)
+                 for f in factors)
+    if keys == list(map(_SORT_KEY, factors)):
         return factors, False
-    return _peel((f.color, f.exponent - f.weight + 1, f.exponent + f.weight - 1)
-                 for f in factors), True
+    return tuple([KRFactor(*k) for k in keys]), True
 
 
 def dual(factor: KRFactor, diagram: DynkinA) -> KRFactor:

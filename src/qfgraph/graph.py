@@ -211,7 +211,7 @@ def build_graph(factors, diagram: DynkinA) -> QFactGraph:
     """Build the q-factorization graph of the given multiset of factors.
 
     Inputs that are only a pre-factorization (some same-color pair coalesces)
-    are normalized through q_factorize first and flagged in the result.
+    are passed through normalize first and flagged in the result.
 
     Every element of r_set(i, r, j, s) is at most r + s + d(i, j) + 2 * reach
     <= r + s + n - 1, so a tail of weight r only needs the heads of its

@@ -196,6 +196,21 @@ def test_prime_on_copies_of_one_factor(capsys, tmp_path):
     assert len(payload["certificate"][0]["params"]["components"]) == 8000
 
 
+def test_prime_on_a_star_of_copies(capsys, tmp_path):
+    'one factor and 8000 copies of a linked leaf: the triple scan stops at its first witness'
+    leaf = {"color": 2, "exponent": 0, "weight": 1}
+    path = write_input(tmp_path, 2, [{"color": 1, "exponent": 3, "weight": 1}]
+                       + [leaf] * 8000)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["prime", "--trace", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["primality"], payload["reality"]) == ("not_prime", "real")
+    assert payload["certificate"][0]["params"] == {
+        "subgraph": ["1^1@3", "2^1@0", "2^1@0"]}
+
+
 def test_build_over_the_pair_budget_is_an_input_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(qfgraph.graph, "MAX_BUILD_PAIRS", 2)
     path = write_input(tmp_path, 3, COSUBPT)

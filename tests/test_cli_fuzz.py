@@ -62,9 +62,17 @@ documents = st.one_of(
 
 
 def bulk(shape: str, rank: int) -> dict:
-    """10^5 factors: copies, a sparse chain, a dense pile or heavy strings."""
+    """10^5 factors: copies, a sparse chain, a dense pile, heavy strings, nested
+    strings, or one factor and copies of a leaf linked to it."""
     count = 10**5
-    if shape == "copies":
+    if shape == "star":
+        leaf = {"color": 2, "exponent": 0, "weight": 1}
+        return {"rank": max(rank, 2),
+                "factors": [{"color": 1, "exponent": 3, "weight": 1}] + [leaf] * count}
+    if shape == "nested":
+        factors = [{"color": 1 + k % rank, "exponent": 0, "weight": k + 1}
+                   for k in range(count)]
+    elif shape == "copies":
         factors = [{"color": 1, "exponent": 3, "weight": 2}] * count
     elif shape == "sparse":
         factors = [{"color": 1 + k % rank, "exponent": 41 * k, "weight": 1 + k % 3}
@@ -123,7 +131,8 @@ def test_generated_json_gets_an_answer_or_an_input_error(document, command):
 
 
 # No shrinking: a bulk input has nothing to shrink, and each try may take MAX_RUN_S.
-@pytest.mark.parametrize("shape", ["copies", "sparse", "dense", "heavy"])
+@pytest.mark.parametrize("shape", ["copies", "sparse", "dense", "heavy",
+                                   "nested", "star"])
 @settings(max_examples=1, deadline=None, derandomize=True, database=None,
           phases=[Phase.generate])
 @given(rank=st.integers(1, 6), command=st.sampled_from(COMMANDS))

@@ -1,10 +1,10 @@
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
 
-import qfgraph.drinfeld
 from qfgraph.drinfeld import (DrinfeldPoly, KRFactor, dual, expand_all,
                               is_dissociate, normalize, q_factorize)
 from qfgraph.dynkin import DynkinA
@@ -138,26 +138,18 @@ def test_windowed_dissociate_matches_all_pairs_oracle():
         assert seen[key] > 100, (key, seen)
 
 
-def test_dissociate_scan_stops_at_the_window(monkeypatch):
-    '2000 strings 3 apart per color, 8000 copies, a far weight-10^9 factor: O(V) tests'
+def test_normalize_is_near_linear_on_wide_shapes():
+    'strings 3 apart, copies, a far weight-10^9 factor and nested strings: no pair scan'
     size = 2000
-    factors = [KRFactor(k % 4 + 1, 3 * (k // 4), 2) for k in range(size)]
-    calls = Counter()
-
-    def counted(*args):
-        calls["sl2_set"] += 1
-        return sl2_set(*args)
-
-    monkeypatch.setattr(qfgraph.drinfeld, "sl2_set", counted)
-    assert is_dissociate(reversed(factors))
-    assert calls["sl2_set"] <= size
-    calls.clear()  # copies are never tested
-    assert is_dissociate([KRFactor(1, 0, 1)] * 8000)
-    assert calls["sl2_set"] == 0
-    # a far weight-10^9 factor widens only its own scan
-    factors = [KRFactor(1, 3 * k, 1) for k in range(size)]
-    assert is_dissociate(factors + [KRFactor(1, -5 * 10**9, 10**9)])
-    assert calls["sl2_set"] <= size + 1
+    spaced = [KRFactor(k % 4 + 1, 3 * (k // 4), 2) for k in range(size)]
+    shapes = [list(reversed(spaced)), [KRFactor(1, 0, 1)] * 8000,
+              [KRFactor(1, 3 * k, 1) for k in range(size)]
+              + [KRFactor(1, -5 * 10**9, 10**9)],
+              [KRFactor(1, 0, w) for w in range(4000, 0, -1)]]
+    for factors in shapes:
+        start = time.perf_counter()
+        assert normalize(factors) == (tuple(sorted(factors)), False)
+        assert time.perf_counter() - start < 1.0, factors[:2]
 
 
 def test_dual_whole_diagram():

@@ -19,7 +19,8 @@ from collections import Counter
 
 import qfgraph.decision
 from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, CertStep,
-                              Verdict, _alt_configs, _tree_dual_pairs_simple,
+                              Verdict, _alt_configs, _first_simple_triple,
+                              _tree_dual_pairs_simple,
                               alt_line_cut_simple, decide, dual_pair_simple,
                               is_prime)
 from qfgraph.drinfeld import KRFactor
@@ -410,6 +411,84 @@ def test_spread_out_dual_pairs_need_no_test(monkeypatch, count_window_ids):
     examined = count_window_ids(qfgraph.decision)
     assert len(heavy) == size + 1 and _tree_dual_pairs_simple(heavy)
     assert 0 < examined["ids"] <= 2 * size
+
+
+def sort_everything_first_simple_triple(g):
+    """The triple scan the streamed one replaced: list every alternating
+    triple, sort them all by their sorted ids, and test them in that order."""
+    triples = []
+    for mid in range(len(g)):
+        for ends in (g.out_neighbors(mid), g.in_neighbors(mid)):
+            triples.extend((mid, a, b) for a, b in itertools.combinations(ends, 2))
+    for mid, a, b in sorted(triples, key=sorted):
+        if alt_line_cut_simple(_alt_configs(g, mid, a, b)) or \
+                alt_line_cut_simple(_alt_configs(g, mid, b, a)):
+            return tuple(sorted((mid, a, b)))
+    return None
+
+
+def _first_found_triple(g):
+    """The first simple triple in stream order, without comparing streams."""
+    for mid in range(len(g)):
+        for ends in (g.out_neighbors(mid), g.in_neighbors(mid)):
+            for a, b in itertools.combinations(ends, 2):
+                if alt_line_cut_simple(_alt_configs(g, mid, a, b)) or \
+                        alt_line_cut_simple(_alt_configs(g, mid, b, a)):
+                    return tuple(sorted((mid, a, b)))
+    return None
+
+
+def _random_star(rng: random.Random, kind: str) -> QFactGraph:
+    """A tree of one or two hubs with leaves linked to them, above and below:
+    a few leaves each repeated ("copies"), distinct leaves ("distinct"), or
+    distinct leaves kept only while no triple is simple ("prime")."""
+    n = rng.randint(2, 5)
+    diagram = DynkinA(n)
+
+    def linked(base):
+        color, weight = rng.randint(1, n), rng.randint(1, 4)
+        gap = rng.choice(r_set(diagram, base.color, base.weight, color, weight))
+        return KRFactor(color, base.exponent + rng.choice((-1, 1)) * gap, weight)
+
+    hubs = [KRFactor(rng.randint(1, n), 0, rng.randint(1, 4))]
+    if rng.random() < 0.5:
+        hubs.append(linked(hubs[0]))
+    factors = list(hubs)
+    drawn = {hub: [] for hub in hubs}
+    for _ in range(rng.randint(3, 14) if kind != "prime" else 40):
+        hub = rng.choice(hubs)
+        if kind == "copies" and drawn[hub] and rng.random() < 0.8:
+            leaf = rng.choice(drawn[hub])
+        else:
+            leaf = linked(hub)
+        g = build_graph(factors + [leaf], diagram)
+        if not g.was_refactorized and g.is_tree() and len(g) == len(factors) + 1 \
+                and (kind != "prime" or sort_everything_first_simple_triple(g) is None):
+            factors.append(leaf)
+            drawn[hub].append(leaf)
+    return build_graph(factors, diagram)
+
+
+def test_streamed_triple_scan_matches_sort_everything_oracle():
+    'same witness on seeded trees and on stars of copies and of distinct leaves'
+    rng = random.Random(20261020)
+    graphs = [random_tree_graph(rng, max_rank=6, max_vertices=8, max_weight=4)
+              for _ in range(1000)]
+    graphs += [_random_star(rng, kind) for kind, count in
+               (("copies", 500), ("distinct", 500), ("prime", 300))
+               for _ in range(count)]
+    seen = Counter()
+    for g in graphs:
+        want = sort_everything_first_simple_triple(g)
+        assert _first_simple_triple(g) == want, [v.label() for v in g.vertices]
+        degree = max(len(g.undirected_neighbors(v)) for v in range(len(g)))
+        copies = len(set(g.vertices)) < len(g)
+        seen["high degree", want is None] += degree >= 6
+        seen["copies", want is None] += copies and degree >= 6
+        seen["later stream wins"] += _first_found_triple(g) != want
+    for key in (("high degree", True), ("high degree", False),
+                ("copies", False), "later stream wins"):
+        assert seen[key] > 25, (key, seen)
 
 
 def test_sixteen_vertex_tree_without_simple_triple():
