@@ -1,0 +1,27 @@
+"""Golden corpus: every command's bytes on the pinned inputs are unchanged.
+
+tests/golden/cli_outputs.jsonl holds the inputs and a sha256 per command of
+(exit code, stdout, stderr) through cli.main; tests/golden/regen.py writes it.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+GOLDEN = Path(__file__).parent / "golden"
+_spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
+
+
+def test_cli_outputs_match_golden_corpus(tmp_path):
+    'fixtures, tree and wide corpora, stars and nested strings: five commands each'
+    path = str(tmp_path / "input.json")
+    lines = (GOLDEN / "cli_outputs.jsonl").read_text().splitlines()
+    changed = []
+    for line in lines:
+        item = json.loads(line)
+        got = regen.digests(item["rank"], item["factors"], path)
+        changed += [(item["name"], command) for command in regen.COMMANDS
+                    if got[command] != item["sha256"][command]]
+    assert len(lines) > 500 and not changed, changed[:20]
