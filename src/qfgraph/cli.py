@@ -1,8 +1,8 @@
 """Command-line front end.
 
 JSON in, JSON out on stdout; human-readable notes go to stderr.  Exit codes:
-0 success, 1 input error, 2 internal invariant violation (including failed
-example reproductions and sweep counterexamples).
+0 success, 1 input error (usage errors included), 2 internal invariant
+violation (including failed example reproductions and sweep counterexamples).
 
 The input file format is a single object:
 
@@ -183,9 +183,17 @@ def cmd_sweep(args) -> int:
     return 0 if result.passed else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as input errors; argparse's own 2 would read as an
+    internal invariant violation.  Subparsers are built from this class too."""
+
+    def error(self, message):
+        self.exit(1, f"input error: {self.prog}: {message}\n{self.format_usage()}")
+
+
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qfgraph",
         description="q-factorization graphs of Drinfeld polynomials in type A: "
                     "build graphs, decide primality and reality, emit certificates.")

@@ -20,7 +20,7 @@ from .dynkin import DynkinA, Interval
 from .drinfeld import KRFactor, dual
 from .graph import (ALTERNATING_LINE3, DISCONNECTED, MONOTONIC_LINE3, OTHER,
                     SINGLETON, TOTALLY_ORDERED, TRIANGLE, TWO_LINE, QFactGraph,
-                    _exponent_groups, classify)
+                    _overlaps, classify)
 from .redsets import minimal_window, r_set, string_parameter
 
 PRIME = "prime"
@@ -363,17 +363,18 @@ def _tree_dual_pairs_simple(g: QFactGraph) -> bool:
     """Is the dual-pair product simple for every non-adjacent pair, both orders?
 
     The dual of u sits at e_u - (n + 1) in u's parity class, and r_set is
-    bounded by r + s + n - 1, so only a v of that class within r_u + s + n - 1
-    of that exponent can make (dual of u) tensor v reducible.
+    bounded by r + s + n - 1, so (dual of u) tensor v can be reducible only
+    when e_v lies within r_u + s + n - 1 of that exponent: when u's window
+    [e - 2n - r, e + r - 2] overlaps v's span [e - s, e + s] (see _overlaps).
     """
     n = g.diagram.n
-    within = _exponent_groups(g.vertices, n)
-    for u, wu in enumerate(g.vertices):
-        shifted = wu.exponent - (n + 1)
-        for v in within(u, shifted - wu.weight, shifted + wu.weight, 1):
-            if v != u and not g.adjacent(u, v) and \
-                    not dual_pair_simple(wu, g.vertices[v], g.diagram):
-                return False
+    for u, v in _overlaps(g.vertices,
+                          lambda f: (f.exponent - 2 * n - f.weight,
+                                     f.exponent + f.weight - 2),
+                          lambda f: (f.exponent - f.weight, f.exponent + f.weight)):
+        if v != u and not g.adjacent(u, v) and \
+                not dual_pair_simple(g.vertices[u], g.vertices[v], g.diagram):
+            return False
     return True
 
 

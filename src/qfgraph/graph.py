@@ -160,51 +160,41 @@ class QFactGraph:
 
 # Most candidate (tail, head) pairs build_graph examines before it refuses
 # the input, so also the most arrows a graph can have.  The largest build of
-# any fixture, test or benchmark input examines 2669.  A refused build has
-# spent about 1.2 s and 100 MB (1500 factors in one window, one per color at
-# rank 1500; one core of a 2-vCPU Intel Xeon VM, Python 3.11).
+# a fixture or benchmark input examines 2655 (wide-inputs seed 1); the
+# 10^5-factor fuzz inputs reach 247292 (dense strings at rank 1).  A refused
+# build has spent about 1.2 s and 85 MB (1800 factors one per color at rank
+# 1800, exponents 2 to 1801; one core of a 2-vCPU Intel Xeon VM, Python 3.11).
 MAX_BUILD_PAIRS = 5 * 10**5
 
 
-def _exponent_groups(factors, n: int):
-    """A function taking (v, lo, hi, above) to sorted ids of v's parity class.
+def _overlaps(factors, left, right):
+    """Every id pair (a, b) of one parity class whose closed intervals
+    left(factors[a]) and right(factors[b]) overlap, each exactly once.
 
-    Every element of r_set(i, r, j, s) has the parity of r + s + i + j, so
-    an arrow or a dual pair joins only factors of one parity class
-    (exponent + weight + color) mod 2.  Each class is split into groups by
-    weight.bit_length() and each group is sorted by exponent once.  A group
-    whose largest weight is w has slack w + n - 1, and the query returns
-    the ids of v's class with exponent in [lo - slack, hi + above * slack],
-    each group with its own slack: a factor of weight 10^9 widens only its
-    own group.  The cost of a query grows with the number of ids it returns
-    and the number of groups, not with the number of factors.
+    Every element of r_set(i, r, j, s) has the parity of r + s + i + j, so an
+    arrow or a dual pair joins only factors of one class
+    (exponent + weight + color) mod 2.  Two closed intervals overlap exactly
+    when one starts inside the other; on a tie the right one counts as
+    starting inside the left one.  So each side is sorted by start once per
+    class, and an interval's partners are one bisect slice of the other
+    side: O(V log V + K) for K pairs, whatever the weights.
     """
-    exponents = [f.exponent for f in factors]
-    parity = [(f.exponent + f.weight + f.color) % 2 for f in factors]
-    groups: dict[tuple[int, int], list] = {}  # key -> [exponents, ids, weight]
-    for v in sorted(range(len(factors)), key=exponents.__getitem__):
-        w = factors[v].weight
-        group = groups.get((parity[v], w.bit_length()))
-        if group is None:
-            groups[parity[v], w.bit_length()] = [[exponents[v]], [v], w]
-        else:
-            group[0].append(exponents[v])
-            group[1].append(v)
-            if w > group[2]:
-                group[2] = w
     classes: tuple[list, list] = ([], [])
-    for (p, _), (exps, ids, w) in groups.items():
-        classes[p].append((exps, ids, w + n - 1))
-
-    def within(v: int, lo: int, hi: int, above: int) -> list[int]:
-        found: list[int] = []
-        for exps, ids, slack in classes[parity[v]]:
-            found += ids[bisect_left(exps, lo - slack):
-                         bisect_right(exps, hi + above * slack)]
-        found.sort()
-        return found
-
-    return within
+    for v, f in enumerate(factors):
+        classes[(f.exponent + f.weight + f.color) % 2].append(v)
+    for ids in classes:
+        if not ids:
+            continue
+        lefts = sorted(left(factors[v]) + (v,) for v in ids)
+        rights = sorted(right(factors[v]) + (v,) for v in ids)
+        lstarts, _, lids = zip(*lefts)
+        rstarts, _, rids = zip(*rights)
+        for lo, hi, a in lefts:
+            for b in rids[bisect_left(rstarts, lo):bisect_right(rstarts, hi)]:
+                yield a, b
+        for lo, hi, b in rights:
+            for a in lids[bisect_right(lstarts, lo):bisect_right(lstarts, hi)]:
+                yield a, b
 
 
 def build_graph(factors, diagram: DynkinA) -> QFactGraph:
@@ -214,39 +204,40 @@ def build_graph(factors, diagram: DynkinA) -> QFactGraph:
     are passed through normalize first and flagged in the result.
 
     Every element of r_set(i, r, j, s) is at most r + s + d(i, j) + 2 * reach
-    <= r + s + n - 1, so a tail of weight r only needs the heads of its
-    parity class whose exponent lies at most r + s + n - 1 below its own
-    (see _exponent_groups).  Each reducibility set is computed once per
-    build.  An input whose scan would examine more than MAX_BUILD_PAIRS
-    candidate heads is refused with ValueError.
+    <= r + s + n - 1, so a tail of weight r can only reach a head of its
+    parity class whose exponent lies 1 to r + s + n - 1 below its own: the
+    tail's [e - r, e - 1] overlaps the head's [e, e + s + n - 1] (see
+    _overlaps).  Each reducibility set is computed once per build.  An input
+    with more than MAX_BUILD_PAIRS such pairs is refused with ValueError.
     """
     factors = list(factors)
     for f in factors:
         diagram.check_node(f.color)
     vertices, refactorized = normalize(factors)
-    within = _exponent_groups(vertices, diagram.n)
+    n = diagram.n
     sides = [(v.color, v.weight) for v in vertices]
     sets: dict[tuple[int, int], dict[tuple[int, int], range]] = {}
     examined = 0
-    arrows = []
-    for t, u in enumerate(vertices):
-        e, r = u.exponent, u.weight
-        heads = within(t, e - r, e - 1, 0)
-        examined += len(heads)
+    found = []
+    for t, h in _overlaps(vertices,
+                          lambda f: (f.exponent - f.weight, f.exponent - 1),
+                          lambda f: (f.exponent, f.exponent + f.weight + n - 1)):
+        examined += 1
         if examined > MAX_BUILD_PAIRS:
             raise ValueError(f"the graph build would examine more than "
                              f"{MAX_BUILD_PAIRS} vertex pairs")
         row = sets.get(sides[t])
         if row is None:
             row = sets[sides[t]] = {}
-        for h in heads:
-            rs = row.get(sides[h])
-            if rs is None:
-                rs = row[sides[h]] = r_set(diagram, *sides[t], *sides[h])
-            gap = e - vertices[h].exponent
-            if gap in rs:
-                arrows.append(Arrow(t, h, gap))
-    return QFactGraph(diagram, vertices, tuple(arrows), refactorized)
+        rs = row.get(sides[h])
+        if rs is None:
+            rs = row[sides[h]] = r_set(diagram, *sides[t], *sides[h])
+        gap = vertices[t].exponent - vertices[h].exponent
+        if gap in rs:
+            found.append((t, h, gap))
+    found.sort()
+    arrows = tuple(Arrow(*a) for a in found)
+    return QFactGraph(diagram, vertices, arrows, refactorized)
 
 
 def classify(g: QFactGraph) -> ShapeClass:

@@ -5,24 +5,19 @@ import pytest
 
 @pytest.fixture
 def count_window_ids(monkeypatch):
-    """Install, on a module that imports _exponent_groups, a counter of the
-    candidate ids its window queries return; returns the Counter."""
+    """Install, on a module that imports _overlaps, a counter of the id
+    pairs it yields; returns the Counter."""
 
     def install(module) -> Counter:
         examined = Counter()
-        groups = module._exponent_groups
+        overlaps = module._overlaps
 
-        def counting(factors, n):
-            within = groups(factors, n)
+        def counting(*args):
+            for pair in overlaps(*args):
+                examined["pairs"] += 1
+                yield pair
 
-            def counted(*args):
-                found = within(*args)
-                examined["ids"] += len(found)
-                return found
-
-            return counted
-
-        monkeypatch.setattr(module, "_exponent_groups", counting)
+        monkeypatch.setattr(module, "_overlaps", counting)
         return examined
 
     return install

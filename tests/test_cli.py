@@ -4,6 +4,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import qfgraph
 import qfgraph.graph
 from qfgraph.cli import main, make_parser
@@ -233,6 +235,21 @@ def test_deeply_nested_json_is_an_input_error(tmp_path):
     assert proc.returncode == 1
     assert "input error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    'a bad option value, a missing input and an unknown command are input errors'
+    for argv in (["rset", "--rank", "x", "--i", "1", "--r", "1", "--j", "1", "--s", "1"],
+                 ["prime"], ["bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 1, argv
+        assert err.startswith("input error: qfgraph") and "usage: qfgraph" in err
+    for argv in (["--help"], ["prime", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and "usage: qfgraph" in capsys.readouterr().out
 
 
 def test_parser_is_built_once():

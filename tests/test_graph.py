@@ -1,5 +1,5 @@
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from math import comb
 
 import pytest
@@ -10,7 +10,7 @@ from qfgraph.dynkin import DynkinA
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
 from qfgraph.graph import (ALTERNATING_LINE3, DISCONNECTED, MONOTONIC_LINE3,
                            OTHER, SINGLETON, TOTALLY_ORDERED, TREE, TRIANGLE,
-                           TWO_LINE, Arrow, build_graph, classify)
+                           TWO_LINE, Arrow, _overlaps, build_graph, classify)
 from qfgraph.redsets import r_set
 
 
@@ -241,20 +241,66 @@ def test_sparse_build_tests_few_gaps(monkeypatch, count_window_ids):
     examined = count_window_ids(qfgraph.graph)
     heavy = build_graph(factors + [KRFactor(1, -5 * 10**9, 10**9)], DynkinA(4))
     assert arrow_set(heavy) == arrow_set(g)
-    assert 0 < examined["ids"] <= 2 * size
+    assert 0 < examined["pairs"] <= 2 * size
 
 
 def test_build_refuses_past_the_pair_budget(monkeypatch, count_window_ids):
-    'one id over MAX_BUILD_PAIRS raises ValueError; exactly at it the graph is built'
+    'one pair over MAX_BUILD_PAIRS raises ValueError; exactly at it the graph is built'
     rng = random.Random(5)
     factors = [KRFactor(c, rng.randint(0, 40), 1) for c in range(1, 41)]
     diagram = DynkinA(40)
     examined = count_window_ids(qfgraph.graph)
     g = build_graph(factors, diagram)
-    budget = examined["ids"]
+    budget = examined["pairs"]
     assert budget > len(g.arrows) > 100
     monkeypatch.setattr(qfgraph.graph, "MAX_BUILD_PAIRS", budget)
     assert build_graph(factors, diagram).arrows == g.arrows
     monkeypatch.setattr(qfgraph.graph, "MAX_BUILD_PAIRS", budget - 1)
     with pytest.raises(ValueError, match=f"more than {budget - 1} vertex pairs"):
         build_graph(factors, diagram)
+
+
+Member = namedtuple("Member", "color exponent weight left right")
+
+
+def random_interval(rng, starts):
+    """A closed interval: a shared start, a single point, or ends up to 10^9."""
+    lo = rng.choice(starts) if rng.random() < 0.5 else rng.randint(-10**9, 10**9)
+    kind = rng.random()
+    if kind < 0.2:
+        return lo, lo
+    if kind < 0.3:
+        return lo, 10**9
+    return lo, lo + rng.randint(0, rng.choice((3, 30, 10**9)))
+
+
+def test_overlaps_matches_all_pairs_oracle():
+    'both classes, an empty class, shared starts, single points, ends at +-10^9'
+    rng = random.Random(20261018)
+    seen = Counter()
+    for k in range(4000):
+        starts = [rng.randint(-10**9, 10**9) for _ in range(2)] + [-1, 0, 1]
+        parities = (0, 1) if k % 4 else (rng.randint(0, 1),)
+        factors = [Member(rng.randint(1, 6), rng.randint(-40, 40) * 2 + rng.choice(parities),
+                          2, random_interval(rng, starts), random_interval(rng, starts))
+                   for _ in range(rng.randint(0, 12))]
+        got = list(_overlaps(factors, lambda f: f.left, lambda f: f.right))
+        want = [(a, b) for a, fa in enumerate(factors) for b, fb in enumerate(factors)
+                if (fa.exponent + fa.weight + fa.color) % 2
+                == (fb.exponent + fb.weight + fb.color) % 2
+                and max(fa.left[0], fb.right[0]) <= min(fa.left[1], fb.right[1])]
+        assert len(set(got)) == len(got) and sorted(got) == want, factors
+        classes = {(f.exponent + f.weight + f.color) % 2 for f in factors}
+        seen["no factor"] += not factors
+        seen["one class empty"] += len(factors) > 1 and len(classes) == 1
+        seen["both classes"] += len(classes) == 2
+        seen["equal starts"] += any(a != b and fa.left[0] == fb.right[0]
+                                    for a, fa in enumerate(factors)
+                                    for b, fb in enumerate(factors)) and bool(want)
+        seen["single point pair"] += any(factors[a].left[0] == factors[a].left[1]
+                                         for a, _ in want)
+        seen["negative pair"] += any(factors[a].left[1] < 0 for a, _ in want)
+        seen["end 10^9"] += any(factors[b].right[1] == 10**9 for _, b in want)
+    for key in ("no factor", "one class empty", "both classes", "equal starts",
+                "single point pair", "negative pair", "end 10^9"):
+        assert seen[key] > 50, (key, seen)

@@ -410,7 +410,7 @@ def test_spread_out_dual_pairs_need_no_test(monkeypatch, count_window_ids):
     heavy = build_graph(factors + [KRFactor(1, -5 * 10**9, 10**9)], DynkinA(4))
     examined = count_window_ids(qfgraph.decision)
     assert len(heavy) == size + 1 and _tree_dual_pairs_simple(heavy)
-    assert 0 < examined["ids"] <= 2 * size
+    assert 0 < examined["pairs"] <= 2 * size
 
 
 def sort_everything_first_simple_triple(g):
