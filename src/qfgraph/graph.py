@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .dynkin import DynkinA
 from .drinfeld import KRFactor, dual, normalize
@@ -218,7 +219,7 @@ def build_graph(factors, diagram: DynkinA) -> QFactGraph:
     sides = [(v.color, v.weight) for v in vertices]
     sets: dict[tuple[int, int], dict[tuple[int, int], range]] = {}
     examined = 0
-    found = []
+    arrows = []
     for t, h in _overlaps(vertices,
                           lambda f: (f.exponent - f.weight, f.exponent - 1),
                           lambda f: (f.exponent, f.exponent + f.weight + n - 1)):
@@ -234,10 +235,10 @@ def build_graph(factors, diagram: DynkinA) -> QFactGraph:
             rs = row[sides[h]] = r_set(diagram, *sides[t], *sides[h])
         gap = vertices[t].exponent - vertices[h].exponent
         if gap in rs:
-            found.append((t, h, gap))
-    found.sort()
-    arrows = tuple(Arrow(*a) for a in found)
-    return QFactGraph(diagram, vertices, arrows, refactorized)
+            arrows.append(Arrow(t, h, gap))
+    # Sorted arrows keep every neighbor list sorted (see _first_simple_triple).
+    arrows.sort(key=attrgetter("tail", "head"))
+    return QFactGraph(diagram, vertices, tuple(arrows), refactorized)
 
 
 def classify(g: QFactGraph) -> ShapeClass:
