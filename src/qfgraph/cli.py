@@ -184,8 +184,7 @@ def cmd_sweep(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, as input errors; argparse's own 2 would read as an
-    internal invariant violation.  Subparsers are built from this class too."""
+    """Usage errors exit 1, not 2: they are input errors (subparsers too)."""
 
     def error(self, message):
         self.exit(1, f"input error: {self.prog}: {message}\n{self.format_usage()}")

@@ -160,11 +160,10 @@ class QFactGraph:
 
 
 # Most candidate (tail, head) pairs build_graph examines before it refuses
-# the input, so also the most arrows a graph can have.  The largest build of
-# a fixture or benchmark input examines 2655 (wide-inputs seed 1); the
-# 10^5-factor fuzz inputs reach 247292 (dense strings at rank 1).  A refused
-# build has spent about 1.2 s and 85 MB (1800 factors one per color at rank
-# 1800, exponents 2 to 1801; one core of a 2-vCPU Intel Xeon VM, Python 3.11).
+# the input, so also the most arrows a graph can have.  The largest build of a
+# fixture or benchmark input examines 2655, a 10^5-factor fuzz input 247292.
+# A refused build has spent about 1.2 s and 85 MB (1800 factors, one per color
+# at rank 1800; one core of a 2-vCPU Intel Xeon VM, Python 3.11).
 MAX_BUILD_PAIRS = 5 * 10**5
 
 
@@ -183,9 +182,7 @@ def _overlaps(factors, left, right):
     classes: tuple[list, list] = ([], [])
     for v, f in enumerate(factors):
         classes[(f.exponent + f.weight + f.color) % 2].append(v)
-    for ids in classes:
-        if not ids:
-            continue
+    for ids in filter(None, classes):
         lefts = sorted(left(factors[v]) + (v,) for v in ids)
         rights = sorted(right(factors[v]) + (v,) for v in ids)
         lstarts, _, lids = zip(*lefts)
