@@ -216,17 +216,18 @@ def build_graph(factors, diagram: DynkinA) -> QFactGraph:
     n = diagram.n
     exponents = [v.exponent for v in vertices]
     sides = [(v.color, v.weight) for v in vertices]
-    sets: dict[tuple[int, int], dict[tuple[int, int], range]] = {
-        side: {} for side in set(sides)}
-    rows = [sets[side] for side in sides]
+    sets: dict[tuple[int, int], dict[tuple[int, int], range]] = {}
     arrows = []
     pairs = _overlaps(vertices,
                       lambda f: (f.exponent - f.weight, f.exponent - 1),
                       lambda f: (f.exponent, f.exponent + f.weight + n - 1))
     for t, h in islice(pairs, MAX_BUILD_PAIRS):
-        rs = rows[t].get(sides[h])
+        row = sets.get(sides[t])
+        if row is None:
+            row = sets[sides[t]] = {}
+        rs = row.get(sides[h])
         if rs is None:
-            rs = rows[t][sides[h]] = r_set(diagram, *sides[t], *sides[h])
+            rs = row[sides[h]] = r_set(diagram, *sides[t], *sides[h])
         gap = exponents[t] - exponents[h]
         if gap in rs:
             arrows.append(Arrow(t, h, gap))
