@@ -5,10 +5,8 @@ sets of Kirillov-Reshetikhin pairs, and decide primality and reality of the
 associated simple module with a certificate of the rules used.
 """
 
-from .decision import (AltLineConfig, CertStep, Verdict,
-                       alt_line_conditions_ineq, alt_line_cut_simple,
-                       c3aline_config, case_parameters, decide,
-                       dual_pair_simple, is_prime, is_real)
+from .decision import (AltLineConfig, CertStep, Verdict, alt_line_cut_simple,
+                       decide, dual_pair_simple, is_prime, is_real)
 from .drinfeld import DrinfeldPoly, KRFactor, dual, expand_all, q_factorize
 from .dynkin import DynkinA, Interval
 from .graph import Arrow, QFactGraph, ShapeClass, build_graph, classify
@@ -19,10 +17,9 @@ from .redsets import minimal_window, r_set, sl2_set, string_parameter
 __all__ = [
     "AltLineConfig", "Arrow", "CertStep", "DrinfeldPoly", "DynkinA",
     "Interval", "KRFactor", "LWeight", "QFactGraph", "ShapeClass",
-    "SocleHead", "Verdict", "alt_line_conditions_ineq", "alt_line_cut_simple",
-    "build_graph", "c3aline_config", "case_parameters", "classify", "decide",
-    "dominant_product_lweights", "dual", "dual_pair_simple", "expand_all",
-    "fundamental_qchar", "is_prime", "is_real", "minimal_window",
+    "SocleHead", "Verdict", "alt_line_cut_simple", "build_graph", "classify",
+    "decide", "dominant_product_lweights", "dual", "dual_pair_simple",
+    "expand_all", "fundamental_qchar", "is_prime", "is_real", "minimal_window",
     "q_factorize", "r_set", "sl2_set", "socle_head", "string_parameter",
 ]
 

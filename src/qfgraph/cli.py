@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 
@@ -162,15 +163,9 @@ def cmd_sweep(args) -> int:
     except KeyError:
         raise ValueError(f"unknown check {args.check!r}; choose from "
                          f"{', '.join(sorted(CHECKS))}") from None
-    if args.check in ("duality", "confluence"):
-        kwargs = {"trials": args.trials, "seed": args.seed}
-    elif args.check == "dominant-pair":
-        kwargs = {"max_rank": args.max_rank}
-    else:
-        kwargs = {"max_rank": args.max_rank, "max_weight": args.max_weight}
-    for name, value in kwargs.items():
-        if name == "seed":
-            continue
+    kwargs = {name: getattr(args, name) for name in inspect.signature(check).parameters}
+    for name in [n for n in kwargs if n in SWEEP_CAPS]:  # in signature order
+        value = kwargs[name]
         flag = f"--{name.replace('_', '-')}"
         if value < 1:  # a check must not pass on zero cases
             raise ValueError(f"{flag} must be at least 1, got {value}")

@@ -1,10 +1,10 @@
 """Primality and reality engine for q-factorization graphs (type A).
 
 The central predicate decides, for a three-vertex alternating line, whether
-the cut isolating one end is a simple tensor product.  It is implemented
-twice: once through reducibility-set membership (the criterion's native
-form) and once through an equivalent case-split system of inequalities in
-the string parameters, kept solely for differential testing.
+the cut isolating one end is a simple tensor product, tested through
+reducibility-set membership (the criterion's native form).  The equivalent
+string-parameter forms that the forms-agree sweep checks it against live in
+qfgraph.sweeps, so this module holds only what the verdicts run.
 
 Verdicts are three-valued and every verdict carries a certificate listing
 the rules that produced it.  The rule set is sound but deliberately
@@ -21,7 +21,7 @@ from .drinfeld import KRFactor, dual
 from .graph import (ALTERNATING_LINE3, DISCONNECTED, MONOTONIC_LINE3, OTHER,
                     SINGLETON, TOTALLY_ORDERED, TRIANGLE, TWO_LINE, QFactGraph,
                     _overlaps, classify)
-from .redsets import minimal_window, r_set, string_parameter
+from .redsets import minimal_window, r_set
 
 PRIME = "prime"
 NOT_PRIME = "not_prime"
@@ -91,39 +91,6 @@ class AltLineConfig:
         }
 
 
-@dataclass(frozen=True)
-class CaseParams:
-    """String parameters of both arrows and the sign-split pair."""
-
-    p: int
-    p_prime: int
-    p_plus: int
-    p_minus: int
-
-
-def case_parameters(cfg: AltLineConfig) -> CaseParams:
-    """Solve for the string parameters of both arrows and the sign-split pair.
-
-    The pair (p_plus, p_minus) rewrites the gap m - m' in both signs:
-    m - m' = r + s' + d(i, j') - 2 p_plus and the negated identity for
-    p_minus.  Both identities are checked exactly.
-    """
-    dg = cfg.diagram
-    i, r, m = cfg.iso_color, cfg.iso_weight, cfg.iso_label
-    j, s = cfg.middle_color, cfg.middle_weight
-    jp, sp, mp = cfg.other_color, cfg.other_weight, cfg.other_label
-    p = string_parameter(dg, i, r, j, s, m)
-    pp = string_parameter(dg, j, s, jp, sp, mp)
-    if p is None or pp is None:
-        raise ValueError("arrow labels are outside the unrestricted reducibility sets")
-    p_plus = sp - pp + p + dg.hull_distance(i, j, jp)
-    p_minus = r - p + pp + dg.hull_distance(j, jp, i)
-    base = r + sp + dg.distance(i, jp)
-    if m - mp != base - 2 * p_plus or mp - m != base - 2 * p_minus:
-        raise AssertionError("sign-split identities violated")
-    return CaseParams(p, pp, p_plus, p_minus)
-
-
 def cut_general_conditions(cfg: AltLineConfig) -> bool:
     """The three window-membership conditions of the cut-simplicity test."""
     dg, window = cfg.diagram, cfg.window
@@ -156,71 +123,11 @@ def alt_line_cut_simple(cfg: AltLineConfig) -> bool:
                                    cfg.other_color, cfg.other_weight, cfg.window))
 
 
-def alt_line_conditions_ineq(cfg: AltLineConfig) -> bool:
-    """Same predicate as alt_line_cut_simple via the string-parameter system.
-
-    Exists solely for differential testing.  The case split follows the sign
-    of p: for p <= 0 the window widens the hull by -p on each side and the
-    conditions become -p' <= -p - d(j', [i,j]), the shifted parameter
-    r + p' - 1 landing in [p + d(j', [i,j]), min(r, s')), and r <= s'; for
-    p > 0 they become j' in [i,j], p' >= 0, r - p + p' - 1 in [0, min(r, s')),
-    and (r <= s' or p != p').  The hull [lo, hi] of i and j and the window
-    stay plain integers; `cfg.window` is not read.
-    """
-    dg = cfg.diagram
-    i, r = cfg.iso_color, cfg.iso_weight
-    j, s = cfg.middle_color, cfg.middle_weight
-    jp, sp = cfg.other_color, cfg.other_weight
-    p = string_parameter(dg, i, r, j, s, cfg.iso_label)
-    pp = string_parameter(dg, j, s, jp, sp, cfg.other_label)
-    if p is None or pp is None:
-        raise ValueError("arrow labels are outside the unrestricted reducibility sets")
-    lo, hi = (i, j) if i <= j else (j, i)
-    offset = max(lo - jp, jp - hi, 0)
-    if p <= 0:
-        if not lo + p <= jp <= hi - p:
-            return False
-        if -pp > -p - offset:
-            return False
-        shifted = r + pp - 1
-        if not (p + offset <= shifted < min(r, sp)):
-            return False
-        return r <= sp
-    if not lo <= jp <= hi:
-        return False
-    if pp < 0:
-        return False
-    shifted = r - p + pp - 1
-    if not (0 <= shifted < min(r, sp)):
-        return False
-    return r <= sp or p != pp
-
-
-def extra_condition_uniform(cfg: AltLineConfig) -> bool:
-    """Third rewriting of the weight-drop condition: m + r <= m' + s' + d(i, j')."""
-    dg = cfg.diagram
-    return (cfg.iso_label + cfg.iso_weight
-            <= cfg.other_label + cfg.other_weight
-            + dg.distance(cfg.iso_color, cfg.other_color))
-
-
 def dual_pair_simple(w1: KRFactor, w2: KRFactor, diagram: DynkinA) -> bool:
     """Is (dual of w1) tensor w2 simple over the whole diagram?"""
     d = dual(w1, diagram)
     gap = abs(d.exponent - w2.exponent)
     return gap not in r_set(diagram, d.color, w1.weight, w2.color, w2.weight)
-
-
-def c3aline_config(diagram: DynkinA, i: int, r: int, j: int, s: int,
-                   m: int) -> AltLineConfig:
-    """Symmetric alternating line with both ends equal to (i, r) at gap m.
-
-    This is the configuration of one factor tensored against itself times a
-    linked (j, s) factor; the cut test on it is always simple.
-    """
-    if m not in r_set(diagram, i, r, j, s):
-        raise ValueError(f"gap {m} not admissible for colors ({i}, {j}) weights ({r}, {s})")
-    return AltLineConfig(diagram, i, r, m, j, s, i, r, m)
 
 
 # -- verdicts ---------------------------------------------------------------

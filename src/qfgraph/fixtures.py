@@ -20,8 +20,6 @@ from .dynkin import DynkinA
 from .graph import (ALTERNATING_LINE3, MONOTONIC_LINE3, OTHER, TREE,
                     build_graph, classify)
 
-EXAMPLE_NAMES = ("newprimex", "cosubpt", "cesubpt")
-
 # Statuses established by hand analysis that the rule engine cannot re-derive.
 KNOWN_STATUS = {
     "cosubpt": NOT_PRIME,
@@ -174,11 +172,13 @@ def run_cesubpt() -> ExampleReport:
     return report
 
 
+_RUNNERS = {"newprimex": run_newprimex, "cosubpt": run_cosubpt,
+            "cesubpt": run_cesubpt}
+EXAMPLE_NAMES = tuple(_RUNNERS)
+
+
 def run_example(name: str) -> ExampleReport:
-    if name == "newprimex":
-        return run_newprimex()
-    if name == "cosubpt":
-        return run_cosubpt()
-    if name == "cesubpt":
-        return run_cesubpt()
-    raise ValueError(f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}")
+    if name not in _RUNNERS:
+        raise ValueError(f"unknown example {name!r}; choose from "
+                         f"{', '.join(EXAMPLE_NAMES)}")
+    return _RUNNERS[name]()

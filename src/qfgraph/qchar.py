@@ -124,6 +124,11 @@ def dominant_product_lweights(diagram: DynkinA, i: int, j: int,
     return frozenset(dominant)
 
 
+def _fundamental_product(factors) -> LWeight:
+    """The l-weight of a product of fundamental factors (all of weight 1)."""
+    return LWeight.from_dict(Counter((f.color, f.exponent) for f in factors))
+
+
 @dataclass(frozen=True)
 class SocleHead:
     """Closed-form socle pair and head of a reducible fundamental product."""
@@ -134,16 +139,10 @@ class SocleHead:
     p: int
 
     def socle_lweight(self) -> LWeight:
-        out = LWeight.identity()
-        for f in self.socle:
-            out = out * LWeight.fundamental(f.color, f.exponent)
-        return out
+        return _fundamental_product(self.socle)
 
     def head_lweight(self) -> LWeight:
-        out = LWeight.identity()
-        for f in self.head:
-            out = out * LWeight.fundamental(f.color, f.exponent)
-        return out
+        return _fundamental_product(self.head)
 
     def to_json(self) -> dict:
         return {

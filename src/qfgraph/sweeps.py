@@ -1,11 +1,11 @@
 """Exhaustive and randomized property sweeps.
 
-These drive the package's cross-checks: the two forms of the cut-simplicity
-test against each other, the always-simple symmetric configuration, the
-closed two-element dominant set against the brute-force product, the
-reducibility-set algebra against brute force, verdict invariance under the
-two dualities, and the level-set q-string factorization against a
-random-order pairwise merge.
+These drive the package's cross-checks: the engine's membership form of the
+cut-simplicity test against the string-parameter forms defined here, the
+always-simple symmetric configuration, the closed two-element dominant set
+against the brute-force product, the reducibility-set algebra against brute
+force, verdict invariance under the two dualities, and the level-set q-string
+factorization against a random-order pairwise merge.
 The CLI `sweep` command and the acceptance tests both run through here.
 """
 
@@ -15,10 +15,8 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .decision import (AltLineConfig, alt_line_conditions_ineq,
-                       alt_line_cut_simple, c3aline_config, case_parameters,
-                       cut_general_conditions, extra_condition_uniform,
-                       is_prime, is_real)
+from .decision import (AltLineConfig, alt_line_cut_simple,
+                       cut_general_conditions, is_prime, is_real)
 from .drinfeld import DrinfeldPoly, KRFactor, expand_all, q_factorize
 from .dynkin import DynkinA, Interval
 from .graph import QFactGraph, build_graph, classify
@@ -90,7 +88,88 @@ def iter_alt_line_configs(max_rank: int, max_weight: int):
                         yield AltLineConfig(diagram, i, r, m, j, s, jp, sp, mp)
 
 
-def check_forms_agree(max_rank: int = 6, max_weight: int = 4) -> SweepResult:
+@dataclass(frozen=True)
+class CaseParams:
+    """String parameters of both arrows and the sign-split pair."""
+
+    p: int
+    p_prime: int
+    p_plus: int
+    p_minus: int
+
+
+def case_parameters(cfg: AltLineConfig) -> CaseParams:
+    """Solve for the string parameters of both arrows and the sign-split pair.
+
+    The pair (p_plus, p_minus) rewrites the gap m - m' in both signs:
+    m - m' = r + s' + d(i, j') - 2 p_plus and the negated identity for
+    p_minus.  Both identities are checked exactly.
+    """
+    dg = cfg.diagram
+    i, r, m = cfg.iso_color, cfg.iso_weight, cfg.iso_label
+    j, s = cfg.middle_color, cfg.middle_weight
+    jp, sp, mp = cfg.other_color, cfg.other_weight, cfg.other_label
+    p = string_parameter(dg, i, r, j, s, m)
+    pp = string_parameter(dg, j, s, jp, sp, mp)
+    if p is None or pp is None:
+        raise ValueError("arrow labels are outside the unrestricted reducibility sets")
+    p_plus = sp - pp + p + dg.hull_distance(i, j, jp)
+    p_minus = r - p + pp + dg.hull_distance(j, jp, i)
+    base = r + sp + dg.distance(i, jp)
+    if m - mp != base - 2 * p_plus or mp - m != base - 2 * p_minus:
+        raise AssertionError("sign-split identities violated")
+    return CaseParams(p, pp, p_plus, p_minus)
+
+
+def alt_line_conditions_ineq(cfg: AltLineConfig) -> bool:
+    """Same predicate as alt_line_cut_simple via the string-parameter system.
+
+    Exists solely for differential testing.  The case split follows the sign
+    of p: for p <= 0 the window widens the hull by -p on each side and the
+    conditions become -p' <= -p - d(j', [i,j]), the shifted parameter
+    r + p' - 1 landing in [p + d(j', [i,j]), min(r, s')), and r <= s'; for
+    p > 0 they become j' in [i,j], p' >= 0, r - p + p' - 1 in [0, min(r, s')),
+    and (r <= s' or p != p').  The hull [lo, hi] of i and j and the window
+    stay plain integers; `cfg.window` is not read.
+    """
+    dg = cfg.diagram
+    i, r = cfg.iso_color, cfg.iso_weight
+    j, s = cfg.middle_color, cfg.middle_weight
+    jp, sp = cfg.other_color, cfg.other_weight
+    p = string_parameter(dg, i, r, j, s, cfg.iso_label)
+    pp = string_parameter(dg, j, s, jp, sp, cfg.other_label)
+    if p is None or pp is None:
+        raise ValueError("arrow labels are outside the unrestricted reducibility sets")
+    lo, hi = (i, j) if i <= j else (j, i)
+    offset = max(lo - jp, jp - hi, 0)
+    if p <= 0:
+        if not lo + p <= jp <= hi - p:
+            return False
+        if -pp > -p - offset:
+            return False
+        shifted = r + pp - 1
+        if not (p + offset <= shifted < min(r, sp)):
+            return False
+        return r <= sp
+    if not lo <= jp <= hi:
+        return False
+    if pp < 0:
+        return False
+    shifted = r - p + pp - 1
+    if not (0 <= shifted < min(r, sp)):
+        return False
+    return r <= sp or p != pp
+
+
+def extra_condition_uniform(cfg: AltLineConfig) -> bool:
+    """Third rewriting of the weight-drop condition: m + r <= m' + s' + d(i, j')."""
+    dg = cfg.diagram
+    return (cfg.iso_label + cfg.iso_weight
+            <= cfg.other_label + cfg.other_weight
+            + dg.distance(cfg.iso_color, cfg.other_color))
+
+
+def check_forms_agree(max_rank: int, max_weight: int) -> SweepResult:
     """Membership form == inequality form == uniform weight-drop rewriting."""
     result = SweepResult("forms-agree")
     for cfg in iter_alt_line_configs(max_rank, max_weight):
@@ -130,21 +209,21 @@ def _assert_sweep_bounds(cfg: AltLineConfig, result: SweepResult) -> None:
             result.fail(f"shifted-parameter window fails on {cfg.params_json()}")
 
 
-def check_c3aline(max_rank: int = 6, max_weight: int = 4) -> SweepResult:
+def check_c3aline(max_rank: int, max_weight: int) -> SweepResult:
     """The symmetric both-ends-equal configuration always has a simple cut."""
     result = SweepResult("c3aline")
     for n in range(1, max_rank + 1):
         diagram = DynkinA(n)
         for i, r, j, s, m in iter_linked_pairs(diagram, max_weight):
             result.checked += 1
-            cfg = c3aline_config(diagram, i, r, j, s, m)
+            cfg = AltLineConfig(diagram, i, r, m, j, s, i, r, m)
             if not alt_line_cut_simple(cfg):
                 result.fail(f"cut not simple for i={i} r={r} j={j} s={s} m={m} "
                             f"at rank {n}")
     return result
 
 
-def check_dominant_pair(max_rank: int = 6) -> SweepResult:
+def check_dominant_pair(max_rank: int) -> SweepResult:
     """Brute-force dominant set == closed two-element form, for fundamentals."""
     result = SweepResult("dominant-pair")
     for n in range(1, max_rank + 1):
@@ -170,7 +249,7 @@ def check_dominant_pair(max_rank: int = 6) -> SweepResult:
     return result
 
 
-def check_redsets_algebra(max_rank: int = 8, max_weight: int = 5) -> SweepResult:
+def check_redsets_algebra(max_rank: int, max_weight: int) -> SweepResult:
     """Symmetry, parity, cardinality, extremes, monotonicity, minimal windows."""
     result = SweepResult("redsets-algebra")
     for n in range(1, max_rank + 1):
@@ -273,7 +352,7 @@ def random_tree_graph(rng: random.Random, max_rank: int = 5,
     return build_graph(factors, diagram)
 
 
-def check_duality(trials: int = 1000, seed: int = 2024) -> SweepResult:
+def check_duality(trials: int, seed: int) -> SweepResult:
     """Verdicts are invariant under arrow reversal and the diagram automorphism."""
     result = SweepResult("duality")
     rng = random.Random(seed)
@@ -353,7 +432,7 @@ def merge_factorize(poly: DrinfeldPoly,
     return tuple(sorted(factors))
 
 
-def check_confluence(trials: int = 1000, seed: int = 7) -> SweepResult:
+def check_confluence(trials: int, seed: int) -> SweepResult:
     """Level-set q-factorization == random-order pairwise merge; idempotent."""
     result = SweepResult("confluence")
     rng = random.Random(seed)

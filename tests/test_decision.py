@@ -4,16 +4,15 @@ import pytest
 
 import qfgraph.decision
 from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, AltLineConfig,
-                              alt_line_conditions_ineq, alt_line_cut_simple,
-                              c3aline_config, case_parameters, decide,
-                              dual_pair_simple, extra_condition_uniform,
+                              alt_line_cut_simple, decide, dual_pair_simple,
                               is_prime, is_real)
 from qfgraph.drinfeld import KRFactor
 from qfgraph.dynkin import DynkinA, Interval
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
 from qfgraph.graph import build_graph
 from qfgraph.redsets import minimal_window
-from qfgraph.sweeps import check_forms_agree
+from qfgraph.sweeps import (alt_line_conditions_ineq, case_parameters,
+                            check_forms_agree, extra_condition_uniform)
 
 A2 = DynkinA(2)
 
@@ -149,11 +148,11 @@ def test_dual_pair_simple_examples():
 # -- the symmetric always-simple configuration -------------------------------
 
 def test_c3aline_examples():
-    assert alt_line_cut_simple(c3aline_config(A2, 1, 1, 2, 1, 3)) is True
-    assert alt_line_cut_simple(c3aline_config(A2, 2, 2, 1, 1, 4)) is True
-    assert alt_line_cut_simple(c3aline_config(DynkinA(3), 1, 3, 3, 2, 7)) is True
+    assert alt_line_cut_simple(cfg(A2, (1, 1, 3), (2, 1), (1, 1, 3))) is True
+    assert alt_line_cut_simple(cfg(A2, (2, 2, 4), (1, 1), (2, 2, 4))) is True
+    assert alt_line_cut_simple(cfg(DynkinA(3), (1, 3, 7), (3, 2), (1, 3, 7))) is True
     with pytest.raises(ValueError):
-        c3aline_config(A2, 1, 1, 2, 1, 4)
+        cfg(A2, (1, 1, 4), (2, 1), (1, 1, 4))
 
 
 # -- verdicts -----------------------------------------------------------------

@@ -245,7 +245,7 @@ def test_sparse_build_tests_few_gaps(monkeypatch, count_window_ids):
 
 
 def test_build_refuses_past_the_pair_budget(monkeypatch, count_window_ids):
-    'one pair over MAX_BUILD_PAIRS raises ValueError; exactly at it the graph is built'
+    'one pair over MAX_BUILD_PAIRS raises before any r_set call; exactly at it, it builds'
     rng = random.Random(5)
     factors = [KRFactor(c, rng.randint(0, 40), 1) for c in range(1, 41)]
     diagram = DynkinA(40)
@@ -256,8 +256,16 @@ def test_build_refuses_past_the_pair_budget(monkeypatch, count_window_ids):
     monkeypatch.setattr(qfgraph.graph, "MAX_BUILD_PAIRS", budget)
     assert build_graph(factors, diagram).arrows == g.arrows
     monkeypatch.setattr(qfgraph.graph, "MAX_BUILD_PAIRS", budget - 1)
+    calls = Counter()
+
+    def counted(*args):
+        calls["r_set"] += 1
+        return r_set(*args)
+
+    monkeypatch.setattr(qfgraph.graph, "r_set", counted)
     with pytest.raises(ValueError, match=f"more than {budget - 1} vertex pairs"):
         build_graph(factors, diagram)
+    assert calls["r_set"] == 0, "a refused build computes no reducibility set"
 
 
 Member = namedtuple("Member", "color exponent weight left right")

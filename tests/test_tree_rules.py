@@ -16,13 +16,14 @@ import json
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 
 import qfgraph.decision
 from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, CertStep,
                               Verdict, _alt_configs, _first_simple_triple,
                               _tree_dual_pairs_simple,
                               alt_line_cut_simple, decide, dual_pair_simple,
-                              is_prime)
+                              is_prime, is_real)
 from qfgraph.drinfeld import KRFactor
 from qfgraph.dynkin import DynkinA
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
@@ -325,7 +326,8 @@ def test_total_order_and_line_order_match_closure():
         assert seen[key] > 0, key
 
 
-def test_decide_walks_a_tree_at_most_twice(monkeypatch):
+def test_decide_walks_a_tree_once(monkeypatch):
+    'classify and is_tree share one component walk per graph'
     rng = random.Random(7)
     trees = [g for g in (random_tree_graph(rng, max_rank=6, max_vertices=8,
                                            max_weight=4) for _ in range(300))
@@ -342,13 +344,16 @@ def test_decide_walks_a_tree_at_most_twice(monkeypatch):
 
         monkeypatch.setattr(QFactGraph, name, counted)
     assert len(trees) > 100
+    once = {"components": 1, "is_totally_ordered": 1, "is_tree": 1}
     for g in trees:
         calls.clear()
         is_prime(g)
         assert calls == {"components": 1, "is_totally_ordered": 1}
+        is_real(g)
+        assert calls == once
         calls.clear()
-        decide(g)
-        assert calls["components"] <= 2 and calls["is_totally_ordered"] <= 1
+        decide(replace(g))  # a fresh graph, which has not walked yet
+        assert calls == once
 
 
 def test_windowed_dual_pairs_match_all_pairs_oracle():
