@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import sys
 
@@ -158,6 +157,7 @@ def cmd_examples(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import inspect  # here, not at the top: no other command reads signatures
     try:
         check = CHECKS[args.check]
     except KeyError:

@@ -14,7 +14,6 @@ incomplete: graphs outside its reach come back "unknown".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .dynkin import DynkinA, Interval
 from .drinfeld import KRFactor, dual
@@ -29,7 +28,6 @@ REAL = "real"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
 class AltLineConfig:
     """An alternating three-vertex line, normalized for the cut test.
 
@@ -45,23 +43,22 @@ class AltLineConfig:
     of the isolating arrow, which the cut test reads.
     """
 
-    diagram: DynkinA
-    iso_color: int
-    iso_weight: int
-    iso_label: int
-    middle_color: int
-    middle_weight: int
-    other_color: int
-    other_weight: int
-    other_label: int
-    middle_is_source: bool = True
-    window: Interval = field(init=False, repr=False, compare=False)
+    __slots__ = ("diagram", "iso_color", "iso_weight", "iso_label", "middle_color",
+                 "middle_weight", "other_color", "other_weight", "other_label",
+                 "middle_is_source", "window")
 
-    def __post_init__(self) -> None:
+    def __init__(self, diagram: DynkinA, iso_color: int, iso_weight: int,
+                 iso_label: int, middle_color: int, middle_weight: int,
+                 other_color: int, other_weight: int, other_label: int,
+                 middle_is_source: bool = True) -> None:
+        self.diagram = diagram
+        self.iso_color, self.iso_weight, self.iso_label = iso_color, iso_weight, iso_label
+        self.middle_color, self.middle_weight = middle_color, middle_weight
+        self.other_color, self.other_weight = other_color, other_weight
+        self.other_label, self.middle_is_source = other_label, middle_is_source
         self.validate()
-        object.__setattr__(self, "window", minimal_window(
-            self.diagram, self.iso_color, self.iso_weight,
-            self.middle_color, self.middle_weight, self.iso_label))
+        self.window: Interval = minimal_window(diagram, iso_color, iso_weight,
+                                               middle_color, middle_weight, iso_label)
 
     def validate(self) -> None:
         dg = self.diagram
@@ -132,21 +129,23 @@ def dual_pair_simple(w1: KRFactor, w2: KRFactor, diagram: DynkinA) -> bool:
 
 # -- verdicts ---------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CertStep:
-    rule: str
-    cites: str
-    params: dict
+    __slots__ = ("rule", "cites", "params")
+
+    def __init__(self, rule: str, cites: str, params: dict) -> None:
+        self.rule, self.cites, self.params = rule, cites, params
 
     def to_json(self) -> dict:
         return {"rule": self.rule, "cites": self.cites, "params": self.params}
 
 
-@dataclass
 class Verdict:
-    primality: str = UNKNOWN
-    reality: str = UNKNOWN
-    certificate: list[CertStep] = field(default_factory=list)
+    __slots__ = ("primality", "reality", "certificate")
+
+    def __init__(self, primality: str = UNKNOWN, reality: str = UNKNOWN,
+                 certificate: list[CertStep] | None = None) -> None:
+        self.primality, self.reality = primality, reality
+        self.certificate = [] if certificate is None else certificate
 
     def to_json(self, trace: bool = False) -> dict:
         out = {"primality": self.primality, "reality": self.reality}

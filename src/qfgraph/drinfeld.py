@@ -9,25 +9,25 @@ by 2 and centered at its exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
+from collections import namedtuple
 
 from .dynkin import DynkinA
 
 
-@dataclass(frozen=True, order=True)
-class KRFactor:
-    """One Kirillov-Reshetikhin q-factor: color i, center exponent c, weight r."""
+class KRFactor(namedtuple("KRFactor", "color exponent weight")):
+    """One Kirillov-Reshetikhin q-factor: color i, center exponent c, weight r.
 
-    color: int
-    exponent: int
-    weight: int
+    A tuple, so factors sort and hash in field order, in C.
+    """
 
-    def __post_init__(self) -> None:
-        if self.weight < 1:
-            raise ValueError(f"weight must be positive, got {self.weight}")
-        if self.color < 1:
-            raise ValueError(f"color must be positive, got {self.color}")
+    __slots__ = ()
+
+    def __new__(cls, color: int, exponent: int, weight: int) -> "KRFactor":
+        if weight < 1:
+            raise ValueError(f"weight must be positive, got {weight}")
+        if color < 1:
+            raise ValueError(f"color must be positive, got {color}")
+        return tuple.__new__(cls, (color, exponent, weight))
 
     def roots(self) -> tuple[int, ...]:
         """Exponents of the underlying q-string, highest first."""
@@ -51,15 +51,16 @@ class KRFactor:
         return cls(color, exponent, weight)
 
 
-# KRFactor's dataclass order, compared in C instead of through __lt__.
-_SORT_KEY = attrgetter("color", "exponent", "weight")
-
-
-@dataclass(frozen=True)
 class DrinfeldPoly:
     """Multiset of fundamental roots (color, exponent), kept sorted."""
 
-    roots: tuple[tuple[int, int], ...]
+    __slots__ = ("roots",)
+
+    def __init__(self, roots: tuple[tuple[int, int], ...]) -> None:
+        self.roots = roots
+
+    def __eq__(self, other) -> bool:  # the confluence sweep compares expansions
+        return type(other) is DrinfeldPoly and self.roots == other.roots
 
     @classmethod
     def from_roots(cls, roots) -> "DrinfeldPoly":
@@ -127,10 +128,10 @@ def normalize(factors) -> tuple[tuple[KRFactor, ...], bool]:
     input is its own q-factorization exactly when the peel of its spans gives
     back its keys; it is then kept as given.
     """
-    factors = tuple(sorted(factors, key=_SORT_KEY))
+    factors = tuple(sorted(factors))
     keys = _peel((f.color, f.exponent - f.weight + 1, f.exponent + f.weight - 1)
                  for f in factors)
-    if keys == list(map(_SORT_KEY, factors)):
+    if keys == list(factors):  # a KRFactor equals the tuple of its fields
         return factors, False
     return tuple([KRFactor(*k) for k in keys]), True
 

@@ -11,7 +11,7 @@ consulted by the engine itself.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, _alt_configs,
                        alt_line_cut_simple, is_prime, is_real)
@@ -27,18 +27,15 @@ KNOWN_STATUS = {
 }
 
 
-@dataclass
-class Check:
-    label: str
-    passed: bool
-    detail: str = ""
+class Check(namedtuple("Check", "label passed detail")):
+    __slots__ = ()
 
 
-@dataclass
 class ExampleReport:
-    name: str
-    checks: list[Check] = field(default_factory=list)
-    known_status: str | None = None
+    __slots__ = ("name", "checks", "known_status")
+
+    def __init__(self, name: str) -> None:
+        self.name, self.checks, self.known_status = name, [], None
 
     def add(self, label: str, passed: bool, detail: str = "") -> None:
         self.checks.append(Check(label, bool(passed), detail))

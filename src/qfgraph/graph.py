@@ -10,10 +10,9 @@ label along any path equals the exponent difference of its endpoints.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from itertools import islice
-from operator import attrgetter
 
 from .dynkin import DynkinA
 from .drinfeld import KRFactor, dual, normalize
@@ -30,44 +29,38 @@ DISCONNECTED = "disconnected"
 OTHER = "other"
 
 
-@dataclass(frozen=True)
-class Arrow:
-    tail: int
-    head: int
-    epsilon: int
+class Arrow(namedtuple("Arrow", "tail head epsilon")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ShapeClass:
+class ShapeClass(namedtuple("ShapeClass", "tag components line_order",
+                            defaults=(None,))):
     """Shape tag plus the supporting component / line data."""
 
-    tag: str
-    components: tuple[tuple[int, ...], ...]
-    line_order: tuple[int, ...] | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class QFactGraph:
-    diagram: DynkinA
-    vertices: tuple[KRFactor, ...]
-    arrows: tuple[Arrow, ...]
-    was_refactorized: bool = False
-    _arrow_map: dict = field(init=False, repr=False, compare=False, hash=False)
-    _out: tuple = field(init=False, repr=False, compare=False, hash=False)
-    _in: tuple = field(init=False, repr=False, compare=False, hash=False)
+    """No __slots__: the cached property _components needs an instance __dict__."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_arrow_map",
-                           {(a.tail, a.head): a.epsilon for a in self.arrows})
+    def __init__(self, diagram: DynkinA, vertices: tuple[KRFactor, ...],
+                 arrows: tuple[Arrow, ...], was_refactorized: bool = False) -> None:
+        self.diagram, self.vertices, self.arrows = diagram, vertices, arrows
+        self.was_refactorized = was_refactorized
+        self._arrow_map = {(a.tail, a.head): a.epsilon for a in arrows}
         # Neighbor lists stay lists: a tuple per vertex, freed with every
         # graph, piles up in CPython's tuple free lists and raises peak RSS.
-        out: list[list[int]] = [[] for _ in self.vertices]
-        into: list[list[int]] = [[] for _ in self.vertices]
-        for a in self.arrows:
+        out: list[list[int]] = [[] for _ in vertices]
+        into: list[list[int]] = [[] for _ in vertices]
+        for a in arrows:
             out[a.tail].append(a.head)
             into[a.head].append(a.tail)
-        object.__setattr__(self, "_out", tuple(out))
-        object.__setattr__(self, "_in", tuple(into))
+        self._out, self._in = tuple(out), tuple(into)
+
+    def __eq__(self, other) -> bool:  # tests compare rebuilt graphs
+        return type(other) is QFactGraph and \
+            (self.diagram, self.vertices, self.arrows, self.was_refactorized) == \
+            (other.diagram, other.vertices, other.arrows, other.was_refactorized)
 
     # -- basic queries ------------------------------------------------------
 
@@ -243,7 +236,7 @@ def build_graph(factors, diagram: DynkinA) -> QFactGraph:
         if gap in rs:
             arrows.append(Arrow(t, h, gap))
     # Sorted arrows keep every neighbor list sorted (see _first_simple_triple).
-    arrows.sort(key=attrgetter("tail", "head"))
+    arrows.sort()
     return QFactGraph(diagram, vertices, tuple(arrows), refactorized)
 
 

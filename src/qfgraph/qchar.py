@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .dynkin import DynkinA
 from .drinfeld import KRFactor
@@ -25,11 +24,19 @@ from .redsets import r_set, string_parameter
 MAX_PRODUCT_PAIRS = 10**6
 
 
-@dataclass(frozen=True)
 class LWeight:
     """Laurent monomial (color, exponent) -> multiplicity, zeros dropped."""
 
-    entries: tuple[tuple[tuple[int, int], int], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[tuple[int, int], int], ...]) -> None:
+        self.entries = entries
+
+    def __eq__(self, other) -> bool:  # q-characters are compared as sets
+        return type(other) is LWeight and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     @classmethod
     def from_dict(cls, data: dict) -> "LWeight":
@@ -129,14 +136,10 @@ def _fundamental_product(factors) -> LWeight:
     return LWeight.from_dict(Counter((f.color, f.exponent) for f in factors))
 
 
-@dataclass(frozen=True)
-class SocleHead:
+class SocleHead(namedtuple("SocleHead", "socle head dropped_trivial p")):
     """Closed-form socle pair and head of a reducible fundamental product."""
 
-    socle: tuple[KRFactor, ...]
-    head: tuple[KRFactor, KRFactor]
-    dropped_trivial: int
-    p: int
+    __slots__ = ()
 
     def socle_lweight(self) -> LWeight:
         return _fundamental_product(self.socle)

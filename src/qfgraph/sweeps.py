@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .decision import (AltLineConfig, alt_line_cut_simple,
                        cut_general_conditions, is_prime, is_real)
@@ -36,11 +36,11 @@ MAX_SWEEP_WEIGHT = 6
 MAX_SWEEP_TRIALS = 150_000
 
 
-@dataclass
 class SweepResult:
-    name: str
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
+    __slots__ = ("name", "checked", "failures")
+
+    def __init__(self, name: str) -> None:
+        self.name, self.checked, self.failures = name, 0, []
 
     @property
     def passed(self) -> bool:
@@ -88,14 +88,10 @@ def iter_alt_line_configs(max_rank: int, max_weight: int):
                         yield AltLineConfig(diagram, i, r, m, j, s, jp, sp, mp)
 
 
-@dataclass(frozen=True)
-class CaseParams:
+class CaseParams(namedtuple("CaseParams", "p p_prime p_plus p_minus")):
     """String parameters of both arrows and the sign-split pair."""
 
-    p: int
-    p_prime: int
-    p_plus: int
-    p_minus: int
+    __slots__ = ()
 
 
 def case_parameters(cfg: AltLineConfig) -> CaseParams:

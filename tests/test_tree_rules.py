@@ -16,7 +16,6 @@ import json
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 
 import qfgraph.decision
 from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, CertStep,
@@ -352,7 +351,8 @@ def test_decide_walks_a_tree_once(monkeypatch):
         is_real(g)
         assert calls == once
         calls.clear()
-        decide(replace(g))  # a fresh graph, which has not walked yet
+        # A fresh graph, which has not walked yet.
+        decide(QFactGraph(g.diagram, g.vertices, g.arrows, g.was_refactorized))
         assert calls == once
 
 
