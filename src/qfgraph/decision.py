@@ -57,15 +57,15 @@ class AltLineConfig:
         self.other_color, self.other_weight = other_color, other_weight
         self.other_label, self.middle_is_source = other_label, middle_is_source
         self.validate()
-        self.window: Interval = minimal_window(diagram, iso_color, iso_weight,
-                                               middle_color, middle_weight, iso_label)
 
     def validate(self) -> None:
         dg = self.diagram
         for c in (self.iso_color, self.middle_color, self.other_color):
             dg.check_node(c)
-        if self.iso_label not in r_set(dg, self.iso_color, self.iso_weight,
-                                       self.middle_color, self.middle_weight):
+        self.window: Interval = minimal_window(dg, self.iso_color, self.iso_weight,
+                                               self.middle_color, self.middle_weight,
+                                               self.iso_label)
+        if self.window is None:  # the label is not in the unrestricted set
             raise ValueError(f"label {self.iso_label} is not an admissible arrow gap "
                              f"for the isolated end")
         if self.other_label not in r_set(dg, self.middle_color, self.middle_weight,
@@ -92,7 +92,7 @@ def cut_general_conditions(cfg: AltLineConfig) -> bool:
     """The three window-membership conditions of the cut-simplicity test."""
     dg, window = cfg.diagram, cfg.window
     jp, sp, mp = cfg.other_color, cfg.other_weight, cfg.other_label
-    if jp not in window:
+    if not window.lo <= jp <= window.hi:
         return False
     if mp not in r_set(dg, cfg.middle_color, cfg.middle_weight, jp, sp, window):
         return False

@@ -50,13 +50,13 @@ class Interval:
         For type A this is the reflection through the interval midpoint; it
         is an involution fixing the midpoint when the length is odd.
         """
-        if i not in self:
+        if not self.lo <= i <= self.hi:
             raise ValueError(f"node {i} outside interval [{self.lo}, {self.hi}]")
         return self.lo + self.hi - i
 
     def dual_coxeter(self) -> int:
         """Dual Coxeter number of the type-A diagram on this interval."""
-        return len(self) + 1
+        return self.hi - self.lo + 2
 
     def boundary_distance(self, sub: "Interval") -> int:
         """Distance d(sub, boundary) from a subinterval to this boundary."""

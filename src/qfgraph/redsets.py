@@ -18,23 +18,6 @@ from __future__ import annotations
 from .dynkin import DynkinA, Interval
 
 
-def _span(diagram: DynkinA, i: int, j: int,
-          window: Interval | None) -> tuple[int, int]:
-    """d(i, j) and d([i, j], boundary of the window), after checking the colors.
-
-    The window defaults to the whole diagram.
-    """
-    lo, hi = 1, diagram.n
-    if window is not None:
-        diagram.check_interval(window)
-        lo, hi = window.lo, window.hi
-    a, b = (i, j) if i <= j else (j, i)
-    if not (lo <= a and b <= hi):
-        raise ValueError(f"colors ({i}, {j}) not inside window [{lo}, {hi}]")
-    below, above = a - lo, hi - b
-    return b - a, below if below < above else above
-
-
 def r_set(diagram: DynkinA, i: int, r: int, j: int, s: int,
           window: Interval | None = None) -> range:
     """Reducibility set of the colored pair (i, r), (j, s) over the window.
@@ -42,11 +25,18 @@ def r_set(diagram: DynkinA, i: int, r: int, j: int, s: int,
     The window defaults to the whole diagram.  Both colors must lie in the
     window and both weights must be positive.
     """
-    d, reach = _span(diagram, i, j, window)
+    lo, hi = (1, diagram.n) if window is None else (window.lo, window.hi)
+    if hi > diagram.n:
+        diagram.check_interval(window)  # raises the rank error
+    a, b = (i, j) if i <= j else (j, i)
+    if not (lo <= a and b <= hi):
+        raise ValueError(f"colors ({i}, {j}) not inside window [{lo}, {hi}]")
     if r < 1 or s < 1:
         raise ValueError(f"weights must be positive, got ({r}, {s})")
-    base = r + s + d
-    return range(base - 2 * (r if r < s else s) + 2, base + 2 * reach + 1, 2)
+    below, above = a - lo, hi - b
+    base = r + s + b - a
+    return range(base - 2 * (r if r < s else s) + 2,
+                 base + 2 * (below if below < above else above) + 1, 2)
 
 
 def sl2_set(r: int, s: int) -> range:
@@ -66,16 +56,23 @@ def string_parameter(diagram: DynkinA, i: int, r: int, j: int, s: int, m: int,
 
     Returns None (rather than raising) on parity mismatch or when p falls
     outside [-d([i,j], boundary), min(r, s)), so callers can use this as a
-    membership probe.
+    membership probe.  The window, colors and weights are checked as in r_set.
     """
-    d, reach = _span(diagram, i, j, window)
+    lo, hi = (1, diagram.n) if window is None else (window.lo, window.hi)
+    if hi > diagram.n:
+        diagram.check_interval(window)  # raises the rank error
+    a, b = (i, j) if i <= j else (j, i)
+    if not (lo <= a and b <= hi):
+        raise ValueError(f"colors ({i}, {j}) not inside window [{lo}, {hi}]")
+    if r < 1 or s < 1:
+        raise ValueError(f"weights must be positive, got ({r}, {s})")
     if m <= 0:
         return None
-    twice_p = r + s + d - m
+    twice_p = r + s + b - a - m
     if twice_p % 2 != 0:
         return None
     p = twice_p // 2
-    if -reach <= p < r and p < s:
+    if -p <= a - lo and -p <= hi - b and p < r and p < s:
         return p
     return None
 

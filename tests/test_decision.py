@@ -84,6 +84,16 @@ def test_validate_rejects_bad_configs():
     with pytest.raises(ValueError, match="^end vertices are adjacent; the line is "
                                          "not alternating$"):
         cfg(DynkinA(3), (2, 2, 3), (1, 2), (3, 2, 6))
+    for args, message in [
+            (((2, 2, 4), (1, 1), (2, 1, 5)),
+             "label 5 is not an admissible arrow gap for the other end"),
+            (((3, 2, 4), (1, 1), (2, 1, 3)), "node 3 out of range for rank 2"),
+            (((2, 0, 4), (1, 1), (2, 1, 3)), "weights must be positive, got (0, 1)"),
+            (((2, 2, 4), (1, 0), (2, 1, 3)), "weights must be positive, got (2, 0)"),
+            (((2, 2, 4), (1, 1), (2, 0, 3)), "weights must be positive, got (1, 0)")]:
+        with pytest.raises(ValueError) as caught:
+            cfg(A2, *args)
+        assert str(caught.value) == message
 
 
 def test_forms_agree_validates_and_windows_each_config_once(monkeypatch):

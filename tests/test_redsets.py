@@ -1,9 +1,12 @@
 import itertools
+from collections import Counter
 
 import pytest
 
+import qfgraph.sweeps
 from qfgraph.dynkin import DynkinA, Interval
 from qfgraph.redsets import minimal_window, r_set, sl2_set, string_parameter
+from qfgraph.sweeps import check_redsets_algebra
 
 
 def test_r_set_examples():
@@ -63,6 +66,20 @@ def test_string_parameter_window_and_sign():
     assert string_parameter(dg, 2, 1, 2, 1, 4, Interval(2, 2)) is None
     assert string_parameter(dg, 1, 1, 2, 1, 9) is None
     assert string_parameter(dg, 1, 1, 2, 1, -3) is None
+
+
+def test_nonpositive_weights_raise_as_in_r_set():
+    'the weight check comes after the window and color checks, as in r_set'
+    dg = DynkinA(5)
+    for fn, args in ((r_set, (dg, 3, 0, 3, 1)),
+                     (string_parameter, (dg, 3, 0, 3, 1, 3)),
+                     (minimal_window, (dg, 3, 0, 3, 1, 3))):
+        with pytest.raises(ValueError, match=r"^weights must be positive, got \(0, 1\)$"):
+            fn(*args)
+    with pytest.raises(ValueError, match=r"^colors \(1, 3\) not inside window"):
+        string_parameter(dg, 1, 0, 3, 1, 3, Interval(1, 2))
+    with pytest.raises(ValueError, match="^interval \\[1, 6\\] exceeds rank 5$"):
+        string_parameter(dg, 1, 0, 3, 1, 3, Interval(1, 6))
 
 
 def test_minimal_window_examples():
@@ -195,3 +212,41 @@ def test_minimal_window_brute_force():
                         and m in r_set(dg, i, r, j, s, w)]
                     assert formula in admissible
                     assert all(w.contains_interval(formula) for w in admissible)
+
+
+def test_redsets_algebra_computes_each_window_set_once(monkeypatch):
+    'one whole-diagram set per case, then one windowed set and its symmetric twin'
+    calls, case = Counter(), None
+
+    def counted(diagram, i, r, j, s, window=None):
+        nonlocal case
+        if window is None:
+            case = (diagram.n, i, r, j, s)
+        calls[case] += 1
+        return r_set(diagram, i, r, j, s, window)
+
+    monkeypatch.setattr(qfgraph.sweeps, "r_set", counted)
+    result = check_redsets_algebra(3, 2)
+    assert result.passed
+    expected = {(n, i, r, j, s): 1 + 2 * min(i, j) * (n - max(i, j) + 1)
+                for n in range(1, 4) for i, j in itertools.product(range(1, n + 1), repeat=2)
+                for r, s in itertools.product((1, 2), repeat=2)}
+    assert calls == expected
+
+
+def test_redsets_algebra_catches_a_set_missing_its_top(monkeypatch):
+    'the reused window sets still reach every check: one short set fails the sweep'
+    def dropped(diagram, i, r, j, s, window=None):
+        rs = r_set(diagram, i, r, j, s, window)
+        if (diagram.n, i, r, j, s, window) == (3, 2, 1, 2, 1, Interval(1, 3)):
+            return rs[:-1]
+        return rs
+
+    monkeypatch.setattr(qfgraph.sweeps, "r_set", dropped)
+    result = check_redsets_algebra(3, 2)
+    assert not result.passed
+    assert result.failures == [
+        "cardinality fails (2, 1, 2, 1, Interval(lo=1, hi=3))",
+        "extremes/steps fail (2, 1, 2, 1, Interval(lo=1, hi=3))",
+        "minimal window not admissible 2,1,2,1 m=4",
+    ]
