@@ -23,14 +23,11 @@ from .fixtures import EXAMPLE_NAMES, run_example
 from .graph import QFactGraph, build_graph, classify
 from .qchar import dominant_product_lweights, socle_head
 from .redsets import r_set
-from .sweeps import CHECKS, MAX_SWEEP_RANK, MAX_SWEEP_TRIALS, MAX_SWEEP_WEIGHT
+from .sweeps import CHECKS, SWEEP_CAPS
 
 # Largest reducibility set `rset` prints; each element is written out, so a
 # set of 10^10 elements would need about a terabyte.
 MAX_RSET_ELEMENTS = 10**6
-
-SWEEP_CAPS = {"max_rank": MAX_SWEEP_RANK, "max_weight": MAX_SWEEP_WEIGHT,
-              "trials": MAX_SWEEP_TRIALS}
 
 
 def load_input(path: str) -> tuple[DynkinA, list[KRFactor]]:
@@ -39,7 +36,7 @@ def load_input(path: str) -> tuple[DynkinA, list[KRFactor]]:
             data = json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
     except RecursionError as exc:
         raise ValueError(f"JSON in {path} is nested too deeply") from exc

@@ -38,9 +38,6 @@ class Interval:
     def __contains__(self, node: int) -> bool:
         return self.lo <= node <= self.hi
 
-    def __len__(self) -> int:
-        return self.hi - self.lo + 1
-
     def contains_interval(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
@@ -80,9 +77,6 @@ class DynkinA:
     def __eq__(self, other) -> bool:  # graphs compare their diagrams
         return type(other) is DynkinA and self.n == other.n
 
-    def nodes(self) -> range:
-        return range(1, self.n + 1)
-
     def check_node(self, i: int) -> None:
         if not 1 <= i <= self.n:
             raise ValueError(f"node {i} out of range for rank {self.n}")
@@ -90,16 +84,3 @@ class DynkinA:
     def check_interval(self, J: Interval) -> None:
         if J.hi > self.n:
             raise ValueError(f"interval [{J.lo}, {J.hi}] exceeds rank {self.n}")
-
-    def distance(self, i: int, j: int) -> int:
-        self.check_node(i)
-        self.check_node(j)
-        return abs(i - j)
-
-    def hull_distance(self, i: int, j: int, k: int) -> int:
-        """Distance from node k to the interval spanned by i and j."""
-        self.check_node(i)
-        self.check_node(j)
-        self.check_node(k)
-        lo, hi = (i, j) if i <= j else (j, i)
-        return max(lo - k, k - hi, 0)

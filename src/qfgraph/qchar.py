@@ -175,7 +175,7 @@ def socle_head(diagram: DynkinA, i: int, j: int, m: int) -> SocleHead:
     socle = tuple(f for f in (lo_factor, hi_factor) if f is not None)
     dropped = 2 - len(socle)
     if lo_factor is not None and hi_factor is not None:
-        if diagram.distance(i, j) in r_set(diagram, lo_color, 1, hi_color, 1):
+        if abs(i - j) in r_set(diagram, lo_color, 1, hi_color, 1):
             raise AssertionError("socle pair unexpectedly fails the simplicity test")
     head = (KRFactor(i, 0, 1), KRFactor(j, m, 1))
     return SocleHead(socle, head, dropped, p)

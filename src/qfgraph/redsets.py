@@ -7,10 +7,11 @@ modules (restricted to J) is reducible.  Its type-A closed form is
     { r + s + d(i,j) - 2p : -d([i,j], boundary of J) <= p < min(r, s) }.
 
 As p runs over its window the elements form one step-2 progression, and
-r_set and sl2_set return it as a bare increasing `range`.  Membership is an
-exact parity-and-window test and no set is ever materialized.  `m in rs` is
+r_set returns it as a bare increasing `range`.  Membership is an exact
+parity-and-window test and no set is ever materialized.  `m in rs` is
 literal: negative gaps and zero are never members, so a caller asking about
-reducibility in either order tests `abs(m) in rs`.
+reducibility in either order tests `abs(m) in rs`.  The rank-one set, which
+decides whether two same-color q-strings coalesce, is r_set over DynkinA(1).
 """
 
 from __future__ import annotations
@@ -37,17 +38,6 @@ def r_set(diagram: DynkinA, i: int, r: int, j: int, s: int,
     base = r + s + b - a
     return range(base - 2 * (r if r < s else s) + 2,
                  base + 2 * (below if below < above else above) + 1, 2)
-
-
-def sl2_set(r: int, s: int) -> range:
-    """Rank-one reducibility set {r + s - 2p : 0 <= p < min(r, s)}.
-
-    This is the single-node window set; it governs whether two same-color
-    q-strings coalesce.
-    """
-    if r < 1 or s < 1:
-        raise ValueError(f"weights must be positive, got ({r}, {s})")
-    return range(r + s - 2 * min(r, s) + 2, r + s + 1, 2)
 
 
 def string_parameter(diagram: DynkinA, i: int, r: int, j: int, s: int, m: int,

@@ -21,7 +21,7 @@ from .drinfeld import DrinfeldPoly, KRFactor, expand_all, q_factorize
 from .dynkin import DynkinA, Interval
 from .graph import QFactGraph, build_graph, classify
 from .qchar import LWeight, dominant_product_lweights, fundamental_qchar, socle_head
-from .redsets import minimal_window, r_set, sl2_set, string_parameter
+from .redsets import minimal_window, r_set, string_parameter
 
 # Counterexamples a sweep keeps; it goes on counting cases after that.
 MAX_FAILURES = 5
@@ -31,10 +31,13 @@ MAX_FAILURES = 5
 # forms-agree at rank 9 and weight 6 checks 3.1 10^6 cases in 35 s,
 # redsets-algebra at the same bounds 1.1 10^5 cases in 1.1 s,
 # dominant-pair at rank 9 takes 10 s, and duality at 150 000 trials 48 s.
-# Without caps, `--max-rank 1000` never finishes.
-MAX_SWEEP_RANK = 9
-MAX_SWEEP_WEIGHT = 6
-MAX_SWEEP_TRIALS = 150_000
+# Without caps, `--max-rank 1000` never finishes.  The keys are the names of
+# the checks' parameters.
+SWEEP_CAPS = {"max_rank": 9, "max_weight": 6, "trials": 150_000}
+
+# Same-color factors coalesce when their gap lies in the rank-one set,
+# r_set(RANK_ONE, 1, r, 1, s).
+RANK_ONE = DynkinA(1)
 
 
 class SweepResult:
@@ -60,10 +63,10 @@ class SweepResult:
 
 def iter_linked_pairs(diagram: DynkinA, max_weight: int):
     """All (i, r, j, s, m) with m an admissible arrow gap between dissociate factors."""
-    for i, j in itertools.product(diagram.nodes(), repeat=2):
+    for i, j in itertools.product(range(1, diagram.n + 1), repeat=2):
         for r, s in itertools.product(range(1, max_weight + 1), repeat=2):
             for m in r_set(diagram, i, r, j, s):
-                if i == j and m in sl2_set(r, s):
+                if i == j and m in r_set(RANK_ONE, 1, r, 1, s):
                     continue
                 yield i, r, j, s, m
 
@@ -73,13 +76,13 @@ def iter_alt_line_configs(max_rank: int, max_weight: int):
     for n in range(1, max_rank + 1):
         diagram = DynkinA(n)
         for i, r, j, s, m in iter_linked_pairs(diagram, max_weight):
-            for jp in diagram.nodes():
+            for jp in range(1, n + 1):
                 for sp in range(1, max_weight + 1):
                     # mp is refused when the middle and the other end would
                     # coalesce, or when the two ends are joined or would.
-                    middle_link = sl2_set(s, sp) if j == jp else ()
+                    middle_link = r_set(RANK_ONE, 1, s, 1, sp) if j == jp else ()
                     ends_linked = r_set(diagram, i, r, jp, sp)
-                    ends_link = sl2_set(r, sp) if i == jp else ()
+                    ends_link = r_set(RANK_ONE, 1, r, 1, sp) if i == jp else ()
                     for mp in r_set(diagram, j, s, jp, sp):
                         if mp in middle_link:
                             continue
@@ -93,6 +96,12 @@ class CaseParams(namedtuple("CaseParams", "p p_prime p_plus p_minus")):
     """String parameters of both arrows and the sign-split pair."""
 
     __slots__ = ()
+
+
+def hull_distance(i: int, j: int, k: int) -> int:
+    """Distance from node k to the interval spanned by i and j."""
+    lo, hi = (i, j) if i <= j else (j, i)
+    return max(lo - k, k - hi, 0)
 
 
 def case_parameters(cfg: AltLineConfig) -> CaseParams:
@@ -110,9 +119,9 @@ def case_parameters(cfg: AltLineConfig) -> CaseParams:
     pp = string_parameter(dg, j, s, jp, sp, mp)
     if p is None or pp is None:
         raise ValueError("arrow labels are outside the unrestricted reducibility sets")
-    p_plus = sp - pp + p + dg.hull_distance(i, j, jp)
-    p_minus = r - p + pp + dg.hull_distance(j, jp, i)
-    base = r + sp + dg.distance(i, jp)
+    p_plus = sp - pp + p + hull_distance(i, j, jp)
+    p_minus = r - p + pp + hull_distance(j, jp, i)
+    base = r + sp + abs(i - jp)
     if m - mp != base - 2 * p_plus or mp - m != base - 2 * p_minus:
         raise AssertionError("sign-split identities violated")
     return CaseParams(p, pp, p_plus, p_minus)
@@ -138,7 +147,7 @@ def alt_line_conditions_ineq(cfg: AltLineConfig) -> bool:
     if p is None or pp is None:
         raise ValueError("arrow labels are outside the unrestricted reducibility sets")
     lo, hi = (i, j) if i <= j else (j, i)
-    offset = max(lo - jp, jp - hi, 0)
+    offset = hull_distance(i, j, jp)
     if p <= 0:
         if not lo + p <= jp <= hi - p:
             return False
@@ -160,10 +169,9 @@ def alt_line_conditions_ineq(cfg: AltLineConfig) -> bool:
 
 def extra_condition_uniform(cfg: AltLineConfig) -> bool:
     """Third rewriting of the weight-drop condition: m + r <= m' + s' + d(i, j')."""
-    dg = cfg.diagram
     return (cfg.iso_label + cfg.iso_weight
             <= cfg.other_label + cfg.other_weight
-            + dg.distance(cfg.iso_color, cfg.other_color))
+            + abs(cfg.iso_color - cfg.other_color))
 
 
 def check_forms_agree(max_rank: int, max_weight: int) -> SweepResult:
@@ -225,7 +233,7 @@ def check_dominant_pair(max_rank: int) -> SweepResult:
     result = SweepResult("dominant-pair")
     for n in range(1, max_rank + 1):
         diagram = DynkinA(n)
-        for i, j in itertools.product(diagram.nodes(), repeat=2):
+        for i, j in itertools.product(range(1, n + 1), repeat=2):
             qchar_i = set(fundamental_qchar(diagram, i))
             for m in r_set(diagram, i, 1, j, 1):
                 result.checked += 1
@@ -251,19 +259,19 @@ def check_redsets_algebra(max_rank: int, max_weight: int) -> SweepResult:
     result = SweepResult("redsets-algebra")
     for n in range(1, max_rank + 1):
         diagram = DynkinA(n)
-        for i, j, k in itertools.product(diagram.nodes(), repeat=3):
+        nodes = range(1, n + 1)
+        for i, j, k in itertools.product(nodes, repeat=3):
             result.checked += 1
-            d_ij_k = diagram.hull_distance(i, j, k)
-            d_kj_i = diagram.hull_distance(k, j, i)
-            if d_ij_k + d_kj_i != diagram.distance(k, i):
+            d_ij_k = hull_distance(i, j, k)
+            d_kj_i = hull_distance(k, j, i)
+            if d_ij_k + d_kj_i != abs(k - i):
                 result.fail(f"hull-distance identity fails n={n} i={i} j={j} k={k}")
-            if d_ij_k > min(diagram.distance(k, i), diagram.distance(k, j)):
+            if d_ij_k > min(abs(k - i), abs(k - j)):
                 result.fail(f"hull-distance bound fails n={n} i={i} j={j} k={k}")
-        windows = [Interval(a, b) for a in diagram.nodes() for b in diagram.nodes()
-                   if a <= b]
-        for i, j in itertools.product(diagram.nodes(), repeat=2):
+        windows = [Interval(a, b) for a in nodes for b in nodes if a <= b]
+        for i, j in itertools.product(nodes, repeat=2):
             hull = Interval.hull(i, j)
-            d = diagram.distance(i, j)
+            d = abs(i - j)
             containing = [w for w in windows if w.contains_interval(hull)]
             # Nested (small, big) pairs of containing windows, by position.
             nested = []
@@ -341,9 +349,8 @@ def random_tree_graph(rng: random.Random, max_rank: int = 5,
         weight = rng.randint(1, max_weight)
         gaps = r_set(diagram, color, weight, parent.color, parent.weight)
         exponent = parent.exponent + rng.choice(gaps) * rng.choice((-1, 1))
-        linked = any(f.color == color and
-                     abs(exponent - f.exponent) in sl2_set(f.weight, weight)
-                     for f in factors)
+        linked = any(f.color == color and abs(exponent - f.exponent)
+                     in r_set(RANK_ONE, 1, f.weight, 1, weight) for f in factors)
         joined = sum(abs(exponent - f.exponent) in
                      r_set(diagram, f.color, f.weight, color, weight)
                      for f in factors)
@@ -402,7 +409,7 @@ def _merge_once(segments: list[tuple[int, int]], rng: random.Random | None) -> b
             wa = (hi_a - lo_a) // 2 + 1
             wb = (hi_b - lo_b) // 2 + 1
             gap = abs((lo_a + hi_a) - (lo_b + hi_b)) // 2
-            if gap not in sl2_set(wa, wb):
+            if gap not in r_set(RANK_ONE, 1, wa, 1, wb):
                 continue
             union = (min(lo_a, lo_b), max(hi_a, hi_b))
             inter_lo, inter_hi = max(lo_a, lo_b), min(hi_a, hi_b)

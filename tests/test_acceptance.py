@@ -128,13 +128,13 @@ def test_criterion_8_qcharacters():
     ok = True
     for n in range(1, 9):
         dg = DynkinA(n)
-        for i in dg.nodes():
+        for i in range(1, n + 1):
             ok &= len(fundamental_qchar(dg, i)) == comb(n + 1, i)
     result = check_dominant_pair(max_rank=6)
     ok &= result.passed and result.checked > 0
     for n in range(1, 7):
         dg = DynkinA(n)
-        for i, j in itertools.product(dg.nodes(), repeat=2):
+        for i, j in itertools.product(range(1, n + 1), repeat=2):
             for m in r_set(dg, i, 1, j, 1):
                 sh = socle_head(dg, i, j, m)
                 if len(sh.socle) == 2:

@@ -7,9 +7,10 @@ import time
 import pytest
 
 import qfgraph
+import qfgraph.cli
 import qfgraph.graph
 from qfgraph.cli import main, make_parser
-from qfgraph.sweeps import MAX_SWEEP_RANK, MAX_SWEEP_TRIALS, MAX_SWEEP_WEIGHT
+from qfgraph.sweeps import SWEEP_CAPS
 
 
 def write_input(tmp_path, rank, factors, name="input.json"):
@@ -49,6 +50,10 @@ def test_rset_window_and_errors(capsys):
     code, _, err = run(capsys, ["rset", "--rank", "2", "--i", "1", "--r", "1",
                                 "--j", "3", "--s", "1"])
     assert code == 1 and "input error" in err
+    code, out, err = run(capsys, ["rset", "--rank", "3", "--i", "2", "--r", "1",
+                                  "--j", "2", "--s", "1", "--jlo", "2"])
+    assert (code, out) == (1, "")
+    assert err == "input error: --jlo and --jhi must be given together\n"
     # At most 10^6 elements are printed; the check does not depend on the set size.
     code, out, _ = run(capsys, ["rset", "--rank", "1", "--i", "1", "--r", "1000000",
                                 "--j", "1", "--s", "1000000"])
@@ -290,6 +295,29 @@ def test_examples_command(capsys):
     assert code == 1 and "input error" in err
 
 
+def test_examples_failed_reproduction_exits_2(capsys, monkeypatch):
+    class Failed:
+        def lines(self):
+            return ["FAIL: cosubpt"]
+
+        def all_passed(self):
+            return False
+
+    monkeypatch.setattr(qfgraph.cli, "run_example", lambda name: Failed())
+    code, out, err = run(capsys, ["examples", "cosubpt"])
+    assert (code, out, err) == (2, "FAIL: cosubpt\n", "example reproduction failed\n")
+
+
+def test_assertion_error_exits_2(capsys, monkeypatch, tmp_path):
+    def broken(g):
+        raise AssertionError("certificate lost a step")
+
+    monkeypatch.setattr(qfgraph.cli, "decide", broken)
+    code, out, err = run(capsys, ["prime", write_input(tmp_path, 3, COSUBPT)])
+    assert (code, out) == (2, "")
+    assert err == "internal invariant violation: certificate lost a step\n"
+
+
 def test_sweep_command(capsys):
     'every check runs through cli.main at the bounds its flags give'
     for check, bounds, cases in (
@@ -321,17 +349,17 @@ def test_sweep_command(capsys):
 
 def test_sweep_refuses_bounds_above_caps(capsys):
     'each cap is inclusive; flags the check does not read are not capped'
-    for check, flag, cap in (("forms-agree", "--max-rank", MAX_SWEEP_RANK),
-                             ("c3aline", "--max-weight", MAX_SWEEP_WEIGHT),
-                             ("dominant-pair", "--max-rank", MAX_SWEEP_RANK),
-                             ("duality", "--trials", MAX_SWEEP_TRIALS)):
+    max_rank, max_weight = SWEEP_CAPS["max_rank"], SWEEP_CAPS["max_weight"]
+    for check, flag, cap in (("forms-agree", "--max-rank", max_rank),
+                             ("c3aline", "--max-weight", max_weight),
+                             ("dominant-pair", "--max-rank", max_rank),
+                             ("duality", "--trials", SWEEP_CAPS["trials"])):
         for value in (cap + 1, 1000 * cap):
             code, out, err = run(capsys, ["sweep", "--check", check, flag, str(value)])
             assert (code, out) == (1, "")
             assert err == f"input error: {flag} must be at most {cap}, got {value}\n"
     code, out, _ = run(capsys, ["sweep", "--check", "c3aline", "--max-rank",
-                                str(MAX_SWEEP_RANK), "--max-weight",
-                                str(MAX_SWEEP_WEIGHT)])
+                                str(max_rank), "--max-weight", str(max_weight)])
     assert code == 0 and out.startswith("PASS: c3aline")
     code, out, _ = run(capsys, ["sweep", "--check", "confluence", "--trials", "2",
                                 "--max-rank", "1000", "--max-weight", "1000"])
@@ -343,6 +371,11 @@ def test_malformed_inputs(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, err = run(capsys, ["prime", str(bad)])
     assert code == 1 and "input error" in err
+
+    bad.write_bytes(b"\xff\xfe{")  # not UTF-8: the error names the file too
+    code, _, err = run(capsys, ["prime", str(bad)])
+    assert code == 1
+    assert err.startswith(f"input error: malformed JSON in {bad}: 'utf-8' codec ")
 
     code, _, err = run(capsys, ["prime", str(tmp_path / "missing.json")])
     assert code == 1

@@ -9,7 +9,7 @@ from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, AltLineConfig,
 from qfgraph.drinfeld import KRFactor
 from qfgraph.dynkin import DynkinA, Interval
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
-from qfgraph.graph import build_graph
+from qfgraph.graph import QFactGraph, build_graph
 from qfgraph.redsets import minimal_window
 from qfgraph.sweeps import (alt_line_conditions_ineq, case_parameters,
                             check_forms_agree, extra_condition_uniform)
@@ -275,6 +275,14 @@ def test_is_real():
     assert is_real(build(dg, factors)).reality == UNKNOWN
     forest = build(DynkinA(2), [KRFactor(1, 0, 1), KRFactor(1, 40, 1)])
     assert is_real(forest).reality == UNKNOWN
+
+
+def test_empty_graph_is_refused():
+    empty = QFactGraph(A2, (), ())
+    with pytest.raises(ValueError, match="primality of an empty graph"):
+        is_prime(empty)
+    with pytest.raises(ValueError, match="reality of an empty graph"):
+        is_real(empty)
 
 
 def test_decide_merges_certificates():

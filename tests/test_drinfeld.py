@@ -8,8 +8,8 @@ import pytest
 from qfgraph.drinfeld import (DrinfeldPoly, KRFactor, dual, expand_all,
                               is_dissociate, normalize, q_factorize)
 from qfgraph.dynkin import DynkinA
-from qfgraph.redsets import sl2_set
-from qfgraph.sweeps import merge_factorize
+from qfgraph.redsets import r_set
+from qfgraph.sweeps import RANK_ONE, merge_factorize
 
 
 def test_expand_examples():
@@ -35,7 +35,7 @@ def test_q_factorize_keeps_distinct_strings():
     poly = expand_all([KRFactor(3, 8, 1), KRFactor(3, 6, 3)])
     assert poly.roots == ((3, 4), (3, 6), (3, 8), (3, 8))
     assert q_factorize(poly) == (KRFactor(3, 6, 3), KRFactor(3, 8, 1))
-    assert 2 not in sl2_set(1, 3)
+    assert 2 not in r_set(RANK_ONE, 1, 1, 1, 3)
 
 
 def test_q_factorize_single_root():
@@ -103,7 +103,8 @@ def test_normalize_matches_merge_oracle():
 def all_pairs_dissociate(factors) -> bool:
     """The test is_dissociate replaced: every pair, in input order."""
     return not any(u.color == v.color
-                   and abs(u.exponent - v.exponent) in sl2_set(u.weight, v.weight)
+                   and abs(u.exponent - v.exponent)
+                   in r_set(RANK_ONE, 1, u.weight, 1, v.weight)
                    for u, v in itertools.combinations(factors, 2))
 
 
@@ -121,7 +122,8 @@ def test_windowed_dissociate_matches_all_pairs_oracle():
         if k % 10 == 5 and factors:  # far from the rest, maybe with a partner
             huge = factors[0] = KRFactor(factors[0].color, -5 * 10**9, 10**9)
             weight = rng.randint(1, 4)
-            gap = rng.choice(sl2_set(huge.weight, weight)) + rng.choice((0, 1))
+            gap = rng.choice(r_set(RANK_ONE, 1, huge.weight, 1, weight)) \
+                + rng.choice((0, 1))
             factors.append(KRFactor(huge.color, huge.exponent
                                     + rng.choice((-1, 1)) * gap, weight))
         if k % 3 == 1 and factors:

@@ -3,53 +3,34 @@ import itertools
 import pytest
 
 from qfgraph.dynkin import DynkinA, Interval
-
-
-def test_distance_examples():
-    dg = DynkinA(4)
-    assert dg.distance(1, 3) == 2
-    assert dg.distance(2, 2) == 0
-    assert dg.distance(1, 4) == 3
-
-
-def test_distance_range_errors():
-    dg = DynkinA(4)
-    with pytest.raises(ValueError):
-        dg.distance(0, 2)
-    with pytest.raises(ValueError):
-        dg.distance(1, 5)
+from qfgraph.sweeps import hull_distance
 
 
 def test_hull_distance_examples():
-    assert DynkinA(4).hull_distance(1, 3, 2) == 0
-    assert DynkinA(4).hull_distance(2, 4, 1) == 1
-    assert DynkinA(5).hull_distance(2, 2, 5) == 3
+    assert hull_distance(1, 3, 2) == 0
+    assert hull_distance(2, 4, 1) == 1
+    assert hull_distance(2, 2, 5) == 3
 
 
 def test_hull_distance_case_formula():
     'the distance to the hull is 0 / d(k,i) / d(k,j) per which node is between'
     for n in range(1, 7):
-        dg = DynkinA(n)
-        for i, j, k in itertools.product(dg.nodes(), repeat=3):
-            got = dg.hull_distance(i, j, k)
+        for i, j, k in itertools.product(range(1, n + 1), repeat=3):
+            got = hull_distance(i, j, k)
             if min(i, j) <= k <= max(i, j):
                 assert got == 0
             elif min(k, j) <= i <= max(k, j):
-                assert got == dg.distance(k, i)
+                assert got == abs(k - i)
             else:
-                assert got == dg.distance(k, j)
+                assert got == abs(k - j)
 
 
 def test_hull_distance_identity_and_bound():
     for n in range(1, 9):
-        dg = DynkinA(n)
-        for i, j, k in itertools.product(dg.nodes(), repeat=3):
-            assert dg.hull_distance(i, j, k) + dg.hull_distance(k, j, i) \
-                == dg.distance(k, i)
-            assert dg.hull_distance(i, j, k) \
-                <= min(dg.distance(k, i), dg.distance(k, j))
-            assert (dg.distance(k, i) + dg.distance(k, j) - dg.distance(i, j)) \
-                == 2 * dg.hull_distance(i, j, k)
+        for i, j, k in itertools.product(range(1, n + 1), repeat=3):
+            assert hull_distance(i, j, k) + hull_distance(k, j, i) == abs(k - i)
+            assert hull_distance(i, j, k) <= min(abs(k - i), abs(k - j))
+            assert abs(k - i) + abs(k - j) - abs(i - j) == 2 * hull_distance(i, j, k)
 
 
 def test_reflect_examples():
@@ -106,7 +87,7 @@ def test_construction_errors():
 def test_interval_basics():
     J = Interval(2, 5)
     assert 2 in J and 5 in J and 1 not in J and 6 not in J
-    assert len(J) == 4
+    assert (J.lo, J.hi) == (2, 5)
     assert Interval.hull(5, 2) == J
     assert J.contains_interval(Interval(3, 4))
     assert not J.contains_interval(Interval(1, 4))

@@ -5,8 +5,8 @@ import pytest
 
 import qfgraph.sweeps
 from qfgraph.dynkin import DynkinA, Interval
-from qfgraph.redsets import minimal_window, r_set, sl2_set, string_parameter
-from qfgraph.sweeps import check_redsets_algebra
+from qfgraph.redsets import minimal_window, r_set, string_parameter
+from qfgraph.sweeps import RANK_ONE, check_redsets_algebra
 
 
 def test_r_set_examples():
@@ -23,23 +23,28 @@ def test_r_set_window_argument():
         r_set(dg, 1, 1, 3, 1, Interval(1, 2))
     with pytest.raises(ValueError):
         r_set(dg, 1, 0, 2, 1)
+    with pytest.raises(ValueError, match=r"^interval \[1, 6\] exceeds rank 5$"):
+        r_set(DynkinA(5), 1, 1, 2, 1, Interval(1, 6))
 
 
 def test_sl2_set_examples():
-    assert type(sl2_set(1, 1)) is range
-    assert tuple(sl2_set(1, 1)) == (2,)
-    assert tuple(sl2_set(2, 2)) == (2, 4)
-    assert tuple(sl2_set(1, 3)) == (4,)
-    assert 4 in sl2_set(1, 3) and 2 not in sl2_set(1, 3)
+    'the rank-one set is r_set over DynkinA(1)'
+    assert type(r_set(RANK_ONE, 1, 1, 1, 1)) is range
+    assert tuple(r_set(RANK_ONE, 1, 1, 1, 1)) == (2,)
+    assert tuple(r_set(RANK_ONE, 1, 2, 1, 2)) == (2, 4)
+    assert tuple(r_set(RANK_ONE, 1, 1, 1, 3)) == (4,)
+    assert 4 in r_set(RANK_ONE, 1, 1, 1, 3) and 2 not in r_set(RANK_ONE, 1, 1, 1, 3)
+    with pytest.raises(ValueError, match="weights must be positive"):
+        r_set(RANK_ONE, 1, 0, 1, 1)
 
 
 def test_sl2_set_is_single_node_window():
     for n in range(1, 5):
         dg = DynkinA(n)
-        for i in dg.nodes():
+        for i in range(1, n + 1):
             for r, s in itertools.product(range(1, 5), repeat=2):
                 window = Interval(i, i)
-                assert sl2_set(r, s) == r_set(dg, i, r, i, s, window)
+                assert r_set(RANK_ONE, 1, r, 1, s) == r_set(dg, i, r, i, s, window)
 
 
 def test_member():
@@ -92,9 +97,9 @@ def test_minimal_window_examples():
 def test_set_shape_properties():
     'parity, cardinality, extremes, and symmetry on a small exhaustive grid'
     for n in range(1, 6):
-        dg = DynkinA(n)
-        windows = [Interval(a, b) for a in dg.nodes() for b in dg.nodes() if a <= b]
-        for i, j in itertools.product(dg.nodes(), repeat=2):
+        dg, nodes = DynkinA(n), range(1, n + 1)
+        windows = [Interval(a, b) for a in nodes for b in nodes if a <= b]
+        for i, j in itertools.product(nodes, repeat=2):
             hull = Interval.hull(i, j)
             for window in windows:
                 if not window.contains_interval(hull):
@@ -103,7 +108,7 @@ def test_set_shape_properties():
                     rs = r_set(dg, i, r, j, s, window)
                     assert rs == r_set(dg, j, s, i, r, window)
                     assert all(m > 0 for m in rs)
-                    d = dg.distance(i, j)
+                    d = abs(i - j)
                     assert all((m - r - s - d) % 2 == 0 for m in rs)
                     reach = window.boundary_distance(hull)
                     assert len(rs) == min(r, s) + reach
@@ -112,10 +117,10 @@ def test_set_shape_properties():
 
 
 def test_monotonicity_in_window():
-    dg = DynkinA(5)
-    for i, j in itertools.product(dg.nodes(), repeat=2):
+    dg, nodes = DynkinA(5), range(1, 6)
+    for i, j in itertools.product(nodes, repeat=2):
         hull = Interval.hull(i, j)
-        windows = [Interval(a, b) for a in dg.nodes() for b in dg.nodes()
+        windows = [Interval(a, b) for a in nodes for b in nodes
                    if a <= b and Interval(a, b).contains_interval(hull)]
         for small, big in itertools.product(windows, repeat=2):
             if not big.contains_interval(small):
@@ -128,13 +133,13 @@ def test_monotonicity_in_window():
 def test_range_matches_enumerated_set():
     'the step-2 range equals the set enumerated from its closed form'
     for n in range(1, 9):
-        dg = DynkinA(n)
-        windows = [Interval(a, b) for a in dg.nodes() for b in dg.nodes() if a <= b]
+        dg, nodes = DynkinA(n), range(1, n + 1)
+        windows = [Interval(a, b) for a in nodes for b in nodes if a <= b]
         for window in windows:
             for i, j in itertools.product(range(window.lo, window.hi + 1), repeat=2):
                 reach = window.boundary_distance(Interval.hull(i, j))
                 for r, s in itertools.product(range(1, 7), repeat=2):
-                    base = r + s + dg.distance(i, j)
+                    base = r + s + abs(i - j)
                     expected = frozenset(base - 2 * p for p in range(-reach, min(r, s)))
                     assert tuple(r_set(dg, i, r, j, s, window)) == tuple(sorted(expected))
 
@@ -142,12 +147,12 @@ def test_range_matches_enumerated_set():
 def test_string_parameter_round_trip():
     for n in range(1, 6):
         dg = DynkinA(n)
-        for i, j in itertools.product(dg.nodes(), repeat=2):
+        for i, j in itertools.product(range(1, n + 1), repeat=2):
             for r, s in itertools.product(range(1, 4), repeat=2):
                 for m in r_set(dg, i, r, j, s):
                     p = string_parameter(dg, i, r, j, s, m)
                     assert p is not None
-                    assert r + s + dg.distance(i, j) - 2 * p == m
+                    assert r + s + abs(i - j) - 2 * p == m
 
 
 def _interval_string_parameter(diagram, i, r, j, s, m, window=None):
@@ -160,7 +165,7 @@ def _interval_string_parameter(diagram, i, r, j, s, m, window=None):
                          f"[{window.lo}, {window.hi}]")
     if m <= 0:
         return None
-    twice_p = r + s + diagram.distance(i, j) - m
+    twice_p = r + s + abs(i - j) - m
     if twice_p % 2 != 0:
         return None
     p = twice_p // 2
@@ -180,10 +185,10 @@ def _outcome(fn, *args):
 def test_string_parameter_matches_interval_oracle():
     'same value or error everywhere, colors outside the window and m <= 0 included'
     for n in range(1, 7):
-        dg = DynkinA(n)
+        dg, nodes = DynkinA(n), range(1, n + 1)
         windows = [None] + [Interval(a, b) for a in range(1, n + 2)
                             for b in range(a, n + 2)]
-        for window, i, j in itertools.product(windows, dg.nodes(), dg.nodes()):
+        for window, i, j in itertools.product(windows, nodes, nodes):
             args = (dg, i, 1, j, 1, 1, window)
             want = _outcome(_interval_string_parameter, *args)
             assert _outcome(string_parameter, *args) == want, args
@@ -199,9 +204,9 @@ def test_string_parameter_matches_interval_oracle():
 def test_minimal_window_brute_force():
     'formula window is admissible, minimal, and the unique minimum by inclusion'
     for n in range(1, 7):
-        dg = DynkinA(n)
-        windows = [Interval(a, b) for a in dg.nodes() for b in dg.nodes() if a <= b]
-        for i, j in itertools.product(dg.nodes(), repeat=2):
+        dg, nodes = DynkinA(n), range(1, n + 1)
+        windows = [Interval(a, b) for a in nodes for b in nodes if a <= b]
+        for i, j in itertools.product(nodes, repeat=2):
             hull = Interval.hull(i, j)
             for r, s in itertools.product(range(1, 4), repeat=2):
                 for m in r_set(dg, i, r, j, s):
