@@ -20,7 +20,7 @@ from .drinfeld import KRFactor, dual
 from .graph import (ALTERNATING_LINE3, DISCONNECTED, MONOTONIC_LINE3, OTHER,
                     SINGLETON, TOTALLY_ORDERED, TRIANGLE, TWO_LINE, QFactGraph,
                     _overlaps, classify)
-from .redsets import minimal_window, r_set
+from .redsets import minimal_window, r_set, string_parameter
 
 PRIME = "prime"
 NOT_PRIME = "not_prime"
@@ -68,13 +68,14 @@ class AltLineConfig:
         if self.window is None:  # the label is not in the unrestricted set
             raise ValueError(f"label {self.iso_label} is not an admissible arrow gap "
                              f"for the isolated end")
-        if self.other_label not in r_set(dg, self.middle_color, self.middle_weight,
-                                         self.other_color, self.other_weight):
+        # Membership by string parameter, as in minimal_window: no set is built.
+        if string_parameter(dg, self.middle_color, self.middle_weight, self.other_color,
+                            self.other_weight, self.other_label) is None:
             raise ValueError(f"label {self.other_label} is not an admissible arrow gap "
                              f"for the other end")
         ends_gap = abs(self.iso_label - self.other_label)
-        if ends_gap in r_set(dg, self.iso_color, self.iso_weight,
-                             self.other_color, self.other_weight):
+        if string_parameter(dg, self.iso_color, self.iso_weight, self.other_color,
+                            self.other_weight, ends_gap) is not None:
             raise ValueError("end vertices are adjacent; the line is not alternating")
 
     def params_json(self) -> dict:

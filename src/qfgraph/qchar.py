@@ -106,11 +106,13 @@ def dominant_product_lweights(diagram: DynkinA, i: int, j: int,
                               m: int) -> frozenset[LWeight]:
     """Dominant l-weights of the product of two linked fundamental modules.
 
-    Computed by brute force: every pairwise product of the two q-characters
-    (the j-side rebased at exponent m), summed as plain multiplicity maps
-    and filtered for dominance; only the dominant ones become LWeights.  The
-    closed two-element form lives in socle_head; tests hold the two routes
-    equal.  Products of more than MAX_PRODUCT_PAIRS pairs are refused.
+    Computed by brute force over the pairwise products of the two
+    q-characters (the j-side rebased at exponent m) that can be dominant,
+    those whose right monomial is positive wherever the left one is negative,
+    summed as plain multiplicity maps and filtered for dominance; only the
+    dominant ones become LWeights.  The closed two-element form lives in
+    socle_head; tests hold the two routes equal.  Products of more than
+    MAX_PRODUCT_PAIRS pairs are refused.
     """
     _fundamental_pre(diagram, i, j, m)
     pairs = math.comb(diagram.n + 1, i) * math.comb(diagram.n + 1, j)
@@ -120,9 +122,16 @@ def dominant_product_lweights(diagram: DynkinA, i: int, j: int,
                          f"{MAX_PRODUCT_PAIRS}")
     left = [w.as_dict() for w in fundamental_qchar(diagram, i)]
     right = [w.shift(m).entries for w in fundamental_qchar(diagram, j)]
+    positive_at: dict = {}
+    for index, b in enumerate(right):
+        for key, mult in b:
+            if mult > 0:
+                positive_at.setdefault(key, set()).add(index)
     dominant = set()
     for a in left:
-        for b in right:
+        negative = [positive_at.get(key, set()) for key, mult in a.items() if mult < 0]
+        for index in set.intersection(*negative) if negative else range(len(right)):
+            b = right[index]
             data = a.copy()
             for key, mult in b:
                 data[key] = data.get(key, 0) + mult

@@ -15,8 +15,7 @@ import itertools
 import random
 from collections import namedtuple
 
-from .decision import (AltLineConfig, alt_line_cut_simple,
-                       cut_general_conditions, is_prime, is_real)
+from .decision import AltLineConfig, alt_line_cut_simple, is_prime, is_real
 from .drinfeld import DrinfeldPoly, KRFactor, expand_all, q_factorize
 from .dynkin import DynkinA, Interval
 from .graph import QFactGraph, build_graph, classify
@@ -28,9 +27,9 @@ MAX_FAILURES = 5
 
 # Largest bounds the `sweep` command accepts, so that its largest run takes
 # under a minute (one core of a 2-vCPU Intel Xeon VM, Python 3.11):
-# forms-agree at rank 9 and weight 6 checks 3.1 10^6 cases in 35 s,
-# redsets-algebra at the same bounds 1.1 10^5 cases in 1.1 s,
-# dominant-pair at rank 9 takes 10 s, and duality at 150 000 trials 48 s.
+# forms-agree at rank 9 and weight 6 checks 3.1 10^6 cases in 26 s,
+# redsets-algebra at the same bounds 1.1 10^5 cases in 0.7 s,
+# dominant-pair at rank 9 takes 1.6 s, and duality at 150 000 trials 48 s.
 # Without caps, `--max-rank 1000` never finishes.  The keys are the names of
 # the checks' parameters.
 SWEEP_CAPS = {"max_rank": 9, "max_weight": 6, "trials": 150_000}
@@ -63,27 +62,35 @@ class SweepResult:
 
 def iter_linked_pairs(diagram: DynkinA, max_weight: int):
     """All (i, r, j, s, m) with m an admissible arrow gap between dissociate factors."""
+    weights = range(1, max_weight + 1)
     for i, j in itertools.product(range(1, diagram.n + 1), repeat=2):
-        for r, s in itertools.product(range(1, max_weight + 1), repeat=2):
+        for r, s in itertools.product(weights, repeat=2):
+            link = r_set(RANK_ONE, 1, r, 1, s) if i == j else ()
             for m in r_set(diagram, i, r, j, s):
-                if i == j and m in r_set(RANK_ONE, 1, r, 1, s):
-                    continue
-                yield i, r, j, s, m
+                if m not in link:
+                    yield i, r, j, s, m
 
 
 def iter_alt_line_configs(max_rank: int, max_weight: int):
     """All valid alternating-line configurations up to the given bounds."""
+    weights = range(1, max_weight + 1)
+    pairs = list(itertools.product(weights, repeat=2))
+    # Every set is computed once: the rank-one sets here, each rank's below.
+    link = {(r, s): r_set(RANK_ONE, 1, r, 1, s) for r, s in pairs}
     for n in range(1, max_rank + 1):
         diagram = DynkinA(n)
+        nodes = range(1, n + 1)
+        sets = {(i, r, j, s): r_set(diagram, i, r, j, s)
+                for i, j in itertools.product(nodes, repeat=2) for r, s in pairs}
         for i, r, j, s, m in iter_linked_pairs(diagram, max_weight):
-            for jp in range(1, n + 1):
-                for sp in range(1, max_weight + 1):
+            for jp in nodes:
+                for sp in weights:
                     # mp is refused when the middle and the other end would
                     # coalesce, or when the two ends are joined or would.
-                    middle_link = r_set(RANK_ONE, 1, s, 1, sp) if j == jp else ()
-                    ends_linked = r_set(diagram, i, r, jp, sp)
-                    ends_link = r_set(RANK_ONE, 1, r, 1, sp) if i == jp else ()
-                    for mp in r_set(diagram, j, s, jp, sp):
+                    middle_link = link[s, sp] if j == jp else ()
+                    ends_linked = sets[i, r, jp, sp]
+                    ends_link = link[r, sp] if i == jp else ()
+                    for mp in sets[j, s, jp, sp]:
                         if mp in middle_link:
                             continue
                         ends_gap = abs(m - mp)
@@ -127,16 +134,16 @@ def case_parameters(cfg: AltLineConfig) -> CaseParams:
     return CaseParams(p, pp, p_plus, p_minus)
 
 
-def alt_line_conditions_ineq(cfg: AltLineConfig) -> bool:
-    """Same predicate as alt_line_cut_simple via the string-parameter system.
+def ineq_forms(cfg: AltLineConfig) -> tuple[bool, bool]:
+    """(general conditions, cut simple) via the string-parameter system.
 
     Exists solely for differential testing.  The case split follows the sign
-    of p: for p <= 0 the window widens the hull by -p on each side and the
-    conditions become -p' <= -p - d(j', [i,j]), the shifted parameter
-    r + p' - 1 landing in [p + d(j', [i,j]), min(r, s')), and r <= s'; for
-    p > 0 they become j' in [i,j], p' >= 0, r - p + p' - 1 in [0, min(r, s')),
-    and (r <= s' or p != p').  The hull [lo, hi] of i and j and the window
-    stay plain integers; `cfg.window` is not read.
+    of p: for p <= 0 the window widens the hull by -p on each side, the
+    general conditions are j' in it, -p' <= -p - d(j', [i,j]) and r + p' - 1
+    in [p + d(j', [i,j]), min(r, s')), and the weight drop is r <= s'; for
+    p > 0 they are j' in [i,j], p' >= 0 and r - p + p' - 1 in [0, min(r, s')),
+    and the weight drop is r <= s' or p != p'.  The hull [lo, hi] of i and j
+    and the window stay plain integers; `cfg.window` is not read.
     """
     dg = cfg.diagram
     i, r = cfg.iso_color, cfg.iso_weight
@@ -147,24 +154,19 @@ def alt_line_conditions_ineq(cfg: AltLineConfig) -> bool:
     if p is None or pp is None:
         raise ValueError("arrow labels are outside the unrestricted reducibility sets")
     lo, hi = (i, j) if i <= j else (j, i)
-    offset = hull_distance(i, j, jp)
+    floor = min(r, sp)
     if p <= 0:
-        if not lo + p <= jp <= hi - p:
-            return False
-        if -pp > -p - offset:
-            return False
-        shifted = r + pp - 1
-        if not (p + offset <= shifted < min(r, sp)):
-            return False
-        return r <= sp
-    if not lo <= jp <= hi:
-        return False
-    if pp < 0:
-        return False
-    shifted = r - p + pp - 1
-    if not (0 <= shifted < min(r, sp)):
-        return False
-    return r <= sp or p != pp
+        offset = hull_distance(i, j, jp)
+        general = (lo + p <= jp <= hi - p and -pp <= -p - offset
+                   and p + offset <= r + pp - 1 < floor)
+        return general, general and r <= sp
+    general = lo <= jp <= hi and pp >= 0 and 0 <= r - p + pp - 1 < floor
+    return general, general and (r <= sp or p != pp)
+
+
+def alt_line_conditions_ineq(cfg: AltLineConfig) -> bool:
+    """Same predicate as alt_line_cut_simple via the string-parameter system."""
+    return ineq_forms(cfg)[1]
 
 
 def extra_condition_uniform(cfg: AltLineConfig) -> bool:
@@ -180,12 +182,11 @@ def check_forms_agree(max_rank: int, max_weight: int) -> SweepResult:
     for cfg in iter_alt_line_configs(max_rank, max_weight):
         result.checked += 1
         member_form = alt_line_cut_simple(cfg)
-        ineq_form = alt_line_conditions_ineq(cfg)
+        general, ineq_form = ineq_forms(cfg)
         if member_form != ineq_form:
             result.fail(f"forms disagree ({member_form} vs {ineq_form}) "
                         f"on {cfg.params_json()} at rank {cfg.diagram.n}")
             continue
-        general = cut_general_conditions(cfg)
         if member_form and not general:
             result.fail(f"cut simple without general conditions: {cfg.params_json()}")
         if general:
@@ -273,13 +274,20 @@ def check_redsets_algebra(max_rank: int, max_weight: int) -> SweepResult:
             hull = Interval.hull(i, j)
             d = abs(i - j)
             containing = [w for w in windows if w.contains_interval(hull)]
-            # Nested (small, big) pairs of containing windows, by position.
+            # Nested (small, big) pairs of containing windows by position, and
+            # per position the windows around it (itself too) and inside it.
+            position = {w: a for a, w in enumerate(containing)}
+            above = [{a} for a in range(len(containing))]
+            below = [set() for _ in containing]
             nested = []
             for a, b in itertools.combinations(range(len(containing)), 2):
                 if containing[b].contains_interval(containing[a]):
                     nested.append((a, b))
                 elif containing[a].contains_interval(containing[b]):
                     nested.append((b, a))
+            for a, b in nested:
+                above[a].add(b)
+                below[b].add(a)
             for r, s in itertools.product(range(1, max_weight + 1), repeat=2):
                 base = r + s + d
                 global_set = r_set(diagram, i, r, j, s)
@@ -315,15 +323,15 @@ def check_redsets_algebra(max_rank: int, max_weight: int) -> SweepResult:
                 for m in global_set:
                     result.checked += 1
                     formula = minimal_window(diagram, i, r, j, s, m)
-                    admissible = [w for w, ms in zip(containing, members) if m in ms]
-                    if formula is None or formula not in admissible:
+                    admissible = {a for a, ms in enumerate(members) if m in ms}
+                    f = position.get(formula)
+                    if f not in admissible:
                         result.fail(f"minimal window not admissible {i},{r},{j},{s} m={m}")
                         continue
-                    if any(not w.contains_interval(formula) for w in admissible):
+                    if not admissible <= above[f]:
                         result.fail(f"minimal window not unique minimum "
                                     f"{i},{r},{j},{s} m={m}")
-                    if any(m in ms for w, ms in zip(containing, members)
-                           if formula.contains_interval(w) and w != formula):
+                    if admissible & below[f]:
                         result.fail(f"minimal window not minimal {i},{r},{j},{s} m={m}")
     return result
 

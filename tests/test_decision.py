@@ -3,16 +3,18 @@ from collections import Counter
 import pytest
 
 import qfgraph.decision
+import qfgraph.sweeps
 from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, AltLineConfig,
-                              alt_line_cut_simple, decide, dual_pair_simple,
-                              is_prime, is_real)
+                              alt_line_cut_simple, cut_general_conditions, decide,
+                              dual_pair_simple, is_prime, is_real)
 from qfgraph.drinfeld import KRFactor
 from qfgraph.dynkin import DynkinA, Interval
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
 from qfgraph.graph import QFactGraph, build_graph
 from qfgraph.redsets import minimal_window
 from qfgraph.sweeps import (alt_line_conditions_ineq, case_parameters,
-                            check_forms_agree, extra_condition_uniform)
+                            check_forms_agree, extra_condition_uniform,
+                            ineq_forms, iter_alt_line_configs)
 
 A2 = DynkinA(2)
 
@@ -113,6 +115,34 @@ def test_forms_agree_validates_and_windows_each_config_once(monkeypatch):
     result = check_forms_agree(3, 2)
     assert result.passed and result.checked > 0
     assert calls == {"minimal_window": result.checked, "validate": result.checked}
+
+
+def test_forms_agree_evaluates_general_conditions_once(monkeypatch):
+    'the engine evaluates the general conditions once per config, in the cut test'
+    calls = Counter()
+    general = cut_general_conditions
+
+    def counted(c):
+        calls["cut_general_conditions"] += 1
+        return general(c)
+
+    for module in (qfgraph.decision, qfgraph.sweeps):
+        if getattr(module, "cut_general_conditions", None) is general:
+            monkeypatch.setattr(module, "cut_general_conditions", counted)
+    result = check_forms_agree(3, 2)
+    assert result.passed and result.checked > 0
+    assert calls == {"cut_general_conditions": result.checked}
+
+
+def test_general_conditions_agree_across_forms():
+    'membership form == string-parameter form of the general conditions'
+    held = 0
+    for c in iter_alt_line_configs(6, 4):
+        general, simple = ineq_forms(c)
+        assert cut_general_conditions(c) == general, c.params_json()
+        assert general or not simple
+        held += general
+    assert held == 22332
 
 
 def _cut_window(c):

@@ -1,13 +1,18 @@
+import inspect
 import itertools
+import textwrap
 from math import comb
 
 import pytest
 
+import qfgraph.qchar
+import qfgraph.sweeps
 from qfgraph.drinfeld import KRFactor
 from qfgraph.dynkin import DynkinA
 from qfgraph.qchar import (LWeight, dominant_product_lweights,
                            fundamental_qchar, socle_head)
 from qfgraph.redsets import r_set
+from qfgraph.sweeps import check_dominant_pair
 
 
 def lw(*factors):
@@ -118,6 +123,38 @@ def test_dominant_product_examples():
     dg3 = DynkinA(3)
     assert dominant_product_lweights(dg3, 2, 2, 4) == \
         frozenset({lw((2, 0, 1), (2, 4, 1)), LWeight.identity()})
+
+
+# -- oracle: the product over every pair of l-weights, unpruned ---------------
+
+def all_pairs_dominant(diagram, i, j, m):
+    """Dominant l-weights among all products of the two q-characters."""
+    right = [w.shift(m) for w in fundamental_qchar(diagram, j)]
+    products = (a * b for a in fundamental_qchar(diagram, i) for b in right)
+    return frozenset(w for w in products if all(v >= 0 for _, v in w.entries))
+
+
+def test_pruned_product_matches_all_pairs():
+    for n in range(1, 7):
+        dg = DynkinA(n)
+        for i, j in itertools.product(range(1, n + 1), repeat=2):
+            for m in r_set(dg, i, 1, j, 1):
+                assert dominant_product_lweights(dg, i, j, m) == \
+                    all_pairs_dominant(dg, i, j, m), (n, i, j, m)
+
+
+def test_dominant_pair_catches_a_filter_dropping_one_candidate(monkeypatch):
+    'the highest left monomial loses its first candidate, the head product'
+    source = textwrap.dedent(inspect.getsource(dominant_product_lweights))
+    mutant = source.replace("else range(len(right))", "else range(1, len(right))")
+    assert mutant != source
+    namespace = dict(vars(qfgraph.qchar))
+    exec(mutant, namespace)
+    monkeypatch.setattr(qfgraph.sweeps, "dominant_product_lweights",
+                        namespace["dominant_product_lweights"])
+    result = check_dominant_pair(4)
+    assert not result.passed
+    assert result.failures[0] == "dominant set mismatch n=1 i=1 j=1 m=2"
 
 
 def test_dominant_product_rejects_bad_gap():

@@ -255,3 +255,35 @@ def test_redsets_algebra_catches_a_set_missing_its_top(monkeypatch):
         "extremes/steps fail (2, 1, 2, 1, Interval(lo=1, hi=3))",
         "minimal window not admissible 2,1,2,1 m=4",
     ]
+
+
+def test_redsets_algebra_catches_a_widened_minimal_window(monkeypatch):
+    'a window one node wider than the formula, where the rank allows, is not minimal'
+    def widened(diagram, i, r, j, s, m):
+        w = minimal_window(diagram, i, r, j, s, m)
+        return Interval(max(w.lo - 1, 1), min(w.hi + 1, diagram.n))
+
+    monkeypatch.setattr(qfgraph.sweeps, "minimal_window", widened)
+    result = check_redsets_algebra(3, 2)
+    assert not result.passed
+    assert result.failures == [
+        "minimal window not unique minimum 1,1,1,1 m=2",
+        "minimal window not minimal 1,1,1,1 m=2",
+        "minimal window not unique minimum 1,1,1,2 m=3",
+        "minimal window not minimal 1,1,1,2 m=3",
+        "minimal window not unique minimum 1,2,1,1 m=3",
+    ]
+
+
+def test_redsets_algebra_catches_a_hull_minimal_window(monkeypatch):
+    'the hull of the two colors, whatever the gap, is not always admissible'
+    monkeypatch.setattr(qfgraph.sweeps, "minimal_window",
+                        lambda diagram, i, r, j, s, m: Interval.hull(i, j))
+    result = check_redsets_algebra(3, 2)
+    assert not result.passed
+    assert result.failures == [
+        "minimal window not admissible 2,1,2,1 m=4",
+        "minimal window not admissible 2,1,2,2 m=5",
+        "minimal window not admissible 2,2,2,1 m=5",
+        "minimal window not admissible 2,2,2,2 m=6",
+    ]
