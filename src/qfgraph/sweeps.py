@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import namedtuple
 
 from .decision import AltLineConfig, alt_line_cut_simple, is_prime, is_real
 from .drinfeld import DrinfeldPoly, KRFactor, expand_all, q_factorize
@@ -99,45 +98,35 @@ def iter_alt_line_configs(max_rank: int, max_weight: int):
                         yield AltLineConfig(diagram, i, r, m, j, s, jp, sp, mp)
 
 
-class CaseParams(namedtuple("CaseParams", "p p_prime p_plus p_minus")):
-    """String parameters of both arrows and the sign-split pair."""
-
-    __slots__ = ()
-
-
 def hull_distance(i: int, j: int, k: int) -> int:
     """Distance from node k to the interval spanned by i and j."""
     lo, hi = (i, j) if i <= j else (j, i)
     return max(lo - k, k - hi, 0)
 
 
-def case_parameters(cfg: AltLineConfig) -> CaseParams:
-    """Solve for the string parameters of both arrows and the sign-split pair.
+def sign_split(cfg: AltLineConfig, p: int, pp: int) -> tuple[int, int]:
+    """The sign-split pair (p_plus, p_minus) of the string parameters p, p'.
 
-    The pair (p_plus, p_minus) rewrites the gap m - m' in both signs:
+    The pair rewrites the gap m - m' in both signs:
     m - m' = r + s' + d(i, j') - 2 p_plus and the negated identity for
     p_minus.  Both identities are checked exactly.
     """
-    dg = cfg.diagram
     i, r, m = cfg.iso_color, cfg.iso_weight, cfg.iso_label
-    j, s = cfg.middle_color, cfg.middle_weight
+    j = cfg.middle_color
     jp, sp, mp = cfg.other_color, cfg.other_weight, cfg.other_label
-    p = string_parameter(dg, i, r, j, s, m)
-    pp = string_parameter(dg, j, s, jp, sp, mp)
-    if p is None or pp is None:
-        raise ValueError("arrow labels are outside the unrestricted reducibility sets")
     p_plus = sp - pp + p + hull_distance(i, j, jp)
     p_minus = r - p + pp + hull_distance(j, jp, i)
     base = r + sp + abs(i - jp)
     if m - mp != base - 2 * p_plus or mp - m != base - 2 * p_minus:
         raise AssertionError("sign-split identities violated")
-    return CaseParams(p, pp, p_plus, p_minus)
+    return p_plus, p_minus
 
 
-def ineq_forms(cfg: AltLineConfig) -> tuple[bool, bool]:
-    """(general conditions, cut simple) via the string-parameter system.
+def ineq_forms(cfg: AltLineConfig) -> tuple[int, int, bool, bool]:
+    """(p, p', general conditions, cut simple) via the string-parameter system.
 
-    Exists solely for differential testing.  The case split follows the sign
+    Exists solely for differential testing.  p and p' are the string
+    parameters of the two arrows.  The case split follows the sign
     of p: for p <= 0 the window widens the hull by -p on each side, the
     general conditions are j' in it, -p' <= -p - d(j', [i,j]) and r + p' - 1
     in [p + d(j', [i,j]), min(r, s')), and the weight drop is r <= s'; for
@@ -159,14 +148,9 @@ def ineq_forms(cfg: AltLineConfig) -> tuple[bool, bool]:
         offset = hull_distance(i, j, jp)
         general = (lo + p <= jp <= hi - p and -pp <= -p - offset
                    and p + offset <= r + pp - 1 < floor)
-        return general, general and r <= sp
+        return p, pp, general, general and r <= sp
     general = lo <= jp <= hi and pp >= 0 and 0 <= r - p + pp - 1 < floor
-    return general, general and (r <= sp or p != pp)
-
-
-def alt_line_conditions_ineq(cfg: AltLineConfig) -> bool:
-    """Same predicate as alt_line_cut_simple via the string-parameter system."""
-    return ineq_forms(cfg)[1]
+    return p, pp, general, general and (r <= sp or p != pp)
 
 
 def extra_condition_uniform(cfg: AltLineConfig) -> bool:
@@ -182,37 +166,35 @@ def check_forms_agree(max_rank: int, max_weight: int) -> SweepResult:
     for cfg in iter_alt_line_configs(max_rank, max_weight):
         result.checked += 1
         member_form = alt_line_cut_simple(cfg)
-        general, ineq_form = ineq_forms(cfg)
+        p, pp, general, ineq_form = ineq_forms(cfg)
         if member_form != ineq_form:
             result.fail(f"forms disagree ({member_form} vs {ineq_form}) "
                         f"on {cfg.params_json()} at rank {cfg.diagram.n}")
             continue
-        if member_form and not general:
-            result.fail(f"cut simple without general conditions: {cfg.params_json()}")
         if general:
             if member_form != extra_condition_uniform(cfg):
                 result.fail(f"uniform weight-drop rewriting disagrees "
                             f"on {cfg.params_json()} at rank {cfg.diagram.n}")
-            _assert_sweep_bounds(cfg, result)
+            _assert_sweep_bounds(cfg, p, pp, result)
     return result
 
 
-def _assert_sweep_bounds(cfg: AltLineConfig, result: SweepResult) -> None:
+def _assert_sweep_bounds(cfg: AltLineConfig, p: int, pp: int,
+                         result: SweepResult) -> None:
     """Bound assertions on the sign-split parameters under the general conditions."""
-    params = case_parameters(cfg)
+    p_plus, p_minus = sign_split(cfg, p, pp)
     r, sp = cfg.iso_weight, cfg.other_weight
     m, mp = cfg.iso_label, cfg.other_label
     floor = min(r, sp)
-    if m >= mp and params.p_plus < floor:
-        result.fail(f"p_plus bound fails on {cfg.params_json()}")
-    if m <= mp and params.p_minus < floor:
-        result.fail(f"p_minus bound fails on {cfg.params_json()}")
-    if params.p <= 0 and m >= mp and params.p_plus > sp:
-        result.fail(f"p_plus ceiling fails on {cfg.params_json()}")
-    if params.p > 0:
-        shifted = r - params.p + params.p_prime - 1
-        if not 0 <= shifted < floor:
-            result.fail(f"shifted-parameter window fails on {cfg.params_json()}")
+    if m >= mp and p_plus < floor:
+        result.fail(f"p_plus bound fails on {cfg.params_json()} at rank {cfg.diagram.n}")
+    if m <= mp and p_minus < floor:
+        result.fail(f"p_minus bound fails on {cfg.params_json()} at rank {cfg.diagram.n}")
+    if p <= 0 and m >= mp and p_plus > sp:
+        result.fail(f"p_plus ceiling fails on {cfg.params_json()} at rank {cfg.diagram.n}")
+    if p > 0 and not 0 <= r - p + pp - 1 < floor:
+        result.fail(f"shifted-parameter window fails "
+                    f"on {cfg.params_json()} at rank {cfg.diagram.n}")
 
 
 def check_c3aline(max_rank: int, max_weight: int) -> SweepResult:

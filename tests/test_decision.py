@@ -11,10 +11,9 @@ from qfgraph.drinfeld import KRFactor
 from qfgraph.dynkin import DynkinA, Interval
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
 from qfgraph.graph import QFactGraph, build_graph
-from qfgraph.redsets import minimal_window
-from qfgraph.sweeps import (alt_line_conditions_ineq, case_parameters,
-                            check_forms_agree, extra_condition_uniform,
-                            ineq_forms, iter_alt_line_configs)
+from qfgraph.redsets import minimal_window, string_parameter
+from qfgraph.sweeps import (check_forms_agree, extra_condition_uniform, ineq_forms,
+                            iter_alt_line_configs, sign_split)
 
 A2 = DynkinA(2)
 
@@ -55,19 +54,19 @@ def test_ineq_form_agrees_on_named_inputs():
                  ((2, 1, 4), (1, 2), (2, 2, 3)),
                  ((2, 2, 3), (1, 2), (2, 1, 4))]:
         c = cfg(A2, *args)
-        assert alt_line_conditions_ineq(c) == alt_line_cut_simple(c)
+        assert ineq_forms(c)[3] == alt_line_cut_simple(c)
     for r in range(2, 9):
         c = cfg(A2, (1, r, r + 1), (2, 2), (1, 1, 4))
-        assert alt_line_conditions_ineq(c) == alt_line_cut_simple(c)
+        assert ineq_forms(c)[3] == alt_line_cut_simple(c)
 
 
 def test_ineq_form_hand_evaluation():
     'shifted parameter 2 - 0 + 0 - 1 = 1 fails the window [0, 1)'
     c = cfg(A2, (2, 2, 4), (1, 1), (2, 1, 3))
-    assert alt_line_conditions_ineq(c) is False
-    params = case_parameters(c)
-    assert params.p == 0 and params.p_prime == 0
-    assert not (0 <= c.iso_weight - params.p + params.p_prime - 1 < 1)
+    p, pp, _, simple = ineq_forms(c)
+    assert simple is False
+    assert p == 0 and pp == 0
+    assert not (0 <= c.iso_weight - p + pp - 1 < 1)
 
 
 def test_uniform_extra_condition_on_examples():
@@ -134,11 +133,82 @@ def test_forms_agree_evaluates_general_conditions_once(monkeypatch):
     assert calls == {"cut_general_conditions": result.checked}
 
 
+def test_forms_agree_solves_each_config_once(monkeypatch):
+    'the oracle solves p and p\' once per config; the bound checks reuse them'
+    calls = Counter()
+    solve = string_parameter
+
+    def counted(*args):
+        calls["string_parameter"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(qfgraph.sweeps, "string_parameter", counted)
+    result = check_forms_agree(3, 2)
+    assert result.passed and result.checked == 206
+    assert calls == {"string_parameter": 2 * result.checked}
+
+
+def _on(iso, middle, other):
+    'where a forms-agree counterexample on a rank-2 config is reported'
+    c = cfg(A2, iso, middle, other)
+    return f"on {c.params_json()} at rank 2"
+
+
+def test_forms_agree_catches_a_flipped_cut_test(monkeypatch):
+    'the engine answering wrong on the lower triple fails the sweep once'
+    lower = cfg(A2, (2, 2, 4), (1, 1), (2, 1, 3)).params_json()
+
+    def flipped(c):
+        simple = alt_line_cut_simple(c)
+        if c.diagram.n == 2 and c.params_json() == lower:
+            return not simple
+        return simple
+
+    monkeypatch.setattr(qfgraph.sweeps, "alt_line_cut_simple", flipped)
+    result = check_forms_agree(3, 2)
+    assert result.checked == 206
+    assert result.failures == [
+        "forms disagree (True vs False) on {'isolated': {'color': 2, 'weight': 2, "
+        "'label': 4}, 'middle': {'color': 1, 'weight': 1}, 'other': {'color': 2, "
+        "'weight': 1, 'label': 3}, 'middle_is_source': True} at rank 2",
+    ]
+
+
+def test_forms_agree_catches_a_negated_uniform_rewriting(monkeypatch):
+    'the third rewriting is compared on every config the general conditions admit'
+    uniform = extra_condition_uniform
+    monkeypatch.setattr(qfgraph.sweeps, "extra_condition_uniform",
+                        lambda c: not uniform(c))
+    result = check_forms_agree(3, 2)
+    assert result.failures == [
+        f"uniform weight-drop rewriting disagrees {_on(*args)}"
+        for args in [((1, 1, 3), (2, 1), (1, 1, 3)), ((1, 1, 3), (2, 1), (1, 2, 4)),
+                     ((1, 1, 4), (2, 2), (1, 1, 4)), ((1, 1, 4), (2, 2), (1, 2, 5)),
+                     ((1, 2, 4), (2, 1), (1, 2, 4))]]
+
+
+def test_forms_agree_catches_a_zero_sign_split(monkeypatch):
+    'a sign-split pair of zeros breaks the p_plus and p_minus bounds'
+    monkeypatch.setattr(qfgraph.sweeps, "sign_split", lambda c, p, pp: (0, 0))
+    result = check_forms_agree(3, 2)
+    assert result.failures[0] == (
+        "p_plus bound fails on {'isolated': {'color': 1, 'weight': 1, 'label': 3}, "
+        "'middle': {'color': 2, 'weight': 1}, 'other': {'color': 1, 'weight': 1, "
+        "'label': 3}, 'middle_is_source': True} at rank 2")
+    assert result.failures == [
+        f"p_plus bound fails {_on((1, 1, 3), (2, 1), (1, 1, 3))}",
+        f"p_minus bound fails {_on((1, 1, 3), (2, 1), (1, 1, 3))}",
+        f"p_minus bound fails {_on((1, 1, 3), (2, 1), (1, 2, 4))}",
+        f"p_plus bound fails {_on((1, 1, 4), (2, 2), (1, 1, 4))}",
+        f"p_minus bound fails {_on((1, 1, 4), (2, 2), (1, 1, 4))}",
+    ]
+
+
 def test_general_conditions_agree_across_forms():
     'membership form == string-parameter form of the general conditions'
     held = 0
     for c in iter_alt_line_configs(6, 4):
-        general, simple = ineq_forms(c)
+        _, _, general, simple = ineq_forms(c)
         assert cut_general_conditions(c) == general, c.params_json()
         assert general or not simple
         held += general
@@ -152,29 +222,35 @@ def _cut_window(c):
 
 def test_case_parameters_examples():
     c = cfg(A2, (2, 2, 4), (1, 1), (2, 1, 3))
-    params = case_parameters(c)
-    assert (params.p, params.p_prime) == (0, 0)
+    p, pp = ineq_forms(c)[:2]
+    sign_split(c, p, pp)
+    assert (p, pp) == (0, 0)
     assert _cut_window(c) == Interval(1, 2) and _cut_window(c).dual_coxeter() == 3
     assert c.window == _cut_window(c) and "window" not in repr(c)
 
     c = cfg(A2, (2, 1, 3), (1, 1), (2, 2, 4))
-    params = case_parameters(c)
-    assert (params.p, params.p_prime) == (0, 0)
+    p, pp = ineq_forms(c)[:2]
+    sign_split(c, p, pp)
+    assert (p, pp) == (0, 0)
     assert _cut_window(c) == Interval(1, 2) and _cut_window(c).dual_coxeter() == 3
 
     for r in range(2, 9):
         c = cfg(A2, (1, r, r + 1), (2, 2), (1, 1, 4))
-        params = case_parameters(c)
-        assert params.p == 1
+        p, pp = ineq_forms(c)[:2]
+        sign_split(c, p, pp)
+        assert p == 1
         assert _cut_window(c) == Interval(1, 2) and _cut_window(c).dual_coxeter() == 3
 
 
 def test_case_parameters_signed_identities():
     c = cfg(DynkinA(3), (3, 3, 5), (1, 2), (2, 1, 4))
-    params = case_parameters(c)
+    p, pp = ineq_forms(c)[:2]
+    p_plus, p_minus = sign_split(c, p, pp)
     base = c.iso_weight + c.other_weight + 1
-    assert c.iso_label - c.other_label == base - 2 * params.p_plus
-    assert c.other_label - c.iso_label == base - 2 * params.p_minus
+    assert c.iso_label - c.other_label == base - 2 * p_plus
+    assert c.other_label - c.iso_label == base - 2 * p_minus
+    with pytest.raises(AssertionError, match="^sign-split identities violated$"):
+        sign_split(c, p + 1, pp)
 
 
 # -- dual pairs ---------------------------------------------------------------
