@@ -128,8 +128,7 @@ def cmd_prime(args) -> int:
 
 def cmd_real(args) -> int:
     g = build_from_path(args.input)
-    verdict = is_real(g)
-    verdict.primality = is_prime(g).primality
+    verdict = is_real(g)._replace(primality=is_prime(g).primality)
     emit(verdict.to_json(trace=args.trace))
     return 0
 

@@ -14,6 +14,7 @@ incomplete: graphs outside its reach come back "unknown".
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 
 from .dynkin import DynkinA, Interval
 from .drinfeld import KRFactor, dual
@@ -130,28 +131,19 @@ def dual_pair_simple(w1: KRFactor, w2: KRFactor, diagram: DynkinA) -> bool:
 
 # -- verdicts ---------------------------------------------------------------
 
-class CertStep:
-    __slots__ = ("rule", "cites", "params")
-
-    def __init__(self, rule: str, cites: str, params: dict) -> None:
-        self.rule, self.cites, self.params = rule, cites, params
-
-    def to_json(self) -> dict:
-        return {"rule": self.rule, "cites": self.cites, "params": self.params}
+CertStep = namedtuple("CertStep", "rule cites params")
 
 
-class Verdict:
-    __slots__ = ("primality", "reality", "certificate")
+class Verdict(namedtuple("Verdict", "primality reality certificate",
+                         defaults=(UNKNOWN, UNKNOWN, ()))):
+    """Immutable verdict; the certificate is a tuple of CertSteps."""
 
-    def __init__(self, primality: str = UNKNOWN, reality: str = UNKNOWN,
-                 certificate: list[CertStep] | None = None) -> None:
-        self.primality, self.reality = primality, reality
-        self.certificate = [] if certificate is None else certificate
+    __slots__ = ()
 
     def to_json(self, trace: bool = False) -> dict:
         out = {"primality": self.primality, "reality": self.reality}
         if trace:
-            out["certificate"] = [step.to_json() for step in self.certificate]
+            out["certificate"] = [step._asdict() for step in self.certificate]
         return out
 
 
@@ -178,7 +170,7 @@ def _vertex_params(g: QFactGraph, ids) -> list[str]:
 
 
 def _decided(primality: str, rule: str, cites: str, params: dict) -> Verdict:
-    return Verdict(primality, certificate=[CertStep(rule, cites, params)])
+    return Verdict(primality, certificate=(CertStep(rule, cites, params),))
 
 
 def is_prime(g: QFactGraph) -> Verdict:
@@ -289,15 +281,12 @@ def is_real(g: QFactGraph) -> Verdict:
     """Reality verdict: trees are real in type A; everything else is unknown."""
     if not g.vertices:
         raise ValueError("cannot decide reality of an empty graph")
-    steps: list[CertStep] = []
     if g.is_tree():
-        steps.append(CertStep(
+        return Verdict(reality=REAL, certificate=(CertStep(
             "tree_real", "a q-factorization graph afforded by a tree is real "
-            "in type A", {}))
-        return Verdict(reality=REAL, certificate=steps)
-    steps.append(CertStep(
-        "inconclusive", "no reality rule applies to graphs that are not trees", {}))
-    return Verdict(reality=UNKNOWN, certificate=steps)
+            "in type A", {}),))
+    return Verdict(reality=UNKNOWN, certificate=(CertStep(
+        "inconclusive", "no reality rule applies to graphs that are not trees", {}),))
 
 
 def decide(g: QFactGraph) -> Verdict:

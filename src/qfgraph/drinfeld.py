@@ -51,16 +51,10 @@ class KRFactor(namedtuple("KRFactor", "color exponent weight")):
         return cls(color, exponent, weight)
 
 
-class DrinfeldPoly:
+class DrinfeldPoly(namedtuple("DrinfeldPoly", "roots")):
     """Multiset of fundamental roots (color, exponent), kept sorted."""
 
-    __slots__ = ("roots",)
-
-    def __init__(self, roots: tuple[tuple[int, int], ...]) -> None:
-        self.roots = roots
-
-    def __eq__(self, other) -> bool:  # the confluence sweep compares expansions
-        return type(other) is DrinfeldPoly and self.roots == other.roots
+    __slots__ = ()
 
     @classmethod
     def from_roots(cls, roots) -> "DrinfeldPoly":

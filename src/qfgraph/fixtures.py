@@ -32,10 +32,10 @@ class Check(namedtuple("Check", "label passed detail")):
 
 
 class ExampleReport:
-    __slots__ = ("name", "checks", "known_status")
+    __slots__ = ("checks", "known_status")
 
-    def __init__(self, name: str) -> None:
-        self.name, self.checks, self.known_status = name, [], None
+    def __init__(self) -> None:
+        self.checks, self.known_status = [], None
 
     def add(self, label: str, passed: bool, detail: str = "") -> None:
         self.checks.append(Check(label, bool(passed), detail))
@@ -78,7 +78,7 @@ def _arrow_set(g) -> set[tuple[str, str, int]]:
 
 
 def run_newprimex() -> ExampleReport:
-    report = ExampleReport("newprimex")
+    report = ExampleReport()
     diagram, factors = newprimex_factors(1)
     g = build_graph(factors, diagram)
     report.add("r=1 input is only a pre-factorization", g.was_refactorized)
@@ -102,7 +102,7 @@ def run_newprimex() -> ExampleReport:
 
 
 def run_cosubpt() -> ExampleReport:
-    report = ExampleReport("cosubpt")
+    report = ExampleReport()
     report.known_status = KNOWN_STATUS["cosubpt"]
     diagram, factors = cosubpt_factors()
     g = build_graph(factors, diagram)
@@ -137,7 +137,7 @@ def run_cosubpt() -> ExampleReport:
 
 
 def run_cesubpt() -> ExampleReport:
-    report = ExampleReport("cesubpt")
+    report = ExampleReport()
     report.known_status = KNOWN_STATUS["cesubpt"]
     diagram, factors = cesubpt_factors()
     g = build_graph(factors, diagram)

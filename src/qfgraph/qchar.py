@@ -24,19 +24,13 @@ from .redsets import r_set, string_parameter
 MAX_PRODUCT_PAIRS = 10**6
 
 
-class LWeight:
-    """Laurent monomial (color, exponent) -> multiplicity, zeros dropped."""
+class LWeight(namedtuple("LWeight", "entries")):
+    """Laurent monomial (color, exponent) -> multiplicity, zeros dropped.
 
-    __slots__ = ("entries",)
+    `entries` is the sorted tuple of ((color, exponent), multiplicity) pairs.
+    """
 
-    def __init__(self, entries: tuple[tuple[tuple[int, int], int], ...]) -> None:
-        self.entries = entries
-
-    def __eq__(self, other) -> bool:  # q-characters are compared as sets
-        return type(other) is LWeight and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, data: dict) -> "LWeight":

@@ -8,13 +8,9 @@ import itertools
 import time
 from math import comb
 
-from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN,
-                              alt_line_cut_simple, is_prime, is_real)
-from qfgraph.decision import _alt_configs
 from qfgraph.drinfeld import KRFactor
 from qfgraph.dynkin import DynkinA
-from qfgraph.fixtures import cosubpt_factors, newprimex_factors
-from qfgraph.graph import build_graph
+from qfgraph.fixtures import run_example
 from qfgraph.qchar import fundamental_qchar, socle_head
 from qfgraph.redsets import r_set
 from qfgraph.sweeps import (check_c3aline, check_confluence,
@@ -30,57 +26,26 @@ def report(number: int, label: str, ok: bool, elapsed: float, limit: float):
     assert elapsed < limit, f"criterion {number} exceeded {limit}s"
 
 
-def test_criterion_1_three_vertex_family():
+def run_fixture(number: int, label: str, name: str):
+    """Criteria 1-3 are the fixture runners' checks, every one of which must pass."""
     start = time.time()
-    ok = True
-    dg, factors = newprimex_factors(1)
-    g = build_graph(factors, dg)
-    ok &= g.was_refactorized
-    ok &= g.vertices == (KRFactor(1, 3, 2), KRFactor(2, 0, 2))
-    ok &= len(g.arrows) == 1 and g.arrows[0].epsilon == 3
-    for r in range(2, 9):
-        dg, factors = newprimex_factors(r)
-        verdict = is_prime(build_graph(factors, dg)).primality
-        ok &= verdict == (NOT_PRIME if r == 2 else PRIME)
-    report(1, "weight-threshold family", ok, time.time() - start, 1.0)
+    result = run_example(name)
+    ok = result.all_passed()
+    if not ok:
+        print("\n".join(line for line in result.lines() if line.startswith("FAIL")))
+    report(number, label, ok, time.time() - start, 1.0)
+
+
+def test_criterion_1_three_vertex_family():
+    run_fixture(1, "weight-threshold family", "newprimex")
 
 
 def test_criterion_2_cut_booleans():
-    start = time.time()
-    factors = [KRFactor(1, 7, 2), KRFactor(1, 0, 1),
-               KRFactor(2, 4, 2), KRFactor(2, 3, 1)]
-    g = build_graph(factors, DynkinA(2))
-    ids = {g.vertices[v].label(): v for v in range(len(g))}
-    mid = ids["1^1@0"]
-    first = alt_line_cut_simple(_alt_configs(g, mid, ids["2^2@4"], ids["2^1@3"]))
-    second = alt_line_cut_simple(_alt_configs(g, mid, ids["2^1@3"], ids["2^2@4"]))
-    ok = first is False and second is True
-    report(2, "four-cycle cut booleans", ok, time.time() - start, 1.0)
+    run_fixture(2, "four-cycle cut booleans", "cesubpt")
 
 
 def test_criterion_3_four_vertex_tree():
-    start = time.time()
-    dg, factors = cosubpt_factors()
-    g = build_graph(factors, dg)
-    labels = {(g.vertices[a.tail].label(), g.vertices[a.head].label(), a.epsilon)
-              for a in g.arrows}
-    ok = labels == {("3^1@8", "2^1@5", 3), ("2^1@5", "1^2@1", 4),
-                    ("3^3@6", "1^2@1", 5)}
-    ids = {g.vertices[v].label(): v for v in range(len(g))}
-    ok &= not g.adjacent(ids["3^1@8"], ids["1^2@1"])
-    triples = [g.induced((v, a, b)) for v in range(len(g))
-               for a, b in itertools.combinations(g.undirected_neighbors(v), 2)]
-    ok &= len(triples) == 2
-    ok &= all(is_prime(t).primality == PRIME for t in triples)
-    mid = ids["1^2@1"]
-    ok &= alt_line_cut_simple(
-        _alt_configs(g, mid, ids["2^1@5"], ids["3^3@6"])) is False
-    ok &= alt_line_cut_simple(
-        _alt_configs(g, mid, ids["3^3@6"], ids["2^1@5"])) is False
-    verdict = is_prime(g).primality
-    ok &= verdict == UNKNOWN and verdict != PRIME
-    ok &= is_real(g).reality == REAL
-    report(3, "four-vertex tree reproduction", ok, time.time() - start, 1.0)
+    run_fixture(3, "four-vertex tree reproduction", "cosubpt")
 
 
 def test_criterion_4_differential_equivalence():

@@ -1,9 +1,12 @@
-"""The value types are plain classes that keep what frozen dataclasses gave.
+"""The value types keep what frozen dataclasses gave, without dataclasses.
 
-Hashes equal the hash of the field tuple, so set and dict iteration orders,
-and with them the output bytes, stay put; factors sort in field order; the
-repr that sweep counterexamples print keeps its form; and constructors still
-validate.  Importing the CLI loads neither `dataclasses` nor `inspect`.
+The records (factors, l-weights, Drinfeld polynomials, verdicts and their
+certificate steps) are namedtuples: they compare by value, cannot be
+assigned to, and hash as the tuple of their fields, so set and dict
+iteration orders, and with them the output bytes, stay put.  Factors sort
+in field order; the repr that sweep counterexamples print keeps its form;
+and constructors still validate.  Importing the CLI loads neither
+`dataclasses` nor `inspect`.
 """
 
 import os
@@ -14,9 +17,11 @@ import sys
 import pytest
 
 import qfgraph
-from qfgraph.decision import AltLineConfig
-from qfgraph.drinfeld import KRFactor
+from qfgraph.decision import AltLineConfig, CertStep, decide
+from qfgraph.drinfeld import DrinfeldPoly, KRFactor
 from qfgraph.dynkin import DynkinA, Interval
+from qfgraph.fixtures import cosubpt_factors
+from qfgraph.graph import build_graph
 from qfgraph.qchar import LWeight
 
 
@@ -26,6 +31,20 @@ def test_hashes_are_field_tuple_hashes():
     entries = (((1, 0), 1), ((2, 3), -1))
     assert hash(LWeight(entries)) == hash((entries,))
     assert hash(LWeight(())) == hash(((),))
+    assert hash(DrinfeldPoly.from_roots([(1, 0)])) == hash((((1, 0),),))
+
+
+def test_verdicts_compare_by_value_and_are_immutable():
+    diagram, factors = cosubpt_factors()
+    g = build_graph(factors, diagram)
+    verdict = decide(g)
+    assert verdict == decide(g)
+    with pytest.raises(AttributeError):
+        verdict.primality = "prime"
+
+
+def test_cert_step_fields_are_its_json():
+    assert CertStep("r", "c", {})._asdict() == {"rule": "r", "cites": "c", "params": {}}
 
 
 def test_factors_sort_in_field_order():
