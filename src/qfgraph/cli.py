@@ -36,7 +36,7 @@ def load_input(path: str) -> tuple[DynkinA, list[KRFactor]]:
             data = json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # also undecodable bytes and over-long integers
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
     except RecursionError as exc:
         raise ValueError(f"JSON in {path} is nested too deeply") from exc

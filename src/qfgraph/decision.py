@@ -39,9 +39,9 @@ class AltLineConfig:
     m on the arrow joining the middle to the end being isolated and
     `other_label` the gap m' on the remaining arrow.
 
-    A config is validated when it is built, which raises ValueError on a
-    line that is not alternating; `window` then holds the minimal window J
-    of the isolating arrow, which the cut test reads.
+    Building a config raises ValueError on a line that is not alternating;
+    `window` holds the minimal window J of the isolating arrow, which the
+    cut test reads.
     """
 
     __slots__ = ("diagram", "iso_color", "iso_weight", "iso_label", "middle_color",
@@ -52,32 +52,26 @@ class AltLineConfig:
                  iso_label: int, middle_color: int, middle_weight: int,
                  other_color: int, other_weight: int, other_label: int,
                  middle_is_source: bool = True) -> None:
+        for c in (iso_color, middle_color, other_color):
+            diagram.check_node(c)
+        self.window: Interval = minimal_window(diagram, iso_color, iso_weight,
+                                               middle_color, middle_weight, iso_label)
+        if self.window is None:  # the label is not in the unrestricted set
+            raise ValueError(f"label {iso_label} is not an admissible arrow gap "
+                             f"for the isolated end")
+        # Membership by string parameter, as in minimal_window: no set is built.
+        if string_parameter(diagram, middle_color, middle_weight, other_color,
+                            other_weight, other_label) is None:
+            raise ValueError(f"label {other_label} is not an admissible arrow gap "
+                             f"for the other end")
+        if string_parameter(diagram, iso_color, iso_weight, other_color, other_weight,
+                            abs(iso_label - other_label)) is not None:
+            raise ValueError("end vertices are adjacent; the line is not alternating")
         self.diagram = diagram
         self.iso_color, self.iso_weight, self.iso_label = iso_color, iso_weight, iso_label
         self.middle_color, self.middle_weight = middle_color, middle_weight
         self.other_color, self.other_weight = other_color, other_weight
         self.other_label, self.middle_is_source = other_label, middle_is_source
-        self.validate()
-
-    def validate(self) -> None:
-        dg = self.diagram
-        for c in (self.iso_color, self.middle_color, self.other_color):
-            dg.check_node(c)
-        self.window: Interval = minimal_window(dg, self.iso_color, self.iso_weight,
-                                               self.middle_color, self.middle_weight,
-                                               self.iso_label)
-        if self.window is None:  # the label is not in the unrestricted set
-            raise ValueError(f"label {self.iso_label} is not an admissible arrow gap "
-                             f"for the isolated end")
-        # Membership by string parameter, as in minimal_window: no set is built.
-        if string_parameter(dg, self.middle_color, self.middle_weight, self.other_color,
-                            self.other_weight, self.other_label) is None:
-            raise ValueError(f"label {self.other_label} is not an admissible arrow gap "
-                             f"for the other end")
-        ends_gap = abs(self.iso_label - self.other_label)
-        if string_parameter(dg, self.iso_color, self.iso_weight, self.other_color,
-                            self.other_weight, ends_gap) is not None:
-            raise ValueError("end vertices are adjacent; the line is not alternating")
 
     def params_json(self) -> dict:
         return {

@@ -34,8 +34,8 @@ class Check(namedtuple("Check", "label passed detail")):
 class ExampleReport:
     __slots__ = ("checks", "known_status")
 
-    def __init__(self) -> None:
-        self.checks, self.known_status = [], None
+    def __init__(self, known_status: str | None) -> None:
+        self.checks, self.known_status = [], known_status
 
     def add(self, label: str, passed: bool, detail: str = "") -> None:
         self.checks.append(Check(label, bool(passed), detail))
@@ -78,7 +78,7 @@ def _arrow_set(g) -> set[tuple[str, str, int]]:
 
 
 def run_newprimex() -> ExampleReport:
-    report = ExampleReport()
+    report = ExampleReport(None)
     diagram, factors = newprimex_factors(1)
     g = build_graph(factors, diagram)
     report.add("r=1 input is only a pre-factorization", g.was_refactorized)
@@ -102,8 +102,7 @@ def run_newprimex() -> ExampleReport:
 
 
 def run_cosubpt() -> ExampleReport:
-    report = ExampleReport()
-    report.known_status = KNOWN_STATUS["cosubpt"]
+    report = ExampleReport(KNOWN_STATUS["cosubpt"])
     diagram, factors = cosubpt_factors()
     g = build_graph(factors, diagram)
     report.add("input already a q-factorization", not g.was_refactorized)
@@ -137,8 +136,7 @@ def run_cosubpt() -> ExampleReport:
 
 
 def run_cesubpt() -> ExampleReport:
-    report = ExampleReport()
-    report.known_status = KNOWN_STATUS["cesubpt"]
+    report = ExampleReport(KNOWN_STATUS["cesubpt"])
     diagram, factors = cesubpt_factors()
     g = build_graph(factors, diagram)
     report.add("input already a q-factorization", not g.was_refactorized)

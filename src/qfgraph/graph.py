@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from functools import cached_property
 from itertools import islice
 
 from .dynkin import DynkinA
@@ -41,7 +40,8 @@ class ShapeClass(namedtuple("ShapeClass", "tag components line_order",
 
 
 class QFactGraph:
-    """No __slots__: the cached property _components needs an instance __dict__."""
+    __slots__ = ("diagram", "vertices", "arrows", "was_refactorized", "_arrow_map",
+                 "_out", "_in", "_components")
 
     def __init__(self, diagram: DynkinA, vertices: tuple[KRFactor, ...],
                  arrows: tuple[Arrow, ...], was_refactorized: bool = False) -> None:
@@ -56,6 +56,8 @@ class QFactGraph:
             out[a.tail].append(a.head)
             into[a.head].append(a.tail)
         self._out, self._in = tuple(out), tuple(into)
+        # One walk per graph, shared by classify and is_tree.
+        self._components = self.components()
 
     def __eq__(self, other) -> bool:  # tests compare rebuilt graphs
         return type(other) is QFactGraph and \
@@ -100,11 +102,6 @@ class QFactGraph:
                         stack.append(w)
             comps.append(tuple(sorted(comp)))
         return tuple(comps)
-
-    @cached_property
-    def _components(self) -> tuple[tuple[int, ...], ...]:
-        """components() walked once per graph, for classify and is_tree."""
-        return self.components()
 
     def is_tree(self) -> bool:
         """Connected with one arrow fewer than vertices.

@@ -109,11 +109,13 @@ def dominant_product_lweights(diagram: DynkinA, i: int, j: int,
     MAX_PRODUCT_PAIRS pairs are refused.
     """
     _fundamental_pre(diagram, i, j, m)
-    pairs = math.comb(diagram.n + 1, i) * math.comb(diagram.n + 1, j)
-    if pairs > MAX_PRODUCT_PAIRS:
+    # Both binomials are at least n + 1, so a large rank is refused before
+    # they are computed: their digits grow with n.
+    size = diagram.n + 1
+    if size * size > MAX_PRODUCT_PAIRS or \
+            math.comb(size, i) * math.comb(size, j) > MAX_PRODUCT_PAIRS:
         raise ValueError(f"the product of fundamentals {i} and {j} at rank "
-                         f"{diagram.n} has {pairs} l-weight pairs, more than "
-                         f"{MAX_PRODUCT_PAIRS}")
+                         f"{diagram.n} has more than {MAX_PRODUCT_PAIRS} l-weight pairs")
     left = [w.as_dict() for w in fundamental_qchar(diagram, i)]
     right = [w.shift(m).entries for w in fundamental_qchar(diagram, j)]
     positive_at: dict = {}

@@ -286,6 +286,22 @@ def test_qchar_product_over_the_pair_limit_is_an_input_error():
     assert proc.stdout == ""
 
 
+def test_qchar_product_at_a_huge_rank_is_refused_at_once():
+    'no binomial with millions of digits is computed or printed'
+    src = os.path.dirname(os.path.dirname(qfgraph.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "qfgraph.cli", "qchar-product",
+                           "--rank", "100000000", "--i", "50000000", "--j", "50000000",
+                           "--m", "2"], capture_output=True, text=True, env=env, timeout=30)
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode == 1
+    assert proc.stderr == ("input error: the product of fundamentals 50000000 and "
+                           "50000000 at rank 100000000 has more than 1000000 "
+                           "l-weight pairs\n")
+    assert "digits" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_examples_command(capsys):
     for name in ("newprimex", "cosubpt", "cesubpt"):
         code, out, _ = run(capsys, ["examples", name])
@@ -376,6 +392,13 @@ def test_malformed_inputs(capsys, tmp_path):
     code, _, err = run(capsys, ["prime", str(bad)])
     assert code == 1
     assert err.startswith(f"input error: malformed JSON in {bad}: 'utf-8' codec ")
+
+    # An integer past the int-string conversion limit: the file is named too.
+    bad.write_text('{"rank": 2, "factors": [{"color": 1, "exponent": 1%s, '
+                   '"weight": 1}]}' % ("0" * 4999))
+    code, _, err = run(capsys, ["prime", str(bad)])
+    assert code == 1
+    assert err.startswith(f"input error: malformed JSON in {bad}: Exceeds the limit")
 
     code, _, err = run(capsys, ["prime", str(tmp_path / "missing.json")])
     assert code == 1

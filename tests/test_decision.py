@@ -5,8 +5,8 @@ import pytest
 import qfgraph.decision
 import qfgraph.sweeps
 from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, AltLineConfig,
-                              alt_line_cut_simple, cut_general_conditions, decide,
-                              dual_pair_simple, is_prime, is_real)
+                              _alt_configs, alt_line_cut_simple, cut_general_conditions,
+                              decide, dual_pair_simple, is_prime, is_real)
 from qfgraph.drinfeld import KRFactor
 from qfgraph.dynkin import DynkinA, Interval
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
@@ -97,23 +97,33 @@ def test_validate_rejects_bad_configs():
         assert str(caught.value) == message
 
 
+def test_alt_configs_rejects_a_monotonic_triple():
+    'cosubpt\'s 3^1@8 -> 2^1@5 -> 1^2@1, taken around 2^1@5, is no alternating line'
+    diagram, factors = cosubpt_factors()
+    g = build_graph(factors, diagram)
+    ids = {v.label(): k for k, v in enumerate(g.vertices)}
+    with pytest.raises(ValueError, match="^vertices do not form an alternating "
+                                         "line around the middle$"):
+        _alt_configs(g, ids["2^1@5"], ids["3^1@8"], ids["1^2@1"])
+
+
 def test_forms_agree_validates_and_windows_each_config_once(monkeypatch):
     calls = Counter()
-    window, validate = minimal_window, AltLineConfig.validate
+    window, init = minimal_window, AltLineConfig.__init__
 
     def counted_window(*args):
         calls["minimal_window"] += 1
         return window(*args)
 
-    def counted_validate(self):
-        calls["validate"] += 1
-        validate(self)
+    def counted_init(self, *args, **kwargs):
+        calls["AltLineConfig"] += 1
+        init(self, *args, **kwargs)
 
     monkeypatch.setattr(qfgraph.decision, "minimal_window", counted_window)
-    monkeypatch.setattr(AltLineConfig, "validate", counted_validate)
+    monkeypatch.setattr(AltLineConfig, "__init__", counted_init)
     result = check_forms_agree(3, 2)
     assert result.passed and result.checked > 0
-    assert calls == {"minimal_window": result.checked, "validate": result.checked}
+    assert calls == {"minimal_window": result.checked, "AltLineConfig": result.checked}
 
 
 def test_forms_agree_evaluates_general_conditions_once(monkeypatch):

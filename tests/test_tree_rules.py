@@ -326,7 +326,7 @@ def test_total_order_and_line_order_match_closure():
 
 
 def test_decide_walks_a_tree_once(monkeypatch):
-    'classify and is_tree share one component walk per graph'
+    'a graph walks its components once, when built; classify and is_tree share it'
     rng = random.Random(7)
     trees = [g for g in (random_tree_graph(rng, max_rank=6, max_vertices=8,
                                            max_weight=4) for _ in range(300))
@@ -343,17 +343,17 @@ def test_decide_walks_a_tree_once(monkeypatch):
 
         monkeypatch.setattr(QFactGraph, name, counted)
     assert len(trees) > 100
-    once = {"components": 1, "is_totally_ordered": 1, "is_tree": 1}
     for g in trees:
         calls.clear()
+        g = QFactGraph(g.diagram, g.vertices, g.arrows, g.was_refactorized)
+        assert calls == {"components": 1}
         is_prime(g)
         assert calls == {"components": 1, "is_totally_ordered": 1}
         is_real(g)
-        assert calls == once
+        assert calls == {"components": 1, "is_totally_ordered": 1, "is_tree": 1}
         calls.clear()
-        # A fresh graph, which has not walked yet.
-        decide(QFactGraph(g.diagram, g.vertices, g.arrows, g.was_refactorized))
-        assert calls == once
+        decide(g)
+        assert calls == {"is_totally_ordered": 1, "is_tree": 1}
 
 
 def test_windowed_dual_pairs_match_all_pairs_oracle():
