@@ -134,7 +134,7 @@ class Verdict(namedtuple("Verdict", "primality reality certificate",
 
     __slots__ = ()
 
-    def to_json(self, trace: bool = False) -> dict:
+    def to_json(self, trace: bool) -> dict:
         out = {"primality": self.primality, "reality": self.reality}
         if trace:
             out["certificate"] = [step._asdict() for step in self.certificate]

@@ -105,9 +105,7 @@ def q_factorize(poly: DrinfeldPoly) -> tuple[KRFactor, ...]:
     reducibility set of their weights, and the expanded roots of the output
     reproduce the input multiset exactly.
     """
-    # tuple() of a list, not of a generator: a tuple grown by resizing raised
-    # peak RSS by about 1 MB over repeated confluence sweeps.
-    return tuple([KRFactor(*k) for k in _peel((c, e, e) for c, e in poly.roots)])
+    return normalize([KRFactor(c, e, 1) for c, e in poly.roots])[0]
 
 
 # Kept as a name because the benchmark's tracer (perfbench/tracer.py) wraps it.

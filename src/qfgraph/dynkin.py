@@ -74,9 +74,6 @@ class DynkinA:
             raise ValueError(f"rank must be positive, got {n}")
         self.n = n
 
-    def __eq__(self, other) -> bool:  # graphs compare their diagrams
-        return type(other) is DynkinA and self.n == other.n
-
     def check_node(self, i: int) -> None:
         if not 1 <= i <= self.n:
             raise ValueError(f"node {i} out of range for rank {self.n}")

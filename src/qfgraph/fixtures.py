@@ -27,8 +27,7 @@ KNOWN_STATUS = {
 }
 
 
-class Check(namedtuple("Check", "label passed detail")):
-    __slots__ = ()
+Check = namedtuple("Check", "label passed detail")
 
 
 class ExampleReport:

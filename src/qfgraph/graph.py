@@ -28,15 +28,9 @@ DISCONNECTED = "disconnected"
 OTHER = "other"
 
 
-class Arrow(namedtuple("Arrow", "tail head epsilon")):
-    __slots__ = ()
-
-
-class ShapeClass(namedtuple("ShapeClass", "tag components line_order",
-                            defaults=(None,))):
-    """Shape tag plus the supporting component / line data."""
-
-    __slots__ = ()
+Arrow = namedtuple("Arrow", "tail head epsilon")
+# Shape tag plus the supporting component / line data.
+ShapeClass = namedtuple("ShapeClass", "tag components line_order", defaults=(None,))
 
 
 class QFactGraph:
@@ -44,7 +38,7 @@ class QFactGraph:
                  "_out", "_in", "_components")
 
     def __init__(self, diagram: DynkinA, vertices: tuple[KRFactor, ...],
-                 arrows: tuple[Arrow, ...], was_refactorized: bool = False) -> None:
+                 arrows: tuple[Arrow, ...], was_refactorized: bool) -> None:
         self.diagram, self.vertices, self.arrows = diagram, vertices, arrows
         self.was_refactorized = was_refactorized
         self._arrow_map = {(a.tail, a.head): a.epsilon for a in arrows}
@@ -58,11 +52,6 @@ class QFactGraph:
         self._out, self._in = tuple(out), tuple(into)
         # One walk per graph, shared by classify and is_tree.
         self._components = self.components()
-
-    def __eq__(self, other) -> bool:  # tests compare rebuilt graphs
-        return type(other) is QFactGraph and \
-            (self.diagram, self.vertices, self.arrows, self.was_refactorized) == \
-            (other.diagram, other.vertices, other.arrows, other.was_refactorized)
 
     # -- basic queries ------------------------------------------------------
 

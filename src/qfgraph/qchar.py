@@ -37,14 +37,8 @@ class LWeight(namedtuple("LWeight", "entries")):
         return cls(tuple(sorted((k, v) for k, v in data.items() if v != 0)))
 
     @classmethod
-    def identity(cls) -> "LWeight":
-        return cls(())
-
-    @classmethod
-    def fundamental(cls, color: int, exponent: int, power: int = 1) -> "LWeight":
-        if power == 0:
-            return cls.identity()
-        return cls((((color, exponent), power),))
+    def fundamental(cls, color: int, exponent: int, power: int) -> "LWeight":
+        return cls.from_dict({(color, exponent): power})
 
     def as_dict(self) -> dict:
         return dict(self.entries)

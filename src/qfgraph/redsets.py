@@ -56,8 +56,6 @@ def string_parameter(diagram: DynkinA, i: int, r: int, j: int, s: int, m: int,
         raise ValueError(f"colors ({i}, {j}) not inside window [{lo}, {hi}]")
     if r < 1 or s < 1:
         raise ValueError(f"weights must be positive, got ({r}, {s})")
-    if m <= 0:
-        return None
     twice_p = r + s + b - a - m
     if twice_p % 2 != 0:
         return None

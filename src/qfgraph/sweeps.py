@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .decision import AltLineConfig, alt_line_cut_simple, is_prime, is_real
+from .decision import (AltLineConfig, alt_line_cut_simple, dual_pair_simple, is_prime,
+                       is_real)
 from .drinfeld import DrinfeldPoly, KRFactor, expand_all, q_factorize
 from .dynkin import DynkinA, Interval
 from .graph import QFactGraph, build_graph, classify
@@ -26,9 +27,9 @@ MAX_FAILURES = 5
 
 # Largest bounds the `sweep` command accepts, so that its largest run takes
 # under a minute (one core of a 2-vCPU Intel Xeon VM, Python 3.11):
-# forms-agree at rank 9 and weight 6 checks 3.1 10^6 cases in 26 s,
-# redsets-algebra at the same bounds 1.1 10^5 cases in 0.7 s,
-# dominant-pair at rank 9 takes 1.6 s, and duality at 150 000 trials 48 s.
+# forms-agree at rank 9 and weight 6 checks 3.1 10^6 cases in 13 s,
+# redsets-algebra at the same bounds 1.1 10^5 cases in 0.4 s,
+# dominant-pair at rank 9 takes 0.75 s, and duality at 150 000 trials 27 s.
 # Without caps, `--max-rank 1000` never finishes.  The keys are the names of
 # the checks' parameters.
 SWEEP_CAPS = {"max_rank": 9, "max_weight": 6, "trials": 150_000}
@@ -238,7 +239,8 @@ def check_dominant_pair(max_rank: int) -> SweepResult:
 
 
 def check_redsets_algebra(max_rank: int, max_weight: int) -> SweepResult:
-    """Symmetry, parity, cardinality, extremes, monotonicity, minimal windows."""
+    """Symmetry, parity, cardinality, extremes, monotonicity, minimal windows,
+    and string parameters on each set and one step past either end of it."""
     result = SweepResult("redsets-algebra")
     for n in range(1, max_rank + 1):
         diagram = DynkinA(n)
@@ -298,6 +300,9 @@ def check_redsets_algebra(max_rank: int, max_weight: int) -> SweepResult:
                         if p is None or base - 2 * p != m:
                             result.fail(f"string-parameter round trip fails "
                                         f"{params} m={m}")
+                    for m in (bottom - 2, top + 2):
+                        if string_parameter(diagram, i, r, j, s, m, window) is not None:
+                            result.fail(f"string parameter off the set {params} m={m}")
                 for a, b in nested:
                     if not members[a] <= members[b]:
                         result.fail(f"monotonicity fails {i},{r},{j},{s} "
@@ -350,12 +355,25 @@ def random_tree_graph(rng: random.Random, max_rank: int = 5,
 
 
 def check_duality(trials: int, seed: int) -> SweepResult:
-    """Verdicts are invariant under arrow reversal and the diagram automorphism."""
+    """Verdicts are invariant under arrow reversal and the diagram automorphism,
+    and each non-adjacent pair's dual-pair test matches the string parameter
+    of the dual's gap, a route through neither drinfeld.dual nor r_set."""
     result = SweepResult("duality")
     rng = random.Random(seed)
     for _ in range(trials):
         g = random_tree_graph(rng)
         result.checked += 1
+        dg, n = g.diagram, g.diagram.n
+        for u, v in itertools.permutations(range(len(g)), 2):
+            if g.adjacent(u, v):
+                continue
+            a, b = g.vertices[u], g.vertices[v]
+            gap = abs(a.exponent - (n + 1) - b.exponent)
+            simple = string_parameter(dg, n + 1 - a.color, a.weight, b.color, b.weight,
+                                      gap) is None
+            if dual_pair_simple(a, b, dg) != simple:
+                result.fail(f"dual-pair test disagrees with the string parameter "
+                            f"for {a.label()}, {b.label()} at rank {n}")
         primality = is_prime(g).primality
         reality = is_real(g).reality
         tag = classify(g).tag
@@ -377,7 +395,7 @@ def random_poly(rng: random.Random) -> DrinfeldPoly:
     return DrinfeldPoly.from_roots(roots)
 
 
-def _merge_once(segments: list[tuple[int, int]], rng: random.Random | None) -> bool:
+def _merge_once(segments: list[tuple[int, int]], rng: random.Random) -> bool:
     """Coalesce one linked pair of q-strings in place; False when none is left.
 
     Segments are (lo, hi) spans on the exponent lattice with step 2.  Two
@@ -387,8 +405,7 @@ def _merge_once(segments: list[tuple[int, int]], rng: random.Random | None) -> b
     multiset is preserved).
     """
     order = list(range(len(segments)))
-    if rng is not None:
-        rng.shuffle(order)
+    rng.shuffle(order)
     for pos_a in range(len(order)):
         for pos_b in range(pos_a + 1, len(order)):
             a, b = order[pos_a], order[pos_b]
@@ -412,12 +429,11 @@ def _merge_once(segments: list[tuple[int, int]], rng: random.Random | None) -> b
     return False
 
 
-def merge_factorize(poly: DrinfeldPoly,
-                    rng: random.Random | None = None) -> tuple[KRFactor, ...]:
+def merge_factorize(poly: DrinfeldPoly, rng: random.Random) -> tuple[KRFactor, ...]:
     """Oracle for q_factorize: merge linked pairs of roots until none is left.
 
-    The optional rng randomizes the merge order; the normal form it reaches
-    does not depend on that order.
+    The rng randomizes the merge order; the normal form it reaches does not
+    depend on that order.
     """
     factors: list[KRFactor] = []
     for color in sorted({c for c, _ in poly.roots}):

@@ -12,8 +12,8 @@ from qfgraph.dynkin import DynkinA, Interval
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
 from qfgraph.graph import QFactGraph, build_graph
 from qfgraph.redsets import minimal_window, string_parameter
-from qfgraph.sweeps import (check_forms_agree, extra_condition_uniform, ineq_forms,
-                            iter_alt_line_configs, sign_split)
+from qfgraph.sweeps import (check_duality, check_forms_agree, extra_condition_uniform,
+                            ineq_forms, iter_alt_line_configs, sign_split)
 
 A2 = DynkinA(2)
 
@@ -271,6 +271,17 @@ def test_dual_pair_simple_examples():
     assert dual_pair_simple(KRFactor(1, 0, 1), KRFactor(1, 0, 1), A2) is False
 
 
+def test_duality_catches_a_negated_dual_pair_test(monkeypatch):
+    'the string-parameter check catches a wrong dual-pair test that invariance would not'
+    monkeypatch.setattr(qfgraph.sweeps, "dual_pair_simple",
+                        lambda w1, w2, diagram: not dual_pair_simple(w1, w2, diagram))
+    result = check_duality(1000, 2024)
+    assert result.checked == 1000
+    assert not result.passed
+    assert all(f.startswith("dual-pair test disagrees with the string parameter for ")
+               for f in result.failures)
+
+
 # -- the symmetric always-simple configuration -------------------------------
 
 def test_c3aline_examples():
@@ -394,7 +405,7 @@ def test_is_real():
 
 
 def test_empty_graph_is_refused():
-    empty = QFactGraph(A2, (), ())
+    empty = QFactGraph(A2, (), (), False)
     with pytest.raises(ValueError, match="primality of an empty graph"):
         is_prime(empty)
     with pytest.raises(ValueError, match="reality of an empty graph"):

@@ -1,28 +1,53 @@
-"""The engine modules hold only the engine.
+"""Every name in src/qfgraph is read by src/qfgraph, and the engine by more
+than the sweeps.
 
-Every top-level name that qfgraph/decision.py defines must be read by the
-engine itself, the CLI or the fixtures.  A name that only the sweeps read is
-an oracle, and belongs in qfgraph/sweeps.py beside the sweep that uses it.
+One guard covers every module: each top-level name and each non-dunder
+method must be read by some src/ module; a definition reading its own name
+does not count.  Code that only the tests read does not belong in src/.  Two
+exceptions count as read: a name that the benchmark tracer wraps (the
+FUNCTIONS and METHODS of perfbench/tracer.py, read from the tracer itself),
+and a method that overrides an inherited one, such as argparse's `error`.
 
-The same holds for every top-level name in qfgraph/redsets.py and every
-method of DynkinA, read anywhere in the engine modules, the CLI or the
-fixtures.  Interval, drinfeld.py and graph.py are left out: the test-side
-references are written over Interval's helpers, and the benchmark tracer
-wraps drinfeld and graph names that only the sweeps call.
+The same guard, with the sweeps and q-characters left out of the readers,
+keeps the engine modules to the engine: every name in decision.py and
+redsets.py and every DynkinA method must be read outside sweeps.py and
+qchar.py.  A name that only the sweeps read is an oracle, and belongs in
+qfgraph/sweeps.py beside the sweep that uses it.  Interval is left out: its
+window helpers serve the sweeps and the test-side references.
+
+Every name the tracer wraps must also resolve in qfgraph, so deleting one
+fails here and not only in the traced benchmark run.
 """
 
 import ast
+import importlib
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).parent.parent / "src" / "qfgraph"
-USERS = ("decision.py", "cli.py", "fixtures.py")
-ENGINE = ("dynkin.py", "drinfeld.py", "redsets.py", "graph.py", "decision.py")
+import qfgraph.dynkin
+import qfgraph.sweeps
+
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "qfgraph"
+ORACLES = ("sweeps", "qchar")
+
+
+def _tracer():
+    """perfbench/tracer.py as a module; it imports only the standard library."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 def _modules() -> dict:
-    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
             for path in SRC.glob("*.py")}
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def _defined(stmt) -> set[str]:
@@ -37,46 +62,85 @@ def _defined(stmt) -> set[str]:
     return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
 
 
-def _read(tree) -> set[str]:
-    return {n.id for n in ast.walk(tree)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+def _loads(tree) -> tuple[Counter, Counter]:
+    """How often tree loads each name, and each attribute."""
+    names, attrs = Counter(), Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            attrs[n.attr] += 1
+    return names, attrs
 
 
-def _attributes_read(tree) -> Counter:
-    return Counter(n.attr for n in ast.walk(tree)
-                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+def _unread(modules: dict, defining, readers) -> list[str]:
+    """Top-level names and non-dunder methods of the defining modules, as
+    module.name or module.Class.method, that no other statement of the
+    readers loads.  The defining modules must be among the readers."""
+    names, attrs = Counter(), Counter()
+    for r in readers:
+        n, a = _loads(modules[r])
+        names, attrs = names + n, attrs + a
+    unread = []
+    for mod in defining:
+        for stmt in modules[mod].body:
+            own = _loads(stmt)[0]
+            unread += [f"{mod}.{name}" for name in sorted(_defined(stmt))
+                       if not _dunder(name) and names[name] == own[name]]
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            unread += [f"{mod}.{stmt.name}.{f.name}" for f in stmt.body
+                       if isinstance(f, ast.FunctionDef) and not _dunder(f.name)
+                       and attrs[f.name] == _loads(f)[1][f.name]]
+    return unread
 
 
-def _unread_names(modules: dict, name: str, users) -> list[str]:
-    """Top-level names of module `name` that no other statement in users reads."""
-    body = modules[name].body
-    defined = set().union(*map(_defined, body))
-    read = set().union(*(_read(modules[u]) for u in users if u != name))
-    for stmt in body:  # a definition reading its own name does not count
-        read |= _read(stmt) - _defined(stmt)
-    return sorted(defined - read)
+def _overrides(qualified: str) -> bool:
+    """Is module.Class.method an override of a method its class inherits?"""
+    parts = qualified.split(".")
+    if len(parts) != 3:
+        return False
+    mod, cls, meth = parts
+    bases = getattr(importlib.import_module(f"qfgraph.{mod}"), cls).__mro__[1:]
+    return any(meth in vars(base) for base in bases)
+
+
+def _unread_in_package(modules: dict) -> list[str]:
+    tracer = _tracer()
+    traced = {f"{m}.{name}" for m, name, _ in tracer.FUNCTIONS} | \
+        {f"{m}.{cls}.{meth}" for m, cls, meth in tracer.METHODS}
+    return [q for q in _unread(modules, modules, modules)
+            if q not in traced and not _overrides(q)]
+
+
+def test_every_name_in_the_package_is_read_by_the_package():
+    unread = _unread_in_package(_modules())
+    assert not unread, f"src/qfgraph defines names no src/ module reads: {unread}"
+
+
+def test_the_guard_flags_a_method_only_the_tests_would_read():
+    modules = _modules()
+    lweight = next(s for s in modules["qchar"].body
+                   if isinstance(s, ast.ClassDef) and s.name == "LWeight")
+    lweight.body += ast.parse("@classmethod\ndef identity(cls):\n    return cls(())\n").body
+    assert _unread_in_package(modules) == ["qchar.LWeight.identity"]
 
 
 def test_every_engine_name_is_read_outside_the_sweeps():
     modules = _modules()
-    defined = set().union(*map(_defined, modules["decision.py"].body))
-    assert {"alt_line_cut_simple", "decide", "PRIME"} <= defined
-    unread = _unread_names(modules, "decision.py", USERS)
-    assert not unread, f"decision.py defines names no engine path reads: {unread}"
+    readers = [m for m in modules if m not in ORACLES]
+    unread = [q for q in _unread(modules, ("decision", "redsets", "dynkin"), readers)
+              if not q.startswith("dynkin.Interval.")]
+    assert not unread, f"engine names only the sweeps read: {unread}"
 
 
-def test_redsets_and_dynkin_define_only_what_the_engine_reads():
-    modules = _modules()
-    users = ENGINE + USERS[1:]
-    unread = _unread_names(modules, "redsets.py", users)
-    assert not unread, f"redsets.py defines names no engine path reads: {unread}"
-
-    diagram = next(s for s in modules["dynkin.py"].body
-                   if isinstance(s, ast.ClassDef) and s.name == "DynkinA")
-    methods = [s for s in diagram.body if isinstance(s, ast.FunctionDef)
-               and not (s.name.startswith("__") and s.name.endswith("__"))]
-    assert {"check_node", "check_interval"} <= {m.name for m in methods}
-    read = sum((_attributes_read(modules[u]) for u in users), Counter())
-    unread = sorted(m.name for m in methods  # a method calling itself does not count
-                    if read[m.name] == _attributes_read(m)[m.name])
-    assert not unread, f"DynkinA has methods no engine path reads: {unread}"
+def test_every_name_the_tracer_wraps_resolves():
+    tracer = _tracer()
+    for mod, name, _ in tracer.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"qfgraph.{mod}"), name, None)), \
+            f"the tracer wraps qfgraph.{mod}.{name}, which is gone"
+    for mod, cls, meth in tracer.METHODS:
+        assert meth in vars(getattr(importlib.import_module(f"qfgraph.{mod}"), cls)), \
+            f"the tracer wraps qfgraph.{mod}.{cls}.{meth}, which is gone"
+    assert isinstance(qfgraph.sweeps.CHECKS, dict) and qfgraph.sweeps.CHECKS
+    assert "__post_init__" in vars(qfgraph.dynkin.Interval)

@@ -16,7 +16,7 @@ from qfgraph.sweeps import check_dominant_pair
 
 
 def lw(*factors):
-    out = LWeight.identity()
+    out = LWeight(())
     for color, exponent, power in factors:
         out = out * LWeight.fundamental(color, exponent, power)
     return out
@@ -33,9 +33,9 @@ def box_lweight(diagram, entry, support):
     n = diagram.n
     if not 1 <= entry <= n + 1:
         raise ValueError(f"box entry {entry} out of range 1..{n + 1}")
-    out = LWeight.identity()
+    out = LWeight(())
     if entry <= n:
-        out = out * LWeight.fundamental(entry, support + entry - 1)
+        out = out * LWeight.fundamental(entry, support + entry - 1, 1)
     if entry - 1 >= 1:
         out = out * LWeight.fundamental(entry - 1, support + entry, -1)
     return out
@@ -44,7 +44,7 @@ def box_lweight(diagram, entry, support):
 def column_lweight(diagram, entries, support):
     """Product of the box l-weights, box j of k sitting at support s + 2(k - j)."""
     k = len(entries)
-    out = LWeight.identity()
+    out = LWeight(())
     for j, entry in enumerate(entries, start=1):
         out = out * box_lweight(diagram, entry, support + 2 * (k - j))
     return out
@@ -100,8 +100,8 @@ def test_one_gap_column_closed_form():
 
 def _fund_or_unit(dg, color, exponent):
     if color < 1 or color > dg.n:
-        return LWeight.identity()
-    return LWeight.fundamental(color, exponent)
+        return LWeight(())
+    return LWeight.fundamental(color, exponent, 1)
 
 
 def test_fundamental_qchar_counts():
@@ -119,10 +119,10 @@ def test_dominant_product_examples():
     assert dominant_product_lweights(dg, 1, 1, 2) == \
         frozenset({lw((1, 0, 1), (1, 2, 1)), lw((2, 1, 1))})
     assert dominant_product_lweights(dg, 1, 2, 3) == \
-        frozenset({lw((1, 0, 1), (2, 3, 1)), LWeight.identity()})
+        frozenset({lw((1, 0, 1), (2, 3, 1)), LWeight(())})
     dg3 = DynkinA(3)
     assert dominant_product_lweights(dg3, 2, 2, 4) == \
-        frozenset({lw((2, 0, 1), (2, 4, 1)), LWeight.identity()})
+        frozenset({lw((2, 0, 1), (2, 4, 1)), LWeight(())})
 
 
 # -- oracle: the product over every pair of l-weights, unpruned ---------------

@@ -1,8 +1,11 @@
+import inspect
 import itertools
+import textwrap
 from collections import Counter
 
 import pytest
 
+import qfgraph.redsets
 import qfgraph.sweeps
 from qfgraph.dynkin import DynkinA, Interval
 from qfgraph.redsets import minimal_window, r_set, string_parameter
@@ -287,3 +290,18 @@ def test_redsets_algebra_catches_a_hull_minimal_window(monkeypatch):
         "minimal window not admissible 2,2,2,1 m=5",
         "minimal window not admissible 2,2,2,2 m=6",
     ]
+
+
+@pytest.mark.parametrize("site, loosened", [("a - lo", "a + lo"), ("hi - b", "hi + b")])
+def test_redsets_algebra_catches_a_loosened_string_parameter(monkeypatch, site, loosened):
+    'a window test loosened on either side answers one step past the set'
+    source = textwrap.dedent(inspect.getsource(string_parameter))
+    mutant = source.replace(site, loosened)
+    assert source.count(site) == 1 and mutant != source
+    namespace = dict(vars(qfgraph.redsets))
+    exec(mutant, namespace)
+    monkeypatch.setattr(qfgraph.sweeps, "string_parameter", namespace["string_parameter"])
+    result = check_redsets_algebra(8, 5)
+    assert result.checked == 47016
+    assert not result.passed
+    assert all(f.startswith("string parameter off the set ") for f in result.failures)
