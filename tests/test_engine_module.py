@@ -9,8 +9,8 @@ FUNCTIONS and METHODS of perfbench/tracer.py, read from the tracer itself),
 and a method that overrides an inherited one, such as argparse's `error`.
 
 The same guard, with the sweeps and q-characters left out of the readers,
-keeps the engine modules to the engine: every name in decision.py and
-redsets.py and every DynkinA method must be read outside sweeps.py and
+keeps the engine modules to the engine: every name in decision.py, and
+every name in redsets.py and dynkin.py, must be read outside sweeps.py and
 qchar.py.  A name that only the sweeps read is an oracle, and belongs in
 qfgraph/sweeps.py beside the sweep that uses it.  Interval is left out: its
 window helpers serve the sweeps and the test-side references.
@@ -126,12 +126,28 @@ def test_the_guard_flags_a_method_only_the_tests_would_read():
     assert _unread_in_package(modules) == ["qchar.LWeight.identity"]
 
 
+def _unread_by_engine(modules: dict, defining) -> list[str]:
+    readers = [m for m in modules if m not in ORACLES]
+    return [q for q in _unread(modules, defining, readers)
+            if not q.startswith("dynkin.Interval.")]
+
+
 def test_every_engine_name_is_read_outside_the_sweeps():
     modules = _modules()
-    readers = [m for m in modules if m not in ORACLES]
-    unread = [q for q in _unread(modules, ("decision", "redsets", "dynkin"), readers)
-              if not q.startswith("dynkin.Interval.")]
-    assert not unread, f"engine names only the sweeps read: {unread}"
+    defined = set().union(*map(_defined, modules["decision"].body))
+    assert {"alt_line_cut_simple", "decide", "PRIME"} <= defined
+    unread = _unread_by_engine(modules, ("decision",))
+    assert not unread, f"decision.py names only the sweeps read: {unread}"
+
+
+def test_redsets_and_dynkin_define_only_what_the_engine_reads():
+    modules = _modules()
+    diagram = next(s for s in modules["dynkin"].body
+                   if isinstance(s, ast.ClassDef) and s.name == "DynkinA")
+    assert {"check_node", "check_interval"} <= {
+        s.name for s in diagram.body if isinstance(s, ast.FunctionDef)}
+    unread = _unread_by_engine(modules, ("redsets", "dynkin"))
+    assert not unread, f"redsets.py and dynkin.py names only the sweeps read: {unread}"
 
 
 def test_every_name_the_tracer_wraps_resolves():
