@@ -29,6 +29,20 @@ from .sweeps import CHECKS, SWEEP_CAPS
 # set of 10^10 elements would need about a terabyte.
 MAX_RSET_ELEMENTS = 10**6
 
+# Bound on the magnitude of a rank, a factor field and an `rset` flag.
+# Python refuses to print an int of more than 4300 digits, and fields that
+# all parse can still yield one: two factors of weight 9 10^4299 merge into
+# one of weight 1.35 10^4300.  Under this bound every printed integer is a
+# short sum of input numbers (an exponent gap, a merged weight, which sums
+# input weights, or a reducibility-set element, at most r + s + n - 1), so it
+# stays below 10^4100 for any input of fewer than 10^100 factors.
+MAX_FIELD = 10**4000
+
+
+def check_field(name: str, *values: int) -> None:
+    if not (-MAX_FIELD < min(values) and max(values) < MAX_FIELD):
+        raise ValueError(f"{name} must be below 10^4000 in magnitude")
+
 
 def load_input(path: str) -> tuple[DynkinA, list[KRFactor]]:
     try:
@@ -48,8 +62,11 @@ def load_input(path: str) -> tuple[DynkinA, list[KRFactor]]:
     raw = data.get("factors")
     if not isinstance(raw, list) or not raw:
         raise ValueError("'factors' must be a non-empty list")
+    check_field("'rank'", rank)
     diagram = DynkinA(rank)
     factors = [KRFactor.from_json(item) for item in raw]
+    for field, values in zip(KRFactor._fields, zip(*factors)):
+        check_field(f"factor field '{field}'", *values)
     for f in factors:
         diagram.check_node(f.color)
     return diagram, factors
@@ -69,6 +86,8 @@ def build_from_path(path: str) -> QFactGraph:
 
 
 def cmd_rset(args) -> int:
+    for flag in ("rank", "i", "r", "j", "s", "jlo", "jhi"):
+        check_field(f"--{flag}", getattr(args, flag) or 0)
     diagram = DynkinA(args.rank)
     window = None
     if (args.jlo is None) != (args.jhi is None):

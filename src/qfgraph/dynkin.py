@@ -9,7 +9,7 @@ from __future__ import annotations
 
 
 class Interval:
-    """Closed interval [lo, hi] of node indices, a connected subdiagram."""
+    """Closed interval [lo, hi] of nodes; intervals compare by identity."""
 
     __slots__ = ("lo", "hi")
 
@@ -21,25 +21,8 @@ class Interval:
         if self.lo < 1 or self.lo > self.hi:
             raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
 
-    def __eq__(self, other) -> bool:
-        return type(other) is Interval and (self.lo, self.hi) == (other.lo, other.hi)
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
-
     def __repr__(self) -> str:
         return f"Interval(lo={self.lo}, hi={self.hi})"
-
-    @classmethod
-    def hull(cls, i: int, j: int) -> "Interval":
-        """Smallest interval containing both i and j."""
-        return cls(min(i, j), max(i, j))
-
-    def __contains__(self, node: int) -> bool:
-        return self.lo <= node <= self.hi
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def reflect(self, i: int) -> int:
         """Image of node i under the longest Weyl element of this interval.
@@ -54,14 +37,6 @@ class Interval:
     def dual_coxeter(self) -> int:
         """Dual Coxeter number of the type-A diagram on this interval."""
         return self.hi - self.lo + 2
-
-    def boundary_distance(self, sub: "Interval") -> int:
-        """Distance d(sub, boundary) from a subinterval to this boundary."""
-        if not self.contains_interval(sub):
-            raise ValueError(
-                f"[{sub.lo}, {sub.hi}] is not contained in [{self.lo}, {self.hi}]"
-            )
-        return min(sub.lo - self.lo, self.hi - sub.hi)
 
 
 class DynkinA:

@@ -1,4 +1,4 @@
-"""q-factorization graphs: construction, shape classification, dualities.
+"""q-factorization graphs: construction and shape classification.
 
 Vertices are KR factors; there is an arrow (v, w) labeled by the exponent
 gap whenever that gap is positive and lies in the reducibility set of the
@@ -14,7 +14,7 @@ from collections import namedtuple
 from itertools import islice
 
 from .dynkin import DynkinA
-from .drinfeld import KRFactor, dual, normalize
+from .drinfeld import KRFactor, normalize
 from .redsets import r_set
 
 SINGLETON = "singleton"
@@ -116,24 +116,11 @@ class QFactGraph:
         order = self.exponent_order()
         return all((u, v) in self._arrow_map for u, v in zip(order, order[1:]))
 
-    # -- construction and transforms ----------------------------------------
+    # -- subgraphs and export -----------------------------------------------
 
     def induced(self, ids) -> "QFactGraph":
         """Induced subgraph on the given vertex ids (rebuilt, so re-sorted)."""
         return build_graph([self.vertices[v] for v in ids], self.diagram)
-
-    def arrow_dual(self) -> "QFactGraph":
-        """Reverse every arrow by negating all exponents."""
-        flipped = [KRFactor(v.color, -v.exponent, v.weight) for v in self.vertices]
-        g = build_graph(flipped, self.diagram)
-        assert not g.was_refactorized
-        return g
-
-    def color_dual(self) -> "QFactGraph":
-        """Replace every vertex by its right dual over the whole diagram."""
-        g = build_graph([dual(v, self.diagram) for v in self.vertices], self.diagram)
-        assert not g.was_refactorized
-        return g
 
     def to_dot(self) -> str:
         lines = ["digraph qfactorization {", "  rankdir=LR;"]

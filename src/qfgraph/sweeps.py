@@ -4,8 +4,9 @@ These drive the package's cross-checks: the engine's membership form of the
 cut-simplicity test against the string-parameter forms defined here, the
 always-simple symmetric configuration, the closed two-element dominant set
 against the brute-force product, the reducibility-set algebra against brute
-force, verdict invariance under the two dualities, and the level-set q-string
-factorization against a random-order pairwise merge.
+force, verdict invariance under the two dualities (defined here) and the
+arrows of each dual, and the level-set q-string factorization against a
+random-order pairwise merge.
 The CLI `sweep` command and the acceptance tests both run through here.
 """
 
@@ -13,10 +14,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 from .decision import (AltLineConfig, alt_line_cut_simple, dual_pair_simple, is_prime,
                        is_real)
-from .drinfeld import DrinfeldPoly, KRFactor, expand_all, q_factorize
+from .drinfeld import DrinfeldPoly, KRFactor, dual, expand_all, q_factorize
 from .dynkin import DynkinA, Interval
 from .graph import QFactGraph, build_graph, classify
 from .qchar import LWeight, dominant_product_lweights, fundamental_qchar, socle_head
@@ -255,19 +257,20 @@ def check_redsets_algebra(max_rank: int, max_weight: int) -> SweepResult:
                 result.fail(f"hull-distance bound fails n={n} i={i} j={j} k={k}")
         windows = [Interval(a, b) for a in nodes for b in nodes if a <= b]
         for i, j in itertools.product(nodes, repeat=2):
-            hull = Interval.hull(i, j)
-            d = abs(i - j)
-            containing = [w for w in windows if w.contains_interval(hull)]
+            lo, hi = (i, j) if i <= j else (j, i)  # the hull of i and j
+            d = hi - lo
+            containing = [w for w in windows if w.lo <= lo and hi <= w.hi]
             # Nested (small, big) pairs of containing windows by position, and
             # per position the windows around it (itself too) and inside it.
-            position = {w: a for a, w in enumerate(containing)}
+            position = {(w.lo, w.hi): a for a, w in enumerate(containing)}
             above = [{a} for a in range(len(containing))]
             below = [set() for _ in containing]
             nested = []
             for a, b in itertools.combinations(range(len(containing)), 2):
-                if containing[b].contains_interval(containing[a]):
+                x, y = containing[a], containing[b]
+                if y.lo <= x.lo and x.hi <= y.hi:
                     nested.append((a, b))
-                elif containing[a].contains_interval(containing[b]):
+                elif x.lo <= y.lo and y.hi <= x.hi:
                     nested.append((b, a))
             for a, b in nested:
                 above[a].add(b)
@@ -286,7 +289,7 @@ def check_redsets_algebra(max_rank: int, max_weight: int) -> SweepResult:
                         result.fail(f"symmetry fails {params}")
                     if any((e - base) % 2 for e in rs):
                         result.fail(f"parity fails {params}")
-                    reach = window.boundary_distance(hull)
+                    reach = min(lo - window.lo, window.hi - hi)
                     if len(rs) != min(r, s) + reach:
                         result.fail(f"cardinality fails {params}")
                     top = base + 2 * reach
@@ -311,7 +314,8 @@ def check_redsets_algebra(max_rank: int, max_weight: int) -> SweepResult:
                     result.checked += 1
                     formula = minimal_window(diagram, i, r, j, s, m)
                     admissible = {a for a, ms in enumerate(members) if m in ms}
-                    f = position.get(formula)
+                    key = None if formula is None else (formula.lo, formula.hi)
+                    f = position.get(key)
                     if f not in admissible:
                         result.fail(f"minimal window not admissible {i},{r},{j},{s} m={m}")
                         continue
@@ -354,10 +358,35 @@ def random_tree_graph(rng: random.Random, max_rank: int = 5,
     return build_graph(factors, diagram)
 
 
+def _flip(f: KRFactor) -> KRFactor:
+    return KRFactor(f.color, -f.exponent, f.weight)
+
+
+def arrow_dual(g: QFactGraph) -> QFactGraph:
+    """Reverse every arrow by negating all exponents."""
+    h = build_graph([_flip(v) for v in g.vertices], g.diagram)
+    assert not h.was_refactorized
+    return h
+
+
+def color_dual(g: QFactGraph) -> QFactGraph:
+    """Replace every vertex by its right dual over the whole diagram."""
+    h = build_graph([dual(v, g.diagram) for v in g.vertices], g.diagram)
+    assert not h.was_refactorized
+    return h
+
+
+def _arrow_multiset(g: QFactGraph) -> Counter:
+    """The arrows of g as (tail factor, head factor, label), with copies counted."""
+    return Counter((g.vertices[a.tail], g.vertices[a.head], a.epsilon) for a in g.arrows)
+
+
 def check_duality(trials: int, seed: int) -> SweepResult:
     """Verdicts are invariant under arrow reversal and the diagram automorphism,
-    and each non-adjacent pair's dual-pair test matches the string parameter
-    of the dual's gap, a route through neither drinfeld.dual nor r_set."""
+    the arrow dual reverses every arrow and the color dual keeps each one, both
+    with the same labels, and each non-adjacent pair's dual-pair test matches
+    the string parameter of the dual's gap, a route through neither
+    drinfeld.dual nor r_set."""
     result = SweepResult("duality")
     rng = random.Random(seed)
     for _ in range(trials):
@@ -377,12 +406,20 @@ def check_duality(trials: int, seed: int) -> SweepResult:
         primality = is_prime(g).primality
         reality = is_real(g).reality
         tag = classify(g).tag
-        for label, h in (("arrow", g.arrow_dual()), ("color", g.color_dual())):
+        # Both maps are injective on factors, so each arrow keeps its count.
+        arrows = _arrow_multiset(g).items()
+        flipped = Counter({(_flip(h), _flip(t), e): k for (t, h, e), k in arrows})
+        kept = Counter({(dual(t, dg), dual(h, dg), e): k for (t, h, e), k in arrows})
+        for label, h, expected in (("arrow", arrow_dual(g), flipped),
+                                   ("color", color_dual(g), kept)):
             if is_prime(h).primality != primality or is_real(h).reality != reality:
                 result.fail(f"{label}-dual verdict differs for "
                             f"{[v.label() for v in g.vertices]} at rank {g.diagram.n}")
             if classify(h).tag != tag:
                 result.fail(f"{label}-dual shape tag differs for "
+                            f"{[v.label() for v in g.vertices]} at rank {g.diagram.n}")
+            if _arrow_multiset(h) != expected:
+                result.fail(f"{label}-dual arrows differ for "
                             f"{[v.label() for v in g.vertices]} at rank {g.diagram.n}")
     return result
 

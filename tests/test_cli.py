@@ -416,6 +416,44 @@ def test_malformed_inputs(capsys, tmp_path):
     assert code == 1
 
 
+def test_fields_past_the_print_bound_are_refused(capsys, tmp_path):
+    'every field parses, yet the merged weight would have 4301 digits'
+    huge = 9 * 10 ** 4299
+    path = write_input(tmp_path, 1, [{"color": 1, "exponent": 0, "weight": huge},
+                                     {"color": 1, "exponent": huge, "weight": huge}])
+    for argv in (["factorize", path], ["graph", path], ["classify", path],
+                 ["prime", path], ["prime", path, "--trace"], ["real", path]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert err == "input error: factor field 'exponent' must be below " \
+                      "10^4000 in magnitude\n", argv
+        assert "set_int_max_str_digits" not in err
+    for rank, factor, field in ((10 ** 4000, {"color": 1, "exponent": 0, "weight": 1}, "'rank'"),
+                                (2, {"color": 1, "exponent": -10 ** 4000, "weight": 1},
+                                 "factor field 'exponent'"),
+                                (2, {"color": 1, "exponent": 0, "weight": 10 ** 4000},
+                                 "factor field 'weight'"),
+                                (2, {"color": 10 ** 4000, "exponent": 0, "weight": 1},
+                                 "factor field 'color'")):
+        code, _, err = run(capsys, ["prime", write_input(tmp_path, rank, [factor])])
+        assert (code, err) == (1, f"input error: {field} must be below 10^4000 "
+                                  f"in magnitude\n")
+    # One step below the bound still gets an answer.
+    edge = write_input(tmp_path, 2, [{"color": 1, "exponent": 1 - 10 ** 4000,
+                                      "weight": 10 ** 4000 - 1}])
+    code, out, _ = run(capsys, ["factorize", edge])
+    assert code == 0 and json.loads(out)["factors"][0]["weight"] == 10 ** 4000 - 1
+    nines = "9" * 4300
+    for flag in ("rank", "i", "r", "j", "s", "jlo", "jhi"):
+        argv = ["rset", "--rank", "1", "--i", "1", "--r", "2", "--j", "1", "--s", "1",
+                "--jlo", "1", "--jhi", "1"]
+        argv[argv.index(f"--{flag}") + 1] = nines
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, ""), flag
+        assert err == f"input error: --{flag} must be below 10^4000 in magnitude\n"
+        assert "set_int_max_str_digits" not in err
+
+
 def test_byte_determinism(capsys, tmp_path):
     path = write_input(tmp_path, 3, COSUBPT)
     outputs = set()

@@ -8,12 +8,13 @@ from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, AltLineConfig,
                               _alt_configs, alt_line_cut_simple, cut_general_conditions,
                               decide, dual_pair_simple, is_prime, is_real)
 from qfgraph.drinfeld import KRFactor
-from qfgraph.dynkin import DynkinA, Interval
+from qfgraph.dynkin import DynkinA
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
 from qfgraph.graph import QFactGraph, build_graph
 from qfgraph.redsets import minimal_window, string_parameter
-from qfgraph.sweeps import (check_duality, check_forms_agree, extra_condition_uniform,
-                            ineq_forms, iter_alt_line_configs, sign_split)
+from qfgraph.sweeps import (arrow_dual, check_duality, check_forms_agree, color_dual,
+                            extra_condition_uniform, ineq_forms, iter_alt_line_configs,
+                            sign_split)
 
 A2 = DynkinA(2)
 
@@ -230,26 +231,30 @@ def _cut_window(c):
                           c.middle_color, c.middle_weight, c.iso_label)
 
 
+def _ends(window):
+    return window.lo, window.hi
+
+
 def test_case_parameters_examples():
     c = cfg(A2, (2, 2, 4), (1, 1), (2, 1, 3))
     p, pp = ineq_forms(c)[:2]
     sign_split(c, p, pp)
     assert (p, pp) == (0, 0)
-    assert _cut_window(c) == Interval(1, 2) and _cut_window(c).dual_coxeter() == 3
-    assert c.window == _cut_window(c) and "window" not in repr(c)
+    assert _ends(_cut_window(c)) == (1, 2) and _cut_window(c).dual_coxeter() == 3
+    assert _ends(c.window) == _ends(_cut_window(c)) and "window" not in repr(c)
 
     c = cfg(A2, (2, 1, 3), (1, 1), (2, 2, 4))
     p, pp = ineq_forms(c)[:2]
     sign_split(c, p, pp)
     assert (p, pp) == (0, 0)
-    assert _cut_window(c) == Interval(1, 2) and _cut_window(c).dual_coxeter() == 3
+    assert _ends(_cut_window(c)) == (1, 2) and _cut_window(c).dual_coxeter() == 3
 
     for r in range(2, 9):
         c = cfg(A2, (1, r, r + 1), (2, 2), (1, 1, 4))
         p, pp = ineq_forms(c)[:2]
         sign_split(c, p, pp)
         assert p == 1
-        assert _cut_window(c) == Interval(1, 2) and _cut_window(c).dual_coxeter() == 3
+        assert _ends(_cut_window(c)) == (1, 2) and _cut_window(c).dual_coxeter() == 3
 
 
 def test_case_parameters_signed_identities():
@@ -279,6 +284,17 @@ def test_duality_catches_a_negated_dual_pair_test(monkeypatch):
     assert result.checked == 1000
     assert not result.passed
     assert all(f.startswith("dual-pair test disagrees with the string parameter for ")
+               for f in result.failures)
+
+
+def test_duality_catches_dual_transforms_that_do_nothing(monkeypatch):
+    'identity transforms keep every verdict, but not the arrows a dual must have'
+    monkeypatch.setattr(qfgraph.sweeps, "arrow_dual", lambda g: g)
+    monkeypatch.setattr(qfgraph.sweeps, "color_dual", lambda g: g)
+    result = check_duality(1000, 2024)
+    assert result.checked == 1000
+    assert not result.passed
+    assert all(f.startswith(("arrow-dual arrows differ for ", "color-dual arrows differ for "))
                for f in result.failures)
 
 
@@ -390,7 +406,7 @@ def test_verdict_duality_invariance_on_fixtures():
                         newprimex_factors(2), newprimex_factors(3)):
         g = build(dg, factors)
         want = (is_prime(g).primality, is_real(g).reality)
-        for h in (g.arrow_dual(), g.color_dual()):
+        for h in (arrow_dual(g), color_dual(g)):
             assert (is_prime(h).primality, is_real(h).reality) == want
 
 

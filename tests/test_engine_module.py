@@ -9,11 +9,11 @@ FUNCTIONS and METHODS of perfbench/tracer.py, read from the tracer itself),
 and a method that overrides an inherited one, such as argparse's `error`.
 
 The same guard, with the sweeps and q-characters left out of the readers,
-keeps the engine modules to the engine: every name in decision.py, and
-every name in redsets.py and dynkin.py, must be read outside sweeps.py and
-qchar.py.  A name that only the sweeps read is an oracle, and belongs in
-qfgraph/sweeps.py beside the sweep that uses it.  Interval is left out: its
-window helpers serve the sweeps and the test-side references.
+keeps the five engine modules to the engine: every name in dynkin.py,
+redsets.py, drinfeld.py, graph.py and decision.py, Interval's methods
+included, must be read outside sweeps.py and qchar.py.  A name that only
+the sweeps read is an oracle, and belongs in qfgraph/sweeps.py beside the
+sweep that uses it.  Only the names the tracer wraps are exempt.
 
 Every name the tracer wraps must also resolve in qfgraph, so deleting one
 fails here and not only in the traced benchmark run.
@@ -31,6 +31,7 @@ import qfgraph.sweeps
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "qfgraph"
 ORACLES = ("sweeps", "qchar")
+ENGINE = ("dynkin", "redsets", "drinfeld", "graph", "decision")
 
 
 def _tracer():
@@ -105,10 +106,15 @@ def _overrides(qualified: str) -> bool:
     return any(meth in vars(base) for base in bases)
 
 
-def _unread_in_package(modules: dict) -> list[str]:
+def _traced() -> set[str]:
+    """The names the tracer wraps, as module.name or module.Class.method."""
     tracer = _tracer()
-    traced = {f"{m}.{name}" for m, name, _ in tracer.FUNCTIONS} | \
+    return {f"{m}.{name}" for m, name, _ in tracer.FUNCTIONS} | \
         {f"{m}.{cls}.{meth}" for m, cls, meth in tracer.METHODS}
+
+
+def _unread_in_package(modules: dict) -> list[str]:
+    traced = _traced()
     return [q for q in _unread(modules, modules, modules)
             if q not in traced and not _overrides(q)]
 
@@ -128,26 +134,46 @@ def test_the_guard_flags_a_method_only_the_tests_would_read():
 
 def _unread_by_engine(modules: dict, defining) -> list[str]:
     readers = [m for m in modules if m not in ORACLES]
-    return [q for q in _unread(modules, defining, readers)
-            if not q.startswith("dynkin.Interval.")]
+    traced = _traced()
+    return [q for q in _unread(modules, defining, readers) if q not in traced]
+
+
+def _class(modules: dict, module: str, name: str) -> ast.ClassDef:
+    return next(s for s in modules[module].body
+                if isinstance(s, ast.ClassDef) and s.name == name)
+
+
+def _methods(cls: ast.ClassDef) -> set[str]:
+    return {s.name for s in cls.body if isinstance(s, ast.FunctionDef)}
 
 
 def test_every_engine_name_is_read_outside_the_sweeps():
     modules = _modules()
-    defined = set().union(*map(_defined, modules["decision"].body))
-    assert {"alt_line_cut_simple", "decide", "PRIME"} <= defined
-    unread = _unread_by_engine(modules, ("decision",))
-    assert not unread, f"decision.py names only the sweeps read: {unread}"
+    for module, names in (("decision", {"alt_line_cut_simple", "decide", "PRIME"}),
+                          ("graph", {"build_graph", "classify"}),
+                          ("drinfeld", {"normalize", "dual"})):
+        assert names <= set().union(*map(_defined, modules[module].body)), module
+    unread = _unread_by_engine(modules, ("decision", "graph", "drinfeld"))
+    assert not unread, f"engine names only the sweeps read: {unread}"
 
 
 def test_redsets_and_dynkin_define_only_what_the_engine_reads():
     modules = _modules()
-    diagram = next(s for s in modules["dynkin"].body
-                   if isinstance(s, ast.ClassDef) and s.name == "DynkinA")
-    assert {"check_node", "check_interval"} <= {
-        s.name for s in diagram.body if isinstance(s, ast.FunctionDef)}
+    assert {"check_node", "check_interval"} <= _methods(_class(modules, "dynkin", "DynkinA"))
+    assert {"reflect", "dual_coxeter"} <= _methods(_class(modules, "dynkin", "Interval"))
     unread = _unread_by_engine(modules, ("redsets", "dynkin"))
     assert not unread, f"redsets.py and dynkin.py names only the sweeps read: {unread}"
+
+
+def test_the_engine_guard_flags_an_oracle_method_added_back():
+    'a graph method that only the sweeps read passes the package guard, not this one'
+    modules = _modules()
+    _class(modules, "graph", "QFactGraph").body += ast.parse(
+        "def arrow_dual(self):\n    return self\n").body
+    modules["sweeps"].body += ast.parse("def _probe(g):\n    return g.arrow_dual()\n").body
+    assert set(ENGINE) <= set(modules)
+    assert "graph.QFactGraph.arrow_dual" not in _unread_in_package(modules)
+    assert _unread_by_engine(modules, ENGINE) == ["graph.QFactGraph.arrow_dual"]
 
 
 def test_every_name_the_tracer_wraps_resolves():

@@ -12,6 +12,7 @@ from qfgraph.graph import (ALTERNATING_LINE3, DISCONNECTED, MONOTONIC_LINE3,
                            OTHER, SINGLETON, TOTALLY_ORDERED, TREE, TRIANGLE,
                            TWO_LINE, Arrow, _overlaps, build_graph, classify)
 from qfgraph.redsets import r_set
+from qfgraph.sweeps import arrow_dual, color_dual
 
 
 def arrow_set(g):
@@ -112,7 +113,7 @@ def test_connected_subgraph_counts():
 def test_arrow_dual_is_involution():
     dg, factors = cosubpt_factors()
     g = build_graph(factors, dg)
-    gg = g.arrow_dual()
+    gg = arrow_dual(g)
     flipped = {(KRFactor(g.vertices[a.head].color, -g.vertices[a.head].exponent,
                          g.vertices[a.head].weight),
                 KRFactor(g.vertices[a.tail].color, -g.vertices[a.tail].exponent,
@@ -121,7 +122,7 @@ def test_arrow_dual_is_involution():
     dualled = {(gg.vertices[a.tail], gg.vertices[a.head], a.epsilon)
                for a in gg.arrows}
     assert dualled == flipped
-    ggg = gg.arrow_dual()
+    ggg = arrow_dual(gg)
     assert (ggg.diagram.n, ggg.vertices, ggg.arrows, ggg.was_refactorized) == \
         (g.diagram.n, g.vertices, g.arrows, g.was_refactorized)
     assert classify(gg).tag == classify(g).tag
@@ -130,11 +131,11 @@ def test_arrow_dual_is_involution():
 def test_color_dual_maps_vertices():
     dg, factors = cesubpt_factors()
     g = build_graph(factors, dg)
-    gg = g.color_dual()
+    gg = color_dual(g)
     assert KRFactor(2, 4, 2) in gg.vertices
     assert KRFactor(1, 0, 1) in gg.vertices
     shift = -2 * (dg.n + 1)
-    assert gg.color_dual().vertices == tuple(
+    assert color_dual(gg).vertices == tuple(
         KRFactor(v.color, v.exponent + shift, v.weight) for v in g.vertices)
     assert classify(gg).tag == classify(g).tag
 

@@ -27,7 +27,6 @@ from qfgraph.qchar import LWeight
 
 def test_hashes_are_field_tuple_hashes():
     assert hash(KRFactor(2, -3, 4)) == hash((2, -3, 4))
-    assert hash(Interval(1, 2)) == hash((1, 2))
     entries = (((1, 0), 1), ((2, 3), -1))
     assert hash(LWeight(entries)) == hash((entries,))
     assert hash(LWeight(())) == hash(((),))
@@ -83,7 +82,7 @@ def test_interval_calls_post_init_through_the_class(monkeypatch):
 
     monkeypatch.setattr(Interval, "__post_init__", counted)
     Interval(1, 2)
-    Interval.hull(4, 3)
+    Interval(3, 4)
     with pytest.raises(ValueError):
         Interval(0, 1)
     assert calls == [(1, 2), (3, 4), (0, 1)]
