@@ -16,14 +16,12 @@ import functools
 import json
 import sys
 
+from . import fixtures, qchar, sweeps
 from .decision import decide, is_prime, is_real
 from .drinfeld import KRFactor, normalize
 from .dynkin import DynkinA, Interval
-from .fixtures import EXAMPLE_NAMES, run_example
 from .graph import QFactGraph, build_graph, classify
-from .qchar import dominant_product_lweights, socle_head
 from .redsets import r_set
-from .sweeps import CHECKS, SWEEP_CAPS
 
 # Largest reducibility set `rset` prints; each element is written out, so a
 # set of 10^10 elements would need about a terabyte.
@@ -154,15 +152,15 @@ def cmd_real(args) -> int:
 
 def cmd_qchar_product(args) -> int:
     diagram = DynkinA(args.rank)
-    dominant = dominant_product_lweights(diagram, args.i, args.j, args.m)
-    sh = socle_head(diagram, args.i, args.j, args.m)
+    dominant = qchar.dominant_product_lweights(diagram, args.i, args.j, args.m)
+    sh = qchar.socle_head(diagram, args.i, args.j, args.m)
     emit({"dominant": sorted((w.to_json() for w in dominant), key=str),
           "socle_head": sh.to_json()})
     return 0
 
 
 def cmd_examples(args) -> int:
-    report = run_example(args.name)
+    report = fixtures.run_example(args.name)
     for line in report.lines():
         print(line)
     if not report.all_passed():
@@ -174,19 +172,19 @@ def cmd_examples(args) -> int:
 def cmd_sweep(args) -> int:
     import inspect  # here, not at the top: no other command reads signatures
     try:
-        check = CHECKS[args.check]
+        check = sweeps.CHECKS[args.check]
     except KeyError:
         raise ValueError(f"unknown check {args.check!r}; choose from "
-                         f"{', '.join(sorted(CHECKS))}") from None
+                         f"{', '.join(sorted(sweeps.CHECKS))}") from None
     kwargs = {name: getattr(args, name) for name in inspect.signature(check).parameters}
-    for name in [n for n in kwargs if n in SWEEP_CAPS]:  # in signature order
+    caps = sweeps.SWEEP_CAPS
+    for name in [n for n in kwargs if n in caps]:  # in signature order
         value = kwargs[name]
         flag = f"--{name.replace('_', '-')}"
         if value < 1:  # a check must not pass on zero cases
             raise ValueError(f"{flag} must be at least 1, got {value}")
-        if value > SWEEP_CAPS[name]:
-            raise ValueError(f"{flag} must be at most {SWEEP_CAPS[name]}, "
-                             f"got {value}")
+        if value > caps[name]:
+            raise ValueError(f"{flag} must be at most {caps[name]}, got {value}")
     result = check(**kwargs)
     for line in result.lines():
         print(line)
@@ -252,12 +250,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qchar_product)
 
     p = sub.add_parser("examples", help="re-verify a built-in example family")
-    p.add_argument("name", help=f"one of: {', '.join(EXAMPLE_NAMES)}")
+    p.add_argument("name", help="the example family; an unknown name lists them")
     p.set_defaults(func=cmd_examples)
 
     p = sub.add_parser("sweep", help="run an exhaustive or randomized property sweep")
-    p.add_argument("--check", required=True,
-                   help=f"one of: {', '.join(sorted(CHECKS))}")
+    p.add_argument("--check", required=True, help="the sweep; an unknown name lists them")
     p.add_argument("--max-rank", type=int, default=6)
     p.add_argument("--max-weight", type=int, default=4)
     p.add_argument("--trials", type=int, default=1000)

@@ -8,6 +8,7 @@ import pytest
 
 import qfgraph
 import qfgraph.cli
+import qfgraph.fixtures
 import qfgraph.graph
 from qfgraph.cli import main, make_parser
 from qfgraph.sweeps import SWEEP_CAPS
@@ -319,7 +320,7 @@ def test_examples_failed_reproduction_exits_2(capsys, monkeypatch):
         def all_passed(self):
             return False
 
-    monkeypatch.setattr(qfgraph.cli, "run_example", lambda name: Failed())
+    monkeypatch.setattr(qfgraph.fixtures, "run_example", lambda name: Failed())
     code, out, err = run(capsys, ["examples", "cosubpt"])
     assert (code, out, err) == (2, "FAIL: cosubpt\n", "example reproduction failed\n")
 

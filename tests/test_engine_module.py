@@ -3,10 +3,13 @@ than the sweeps.
 
 One guard covers every module: each top-level name and each non-dunder
 method must be read by some src/ module; a definition reading its own name
-does not count.  Code that only the tests read does not belong in src/.  Two
-exceptions count as read: a name that the benchmark tracer wraps (the
-FUNCTIONS and METHODS of perfbench/tracer.py, read from the tracer itself),
-and a method that overrides an inherited one, such as argparse's `error`.
+does not count.  A top-level name is read as a bare name or through the bare
+name of its module (`sweeps.CHECKS` reads sweeps.CHECKS, `args.CHECKS` reads
+nothing), so the CLI can reach the lazily loaded modules by attribute.  Code
+that only the tests read does not belong in src/.  Two exceptions count as
+read: a name that the benchmark tracer wraps (the FUNCTIONS and METHODS of
+perfbench/tracer.py, read from the tracer itself), and a method that
+overrides an inherited one, such as argparse's `error`.
 
 The same guard, with the sweeps and q-characters left out of the readers,
 keeps the five engine modules to the engine: every name in dynkin.py,
@@ -16,12 +19,18 @@ the sweeps read is an oracle, and belongs in qfgraph/sweeps.py beside the
 sweep that uses it.  Only the names the tracer wraps are exempt.
 
 Every name the tracer wraps must also resolve in qfgraph, so deleting one
-fails here and not only in the traced benchmark run.
+fails here and not only in the traced benchmark run.  The tracer finds the
+lazily loaded modules after a bare `import qfgraph.cli`, and leaves the
+engine functions as it found them.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -64,20 +73,24 @@ def _defined(stmt) -> set[str]:
 
 
 def _loads(tree) -> tuple[Counter, Counter]:
-    """How often tree loads each name, and each attribute."""
+    """How often tree loads each name, and each attribute.  The names also
+    count, as "name.attribute", each attribute loaded from a bare name."""
     names, attrs = Counter(), Counter()
     for n in ast.walk(tree):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             names[n.id] += 1
         elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
             attrs[n.attr] += 1
+            if isinstance(n.value, ast.Name):
+                names[f"{n.value.id}.{n.attr}"] += 1
     return names, attrs
 
 
 def _unread(modules: dict, defining, readers) -> list[str]:
     """Top-level names and non-dunder methods of the defining modules, as
     module.name or module.Class.method, that no other statement of the
-    readers loads.  The defining modules must be among the readers."""
+    readers loads, bare or through the defining module's bare name.  The
+    defining modules must be among the readers."""
     names, attrs = Counter(), Counter()
     for r in readers:
         n, a = _loads(modules[r])
@@ -87,7 +100,8 @@ def _unread(modules: dict, defining, readers) -> list[str]:
         for stmt in modules[mod].body:
             own = _loads(stmt)[0]
             unread += [f"{mod}.{name}" for name in sorted(_defined(stmt))
-                       if not _dunder(name) and names[name] == own[name]]
+                       if not _dunder(name) and names[name] + names[f"{mod}.{name}"]
+                       == own[name] + own[f"{mod}.{name}"]]
             if not isinstance(stmt, ast.ClassDef):
                 continue
             unread += [f"{mod}.{stmt.name}.{f.name}" for f in stmt.body
@@ -130,6 +144,15 @@ def test_the_guard_flags_a_method_only_the_tests_would_read():
                    if isinstance(s, ast.ClassDef) and s.name == "LWeight")
     lweight.body += ast.parse("@classmethod\ndef identity(cls):\n    return cls(())\n").body
     assert _unread_in_package(modules) == ["qchar.LWeight.identity"]
+
+
+def test_the_guard_counts_a_read_through_the_defining_module_only():
+    modules = _modules()
+    modules["sweeps"].body += ast.parse("PROBE_CAP = 1").body
+    modules["cli"].body += ast.parse("args.PROBE_CAP").body
+    assert _unread_in_package(modules) == ["sweeps.PROBE_CAP"]
+    modules["cli"].body += ast.parse("sweeps.PROBE_CAP").body
+    assert _unread_in_package(modules) == []
 
 
 def _unread_by_engine(modules: dict, defining) -> list[str]:
@@ -186,3 +209,32 @@ def test_every_name_the_tracer_wraps_resolves():
             f"the tracer wraps qfgraph.{mod}.{cls}.{meth}, which is gone"
     assert isinstance(qfgraph.sweeps.CHECKS, dict) and qfgraph.sweeps.CHECKS
     assert "__post_init__" in vars(qfgraph.dynkin.Interval)
+
+
+def test_the_tracer_installs_after_a_bare_cli_import(tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"rank": 3, "factors": [
+        {"color": 1, "exponent": 1, "weight": 2}, {"color": 2, "exponent": 5, "weight": 1},
+        {"color": 3, "exponent": 6, "weight": 3}, {"color": 3, "exponent": 8, "weight": 1}]}))
+    probe = ("import contextlib, importlib.util, io, sys\n"
+             "import qfgraph.cli\n"
+             "spec = importlib.util.spec_from_file_location('tracer', sys.argv[1])\n"
+             "tracer = importlib.util.module_from_spec(spec)\n"
+             "spec.loader.exec_module(tracer)\n"
+             "engine = [(qfgraph.redsets, 'r_set'), (qfgraph.graph, 'build_graph'),\n"
+             "          (qfgraph.decision, 'is_prime')]\n"
+             "originals = [getattr(m, name) for m, name in engine]\n"
+             "t = tracer.Tracer()\n"
+             "t.install()\n"
+             "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+             "        contextlib.redirect_stderr(io.StringIO()):\n"
+             "    code = qfgraph.cli.main(['prime', '--trace', sys.argv[2]])\n"
+             "t.uninstall()\n"
+             "print(code, t.total('graph.build_graph', 'calls'),\n"
+             "      all(getattr(m, name) is f for (m, name), f in zip(engine, originals)))\n")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(ROOT / "perfbench" / "tracer.py"), str(path)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 1 True\n"

@@ -6,9 +6,11 @@ assigned to, and hash as the tuple of their fields, so set and dict
 iteration orders, and with them the output bytes, stay put.  Factors sort
 in field order; the repr that sweep counterexamples print keeps its form;
 and constructors still validate.  Importing the CLI loads neither
-`dataclasses` nor `inspect`.
+`dataclasses` nor `inspect`, and a verdict executes no q-character, sweep
+or example module.
 """
 
+import json
 import os
 import random
 import subprocess
@@ -88,12 +90,30 @@ def test_interval_calls_post_init_through_the_class(monkeypatch):
     assert calls == [(1, 2), (3, 4), (0, 1)]
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
+def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
+    """Nor does it execute the q-characters, sweeps or examples: after the
+    import and a `prime --trace` request only the engine modules have run
+    (a lazily loaded module that has not run is not a plain module yet)."""
     # -S skips site, whose .pth files may import either module themselves.
     src = os.path.dirname(os.path.dirname(qfgraph.__file__))
-    probe = ("import sys, qfgraph.cli\n"
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
-    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    diagram, factors = cosubpt_factors()
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"rank": diagram.n,
+                                "factors": [f.to_json() for f in factors]}))
+    probe = ("import contextlib, io, sys, types, qfgraph.cli\n"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+             "with contextlib.redirect_stdout(io.StringIO()) as out, \\\n"
+             "        contextlib.redirect_stderr(io.StringIO()):\n"
+             "    code = qfgraph.cli.main(['prime', '--trace', sys.argv[1]])\n"
+             "print(code, '\"certificate\"' in out.getvalue())\n"
+             "print(*sorted(name for name, m in sys.modules.items()\n"
+             "              if name.partition('.')[0] == 'qfgraph'\n"
+             "              and type(m) is types.ModuleType))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, str(path)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout.splitlines() == [
+        "[]", "0 True",
+        "qfgraph qfgraph.cli qfgraph.decision qfgraph.drinfeld qfgraph.dynkin "
+        "qfgraph.graph qfgraph.redsets"]
