@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
+from . import graph
 from .dynkin import DynkinA, Interval
 from .drinfeld import KRFactor, dual
 from .graph import (ALTERNATING_LINE3, DISCONNECTED, MONOTONIC_LINE3, OTHER,
@@ -237,19 +238,34 @@ def _first_simple_triple(g: QFactGraph) -> tuple[int, ...] | None:
     Neighbor lists are sorted (build_graph lists arrows in (tail, head)
     order), so a middle's pairs come in sorted-triple order; each stream
     stops at its first simple triple or at the first one not below the best.
+    The scan refuses the input with ValueError once it would test more than
+    graph.MAX_BUILD_PAIRS end cuts.
     """
-    best = None
+    best, budget = None, graph.MAX_BUILD_PAIRS
     for mid in range(len(g)):
         for ends in (g.out_neighbors(mid), g.in_neighbors(mid)):
             for a, b in itertools.combinations(ends, 2):
                 key = tuple(sorted((mid, a, b)))
                 if best is not None and key >= best:
                     break
-                if alt_line_cut_simple(_alt_configs(g, mid, a, b)) or \
-                        alt_line_cut_simple(_alt_configs(g, mid, b, a)):
-                    best = key
+                for iso, other in ((a, b), (b, a)):
+                    budget -= 1
+                    if budget < 0:
+                        raise _over_budget("end cuts")
+                    if alt_line_cut_simple(_alt_configs(g, mid, iso, other)):
+                        best = key
+                        break
+                if best == key:
                     break
     return best
+
+
+def _over_budget(what: str) -> ValueError:
+    """The error for a tree whose rules would take more than graph.MAX_BUILD_PAIRS
+    steps: a star's build examines about one pair per leaf, so the build's
+    budget alone does not bound the rules, which test pairs of leaves."""
+    return ValueError(f"the tree rules would test more than "
+                      f"{graph.MAX_BUILD_PAIRS} {what}")
 
 
 def _tree_dual_pairs_simple(g: QFactGraph) -> bool:
@@ -259,15 +275,19 @@ def _tree_dual_pairs_simple(g: QFactGraph) -> bool:
     bounded by r + s + n - 1, so (dual of u) tensor v can be reducible only
     when e_v lies within r_u + s + n - 1 of that exponent: when u's window
     [e - 2n - r, e + r - 2] overlaps v's span [e - s, e + s] (see _overlaps).
+    The scan refuses the input with ValueError once it would examine more
+    than graph.MAX_BUILD_PAIRS such pairs.
     """
     n = g.diagram.n
-    for u, v in _overlaps(g.vertices,
-                          lambda f: (f.exponent - 2 * n - f.weight,
-                                     f.exponent + f.weight - 2),
-                          lambda f: (f.exponent - f.weight, f.exponent + f.weight)):
+    pairs = _overlaps(g.vertices,
+                      lambda f: (f.exponent - 2 * n - f.weight, f.exponent + f.weight - 2),
+                      lambda f: (f.exponent - f.weight, f.exponent + f.weight))
+    for u, v in itertools.islice(pairs, graph.MAX_BUILD_PAIRS):
         if v != u and not g.adjacent(u, v) and \
                 not dual_pair_simple(g.vertices[u], g.vertices[v], g.diagram):
             return False
+    if next(pairs, None) is not None:
+        raise _over_budget("dual pairs")
     return True
 
 

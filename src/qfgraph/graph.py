@@ -235,6 +235,6 @@ def classify(g: QFactGraph) -> ShapeClass:
         return ShapeClass(ALTERNATING_LINE3, comps, (ends[0], middle, ends[1]))
     if g.is_totally_ordered():
         return ShapeClass(TOTALLY_ORDERED, comps)
-    if len(g.arrows) == n - 1:  # connected, so a tree (see QFactGraph.is_tree)
+    if g.is_tree():
         return ShapeClass(TREE, comps)
     return ShapeClass(OTHER, comps)

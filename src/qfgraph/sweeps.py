@@ -129,13 +129,13 @@ def ineq_forms(cfg: AltLineConfig) -> tuple[int, int, bool, bool]:
     """(p, p', general conditions, cut simple) via the string-parameter system.
 
     Exists solely for differential testing.  p and p' are the string
-    parameters of the two arrows.  The case split follows the sign
-    of p: for p <= 0 the window widens the hull by -p on each side, the
-    general conditions are j' in it, -p' <= -p - d(j', [i,j]) and r + p' - 1
-    in [p + d(j', [i,j]), min(r, s')), and the weight drop is r <= s'; for
-    p > 0 they are j' in [i,j], p' >= 0 and r - p + p' - 1 in [0, min(r, s')),
-    and the weight drop is r <= s' or p != p'.  The hull [lo, hi] of i and j
-    and the window stay plain integers; `cfg.window` is not read.
+    parameters of the two arrows, and d = d(j', [i,j]) is the offset of j'
+    from the hull of i and j.  The case split follows the sign of p: for
+    p <= 0 the window widens the hull by -p on each side, the general
+    conditions are d <= -p, -p' <= -p - d and r + p' - 1 in [p + d, min(r, s')),
+    and the weight drop is r <= s'; for p > 0 they are d = 0, p' >= 0 and
+    r - p + p' - 1 in [0, min(r, s')), and the weight drop is r <= s' or
+    p != p'.  `cfg.window` is not read.
     """
     dg = cfg.diagram
     i, r = cfg.iso_color, cfg.iso_weight
@@ -145,14 +145,13 @@ def ineq_forms(cfg: AltLineConfig) -> tuple[int, int, bool, bool]:
     pp = string_parameter(dg, j, s, jp, sp, cfg.other_label)
     if p is None or pp is None:
         raise ValueError("arrow labels are outside the unrestricted reducibility sets")
-    lo, hi = (i, j) if i <= j else (j, i)
+    offset = hull_distance(i, j, jp)
     floor = min(r, sp)
     if p <= 0:
-        offset = hull_distance(i, j, jp)
-        general = (lo + p <= jp <= hi - p and -pp <= -p - offset
+        general = (offset <= -p and -pp <= -p - offset
                    and p + offset <= r + pp - 1 < floor)
         return p, pp, general, general and r <= sp
-    general = lo <= jp <= hi and pp >= 0 and 0 <= r - p + pp - 1 < floor
+    general = offset == 0 and pp >= 0 and 0 <= r - p + pp - 1 < floor
     return p, pp, general, general and (r <= sp or p != pp)
 
 
@@ -195,9 +194,6 @@ def _assert_sweep_bounds(cfg: AltLineConfig, p: int, pp: int,
         result.fail(f"p_minus bound fails on {cfg.params_json()} at rank {cfg.diagram.n}")
     if p <= 0 and m >= mp and p_plus > sp:
         result.fail(f"p_plus ceiling fails on {cfg.params_json()} at rank {cfg.diagram.n}")
-    if p > 0 and not 0 <= r - p + pp - 1 < floor:
-        result.fail(f"shifted-parameter window fails "
-                    f"on {cfg.params_json()} at rank {cfg.diagram.n}")
 
 
 def check_c3aline(max_rank: int, max_weight: int) -> SweepResult:
@@ -240,6 +236,11 @@ def check_dominant_pair(max_rank: int) -> SweepResult:
     return result
 
 
+def _inside(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Does the window of hull offsets a lie inside the window of offsets b?"""
+    return a[0] <= b[0] and a[1] <= b[1]
+
+
 def check_redsets_algebra(max_rank: int, max_weight: int) -> SweepResult:
     """Symmetry, parity, cardinality, extremes, monotonicity, minimal windows,
     and string parameters on each set and one step past either end of it."""
@@ -255,48 +256,37 @@ def check_redsets_algebra(max_rank: int, max_weight: int) -> SweepResult:
                 result.fail(f"hull-distance identity fails n={n} i={i} j={j} k={k}")
             if d_ij_k > min(abs(k - i), abs(k - j)):
                 result.fail(f"hull-distance bound fails n={n} i={i} j={j} k={k}")
-        windows = [Interval(a, b) for a in nodes for b in nodes if a <= b]
+        windows = {(a, b): Interval(a, b) for a in nodes for b in nodes if a <= b}
         for i, j in itertools.product(nodes, repeat=2):
             lo, hi = (i, j) if i <= j else (j, i)  # the hull of i and j
             d = hi - lo
-            containing = [w for w in windows if w.lo <= lo and hi <= w.hi]
-            # Nested (small, big) pairs of containing windows by position, and
-            # per position the windows around it (itself too) and inside it.
-            position = {(w.lo, w.hi): a for a, w in enumerate(containing)}
-            above = [{a} for a in range(len(containing))]
-            below = [set() for _ in containing]
-            nested = []
-            for a, b in itertools.combinations(range(len(containing)), 2):
-                x, y = containing[a], containing[b]
-                if y.lo <= x.lo and x.hi <= y.hi:
-                    nested.append((a, b))
-                elif x.lo <= y.lo and y.hi <= x.hi:
-                    nested.append((b, a))
-            for a, b in nested:
-                above[a].add(b)
-                below[b].add(a)
+            # The windows [lo - x, hi + y] around the hull, by offsets (x, y).
+            around = {(x, y): windows[lo - x, hi + y]
+                      for x in range(lo - 1, -1, -1) for y in range(n - hi + 1)}
+            nested = [(a, b) for pair in itertools.combinations(around, 2)
+                      for a, b in (pair, pair[::-1]) if _inside(a, b)]
             for r, s in itertools.product(range(1, max_weight + 1), repeat=2):
                 base = r + s + d
                 global_set = r_set(diagram, i, r, j, s)
                 global_members = set(global_set)
-                members = []  # the set of each containing window, by position
-                for window in containing:
+                members = {}  # the set of each window, by offsets
+                for (x, y), window in around.items():
                     result.checked += 1
                     rs = r_set(diagram, i, r, j, s, window)
-                    members.append(set(rs))
+                    members[x, y] = set(rs)
                     params = (i, r, j, s, window)
                     if rs != r_set(diagram, j, s, i, r, window):
                         result.fail(f"symmetry fails {params}")
                     if any((e - base) % 2 for e in rs):
                         result.fail(f"parity fails {params}")
-                    reach = min(lo - window.lo, window.hi - hi)
+                    reach = min(x, y)
                     if len(rs) != min(r, s) + reach:
                         result.fail(f"cardinality fails {params}")
                     top = base + 2 * reach
                     bottom = base - 2 * (min(r, s) - 1)
                     if tuple(rs) != tuple(range(bottom, top + 1, 2)):
                         result.fail(f"extremes/steps fail {params}")
-                    if not members[-1] <= global_members:
+                    if not members[x, y] <= global_members:
                         result.fail(f"monotonicity into whole diagram fails {params}")
                     for m in rs:
                         p = string_parameter(diagram, i, r, j, s, m, window)
@@ -309,21 +299,24 @@ def check_redsets_algebra(max_rank: int, max_weight: int) -> SweepResult:
                 for a, b in nested:
                     if not members[a] <= members[b]:
                         result.fail(f"monotonicity fails {i},{r},{j},{s} "
-                                    f"{containing[a]} vs {containing[b]}")
+                                    f"{around[a]} vs {around[b]}")
                 for m in global_set:
                     result.checked += 1
                     formula = minimal_window(diagram, i, r, j, s, m)
-                    admissible = {a for a, ms in enumerate(members) if m in ms}
-                    key = None if formula is None else (formula.lo, formula.hi)
-                    f = position.get(key)
+                    admissible = [xy for xy, ms in members.items() if m in ms]
+                    f = None if formula is None else (lo - formula.lo, formula.hi - hi)
                     if f not in admissible:
                         result.fail(f"minimal window not admissible {i},{r},{j},{s} m={m}")
                         continue
-                    if not admissible <= above[f]:
+                    # f is the unique minimum when it has the least offset on
+                    # both sides; only if not can another window lie inside it.
+                    xs, ys = zip(*admissible)
+                    if (min(xs), min(ys)) != f:
                         result.fail(f"minimal window not unique minimum "
                                     f"{i},{r},{j},{s} m={m}")
-                    if admissible & below[f]:
-                        result.fail(f"minimal window not minimal {i},{r},{j},{s} m={m}")
+                        if any(_inside(xy, f) for xy in admissible if xy != f):
+                            result.fail(f"minimal window not minimal "
+                                        f"{i},{r},{j},{s} m={m}")
     return result
 
 

@@ -109,6 +109,22 @@ def test_real_command(capsys, tmp_path):
     assert json.loads(out)["reality"] == "real"
 
 
+def test_classify_and_prime_on_a_triangle(capsys, tmp_path):
+    'three factors joined pairwise: tagged triangle, prime as totally ordered'
+    path = write_input(tmp_path, 3, [{"color": 1, "exponent": 7, "weight": 2},
+                                     {"color": 2, "exponent": 4, "weight": 2},
+                                     {"color": 3, "exponent": 1, "weight": 2}])
+    assert run(capsys, ["classify", path]) == (0, (
+        '{"components": [[0, 1, 2]], "line_order": null, "tag": "triangle", '
+        '"was_refactorized": false}\n'), "")
+    code, out, _ = run(capsys, ["prime", "--trace", path])
+    assert (code, out) == (0, (
+        '{"certificate": [{"cites": "totally ordered q-factorization graphs are '
+        'prime in type A", "params": {}, "rule": "totally_ordered"}, {"cites": '
+        '"no reality rule applies to graphs that are not trees", "params": {}, '
+        '"rule": "inconclusive"}], "primality": "prime", "reality": "unknown"}\n'))
+
+
 def test_graph_command(capsys, tmp_path):
     path = write_input(tmp_path, 3, COSUBPT)
     code, out, _ = run(capsys, ["graph", path])
@@ -229,6 +245,30 @@ def test_build_over_the_pair_budget_is_an_input_error(capsys, tmp_path, monkeypa
                       "vertex pairs\n"
     code, _, _ = run(capsys, ["factorize", path])
     assert code == 0
+
+
+def distinct_star(k):
+    'a center and k - 1 leaves of distinct colors, all joined to it (odd k)'
+    return [{"color": k + 2, "exponent": k, "weight": 1}] + [
+        {"color": k + 2 + t, "exponent": 0, "weight": 1} for t in range(2 - k, k - 1, 2)]
+
+
+@pytest.mark.parametrize("tested, what", [(1560, "end cuts"), (1641, "dual pairs")])
+def test_tree_rules_over_the_pair_budget_are_an_input_error(capsys, tmp_path, monkeypatch,
+                                                            tested, what):
+    """A star of 40 leaves: 40 pairs to build, 40 * 39 end cuts, then 1641 dual
+    pairs; no end cut is simple and every dual pair is, so within budget it is prime."""
+    path = write_input(tmp_path, 2 * 41 + 3, distinct_star(41))
+    monkeypatch.setattr(qfgraph.graph, "MAX_BUILD_PAIRS", tested - 1)
+    for command in ("prime", "real"):
+        code, out, err = run(capsys, [command, path])
+        assert (code, out) == (1, "")
+        assert err == f"input error: the tree rules would test more than " \
+                      f"{tested - 1} {what}\n"
+    for command in ("classify", "graph", "factorize"):
+        assert run(capsys, [command, path])[0] == 0
+    monkeypatch.setattr(qfgraph.graph, "MAX_BUILD_PAIRS", 1641)
+    assert run(capsys, ["prime", path])[:2] == (0, '{"primality": "prime", "reality": "real"}\n')
 
 
 def test_deeply_nested_json_is_an_input_error(tmp_path):

@@ -63,12 +63,19 @@ documents = st.one_of(
 
 def bulk(shape: str, rank: int) -> dict:
     """10^5 factors: copies, a sparse chain, a dense pile, heavy strings, nested
-    strings, or one factor and copies of a leaf linked to it."""
+    strings, or one factor and copies of a leaf linked to it, or of distinct
+    leaves, whose pairs the tree rules would test 10^10 times."""
     count = 10**5
     if shape == "star":
         leaf = {"color": 2, "exponent": 0, "weight": 1}
         return {"rank": max(rank, 2),
                 "factors": [{"color": 1, "exponent": 3, "weight": 1}] + [leaf] * count}
+    if shape == "distinct_star":
+        k = count - 1  # odd: a center and k - 1 leaves of odd offsets t
+        return {"rank": 2 * k + 3,
+                "factors": [{"color": k + 2, "exponent": k, "weight": 1}]
+                + [{"color": k + 2 + t, "exponent": 0, "weight": 1}
+                   for t in range(2 - k, k - 1, 2)]}
     if shape == "nested":
         factors = [{"color": 1 + k % rank, "exponent": 0, "weight": k + 1}
                    for k in range(count)]
@@ -132,7 +139,7 @@ def test_generated_json_gets_an_answer_or_an_input_error(document, command):
 
 # No shrinking: a bulk input has nothing to shrink, and each try may take MAX_RUN_S.
 @pytest.mark.parametrize("shape", ["copies", "sparse", "dense", "heavy",
-                                   "nested", "star"])
+                                   "nested", "star", "distinct_star"])
 @settings(max_examples=1, deadline=None, derandomize=True, database=None,
           phases=[Phase.generate])
 @given(rank=st.integers(1, 6), command=st.sampled_from(COMMANDS))

@@ -265,6 +265,27 @@ def test_redsets_algebra_catches_a_set_missing_its_top(monkeypatch):
     ]
 
 
+def test_redsets_algebra_catches_a_windowed_set_grown_at_the_top(monkeypatch):
+    'a set grown past its reach is no longer inside the sets of the windows around it'
+    def grown(diagram, i, r, j, s, window=None):
+        rs = r_set(diagram, i, r, j, s, window)
+        if window is not None and (diagram.n, i, r, j, s, *_ends(window)) == \
+                (3, 2, 1, 2, 1, 2, 2):
+            return range(rs.start, rs.stop + 2, 2)
+        return rs
+
+    monkeypatch.setattr(qfgraph.sweeps, "r_set", grown)
+    result = check_redsets_algebra(3, 2)
+    assert result.checked == 218
+    assert result.failures == [
+        "cardinality fails (2, 1, 2, 1, Interval(lo=2, hi=2))",
+        "extremes/steps fail (2, 1, 2, 1, Interval(lo=2, hi=2))",
+        "string-parameter round trip fails (2, 1, 2, 1, Interval(lo=2, hi=2)) m=4",
+        "monotonicity fails 2,1,2,1 Interval(lo=2, hi=2) vs Interval(lo=1, hi=2)",
+        "monotonicity fails 2,1,2,1 Interval(lo=2, hi=2) vs Interval(lo=2, hi=3)",
+    ]
+
+
 def test_redsets_algebra_catches_a_widened_minimal_window(monkeypatch):
     'a window one node wider than the formula, where the rank allows, is not minimal'
     def widened(diagram, i, r, j, s, m):

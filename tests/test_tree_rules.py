@@ -343,17 +343,21 @@ def test_decide_walks_a_tree_once(monkeypatch):
 
         monkeypatch.setattr(QFactGraph, name, counted)
     assert len(trees) > 100
-    for g in trees:
+    # classify tests for a tree once the graph is not totally ordered.
+    tagged = [int(classify(g).tag == TREE) for g in trees]
+    assert set(tagged) == {0, 1}
+    for g, k in zip(trees, tagged):
         calls.clear()
         g = QFactGraph(g.diagram, g.vertices, g.arrows, g.was_refactorized)
         assert calls == {"components": 1}
         is_prime(g)
-        assert calls == {"components": 1, "is_totally_ordered": 1}
+        # A Counter treats a missing name as zero calls.
+        assert calls == Counter(components=1, is_totally_ordered=1, is_tree=k)
         is_real(g)
-        assert calls == {"components": 1, "is_totally_ordered": 1, "is_tree": 1}
+        assert calls == Counter(components=1, is_totally_ordered=1, is_tree=k + 1)
         calls.clear()
         decide(g)
-        assert calls == {"is_totally_ordered": 1, "is_tree": 1}
+        assert calls == Counter(is_totally_ordered=1, is_tree=k + 1)
 
 
 def test_windowed_dual_pairs_match_all_pairs_oracle():
