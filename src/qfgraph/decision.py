@@ -143,21 +143,21 @@ class Verdict(namedtuple("Verdict", "primality reality certificate",
 
 
 def _alt_configs(g: QFactGraph, middle: int, iso: int, other: int) -> AltLineConfig:
-    """Cut configuration for the induced alternating triple of g."""
-    m = g.arrow_between(middle, iso)
-    mp = g.arrow_between(middle, other)
-    source = True
-    if m is None:
-        m = g.arrow_between(iso, middle)
-        mp = g.arrow_between(other, middle)
-        source = False
-    if m is None or mp is None:
-        raise ValueError("vertices do not form an alternating line around the middle")
+    """Cut configuration for the alternating triple of g around the middle.
+
+    An arrow's label is the exponent gap of its ends, so both labels and the
+    orientation (the middle is the source when both ends lie below it) are
+    read from the exponents; gaps of different signs raise ValueError.  The
+    config's own checks prove both arrows and that the ends are not joined.
+    """
     vm, vi, vo = g.vertices[middle], g.vertices[iso], g.vertices[other]
-    return AltLineConfig(g.diagram, vi.color, vi.weight, m,
+    m, mp = vm.exponent - vi.exponent, vm.exponent - vo.exponent
+    if (m > 0) != (mp > 0):
+        raise ValueError("vertices do not form an alternating line around the middle")
+    return AltLineConfig(g.diagram, vi.color, vi.weight, abs(m),
                          vm.color, vm.weight,
-                         vo.color, vo.weight, mp,
-                         middle_is_source=source)
+                         vo.color, vo.weight, abs(mp),
+                         middle_is_source=m > 0)
 
 
 def _vertex_params(g: QFactGraph, ids) -> list[str]:

@@ -34,14 +34,14 @@ ShapeClass = namedtuple("ShapeClass", "tag components line_order", defaults=(Non
 
 
 class QFactGraph:
-    __slots__ = ("diagram", "vertices", "arrows", "was_refactorized", "_arrow_map",
+    __slots__ = ("diagram", "vertices", "arrows", "was_refactorized", "_pairs",
                  "_out", "_in", "_components")
 
     def __init__(self, diagram: DynkinA, vertices: tuple[KRFactor, ...],
                  arrows: tuple[Arrow, ...], was_refactorized: bool) -> None:
         self.diagram, self.vertices, self.arrows = diagram, vertices, arrows
         self.was_refactorized = was_refactorized
-        self._arrow_map = {(a.tail, a.head): a.epsilon for a in arrows}
+        self._pairs = {(a.tail, a.head) for a in arrows}
         # Neighbor lists stay lists: a tuple per vertex, freed with every
         # graph, piles up in CPython's tuple free lists and raises peak RSS.
         out: list[list[int]] = [[] for _ in vertices]
@@ -58,11 +58,8 @@ class QFactGraph:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def arrow_between(self, tail: int, head: int) -> int | None:
-        return self._arrow_map.get((tail, head))
-
     def adjacent(self, u: int, v: int) -> bool:
-        return (u, v) in self._arrow_map or (v, u) in self._arrow_map
+        return (u, v) in self._pairs or (v, u) in self._pairs
 
     def out_neighbors(self, v: int) -> list[int]:
         return self._out[v]
@@ -114,7 +111,7 @@ class QFactGraph:
         pair is joined by an arrow.  Equal exponents are never joined.
         """
         order = self.exponent_order()
-        return all((u, v) in self._arrow_map for u, v in zip(order, order[1:]))
+        return all((u, v) in self._pairs for u, v in zip(order, order[1:]))
 
     # -- subgraphs and export -----------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 from .decision import (AltLineConfig, alt_line_cut_simple, dual_pair_simple, is_prime,
                        is_real)
@@ -74,7 +74,12 @@ def iter_linked_pairs(diagram: DynkinA, max_weight: int):
 
 
 def iter_alt_line_configs(max_rank: int, max_weight: int):
-    """All valid alternating-line configurations up to the given bounds."""
+    """All valid alternating-line configurations up to the given bounds.
+
+    Each config joins a linked pair (i, r, j, s, m) of a rank to one that
+    leaves its middle, (j, s, j', s', m'), both in iter_linked_pairs order;
+    a join is refused when its ends are joined or, of one color, coalesce.
+    """
     weights = range(1, max_weight + 1)
     pairs = list(itertools.product(weights, repeat=2))
     # Every set is computed once: the rank-one sets here, each rank's below.
@@ -84,21 +89,15 @@ def iter_alt_line_configs(max_rank: int, max_weight: int):
         nodes = range(1, n + 1)
         sets = {(i, r, j, s): r_set(diagram, i, r, j, s)
                 for i, j in itertools.product(nodes, repeat=2) for r, s in pairs}
-        for i, r, j, s, m in iter_linked_pairs(diagram, max_weight):
-            for jp in nodes:
-                for sp in weights:
-                    # mp is refused when the middle and the other end would
-                    # coalesce, or when the two ends are joined or would.
-                    middle_link = link[s, sp] if j == jp else ()
-                    ends_linked = sets[i, r, jp, sp]
-                    ends_link = link[r, sp] if i == jp else ()
-                    for mp in sets[j, s, jp, sp]:
-                        if mp in middle_link:
-                            continue
-                        ends_gap = abs(m - mp)
-                        if ends_gap in ends_linked or ends_gap in ends_link:
-                            continue
-                        yield AltLineConfig(diagram, i, r, m, j, s, jp, sp, mp)
+        linked = list(iter_linked_pairs(diagram, max_weight))
+        leaving = defaultdict(list)
+        for i, r, j, s, m in linked:
+            leaving[i, r].append((j, s, m))
+        for i, r, j, s, m in linked:
+            for jp, sp, mp in leaving[j, s]:
+                gap = abs(m - mp)
+                if gap not in sets[i, r, jp, sp] and (i != jp or gap not in link[r, sp]):
+                    yield AltLineConfig(diagram, i, r, m, j, s, jp, sp, mp)
 
 
 def hull_distance(i: int, j: int, k: int) -> int:

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -11,10 +12,10 @@ from qfgraph.drinfeld import KRFactor
 from qfgraph.dynkin import DynkinA
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
 from qfgraph.graph import QFactGraph, build_graph
-from qfgraph.redsets import minimal_window, string_parameter
-from qfgraph.sweeps import (arrow_dual, check_duality, check_forms_agree, color_dual,
-                            extra_condition_uniform, ineq_forms, iter_alt_line_configs,
-                            sign_split)
+from qfgraph.redsets import minimal_window, r_set, string_parameter
+from qfgraph.sweeps import (RANK_ONE, arrow_dual, check_duality, check_forms_agree,
+                            color_dual, extra_condition_uniform, ineq_forms,
+                            iter_alt_line_configs, iter_linked_pairs, sign_split)
 
 A2 = DynkinA(2)
 
@@ -106,6 +107,84 @@ def test_alt_configs_rejects_a_monotonic_triple():
     with pytest.raises(ValueError, match="^vertices do not form an alternating "
                                          "line around the middle$"):
         _alt_configs(g, ids["2^1@5"], ids["3^1@8"], ids["1^2@1"])
+
+
+def test_alt_configs_reads_the_labels_from_the_exponents():
+    'around cosubpt\'s 3^3@6, 1^2@1 heads an arrow but 2^1@5, one below, does not'
+    diagram, factors = cosubpt_factors()
+    g = build_graph(factors, diagram)
+    ids = {v.label(): k for k, v in enumerate(g.vertices)}
+    with pytest.raises(ValueError, match="^label 1 is not an admissible arrow gap "
+                                         "for the other end$"):
+        _alt_configs(g, ids["3^3@6"], ids["1^2@1"], ids["2^1@5"])
+
+
+def reference_alt_line_configs(max_rank, max_weight):
+    """The enumerator iter_alt_line_configs replaced: each linked pair's second
+    arm is filtered afresh from every (j', s', m') rather than taken from the
+    linked pairs that leave its middle."""
+    weights = range(1, max_weight + 1)
+    pairs = list(itertools.product(weights, repeat=2))
+    link = {(r, s): r_set(RANK_ONE, 1, r, 1, s) for r, s in pairs}
+    for n in range(1, max_rank + 1):
+        diagram = DynkinA(n)
+        nodes = range(1, n + 1)
+        sets = {(i, r, j, s): r_set(diagram, i, r, j, s)
+                for i, j in itertools.product(nodes, repeat=2) for r, s in pairs}
+        for i, r, j, s, m in iter_linked_pairs(diagram, max_weight):
+            for jp in nodes:
+                for sp in weights:
+                    # mp is refused when the middle and the other end would
+                    # coalesce, or when the two ends are joined or would.
+                    middle_link = link[s, sp] if j == jp else ()
+                    ends_linked = sets[i, r, jp, sp]
+                    ends_link = link[r, sp] if i == jp else ()
+                    for mp in sets[j, s, jp, sp]:
+                        if mp in middle_link:
+                            continue
+                        ends_gap = abs(m - mp)
+                        if ends_gap in ends_linked or ends_gap in ends_link:
+                            continue
+                        yield AltLineConfig(diagram, i, r, m, j, s, jp, sp, mp)
+
+
+def test_alt_line_configs_match_the_reference_enumerator():
+    'same configs in the same order, which the forms-agree failure lists depend on'
+    def keyed(configs):
+        return [(c.diagram.n, c.params_json()) for c in configs]
+    got = keyed(iter_alt_line_configs(5, 3))
+    assert len(got) == 12177
+    assert got == keyed(reference_alt_line_configs(5, 3))
+
+
+def test_cut_test_reduces_to_whole_window_configs():
+    """Each config is not simple on both forms when j' lies outside its window
+    J; otherwise its translate to DynkinA(|J|) either fails to build, and then
+    the config is not simple and fails the general conditions, or builds with
+    window [1, |J|] and gets the same answers from both forms."""
+    cases = Counter()
+    for c in iter_alt_line_configs(6, 4):
+        lo, hi = c.window.lo, c.window.hi
+        simple, oracle = alt_line_cut_simple(c), ineq_forms(c)[2:]
+        if not lo <= c.other_color <= hi:
+            cases["outside"] += 1
+            assert not simple and not oracle[1], c.params_json()
+            continue
+        size = hi - lo + 1
+        try:
+            t = AltLineConfig(DynkinA(size), c.iso_color - lo + 1, c.iso_weight,
+                              c.iso_label, c.middle_color - lo + 1, c.middle_weight,
+                              c.other_color - lo + 1, c.other_weight, c.other_label,
+                              c.middle_is_source)
+        except ValueError:
+            cases["unbuilt"] += 1
+            assert not simple and not oracle[0], c.params_json()
+            continue
+        cases["whole"] += 1
+        assert (t.window.lo, t.window.hi) == (1, size), c.params_json()
+        assert alt_line_cut_simple(t) == simple, c.params_json()
+        assert ineq_forms(t)[2:] == oracle, c.params_json()
+    assert cases == {"outside": 39570, "unbuilt": 11922, "whole": 38416}
 
 
 def test_forms_agree_validates_and_windows_each_config_once(monkeypatch):
