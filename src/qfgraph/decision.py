@@ -17,7 +17,7 @@ import itertools
 from collections import namedtuple
 
 from . import graph
-from .dynkin import DynkinA, Interval
+from .dynkin import DynkinA
 from .drinfeld import KRFactor, dual
 from .graph import (ALTERNATING_LINE3, DISCONNECTED, MONOTONIC_LINE3, OTHER,
                     SINGLETON, TOTALLY_ORDERED, TRIANGLE, TWO_LINE, QFactGraph,
@@ -41,13 +41,12 @@ class AltLineConfig:
     `other_label` the gap m' on the remaining arrow.
 
     Building a config raises ValueError on a line that is not alternating;
-    `window` holds the minimal window J of the isolating arrow, which the
-    cut test reads.
+    `arrow` holds the cut test's per-arrow part for the isolating arrow.
     """
 
     __slots__ = ("diagram", "iso_color", "iso_weight", "iso_label", "middle_color",
                  "middle_weight", "other_color", "other_weight", "other_label",
-                 "middle_is_source", "window")
+                 "middle_is_source", "arrow")
 
     def __init__(self, diagram: DynkinA, iso_color: int, iso_weight: int,
                  iso_label: int, middle_color: int, middle_weight: int,
@@ -55,11 +54,8 @@ class AltLineConfig:
                  middle_is_source: bool = True) -> None:
         for c in (iso_color, middle_color, other_color):
             diagram.check_node(c)
-        self.window: Interval = minimal_window(diagram, iso_color, iso_weight,
-                                               middle_color, middle_weight, iso_label)
-        if self.window is None:  # the label is not in the unrestricted set
-            raise ValueError(f"label {iso_label} is not an admissible arrow gap "
-                             f"for the isolated end")
+        self.arrow = isolating_arrow(diagram, iso_color, iso_weight, middle_color,
+                                     middle_weight, iso_label)
         # Membership by string parameter, as in minimal_window: no set is built.
         if string_parameter(diagram, middle_color, middle_weight, other_color,
                             other_weight, other_label) is None:
@@ -85,36 +81,52 @@ class AltLineConfig:
         }
 
 
-def cut_general_conditions(cfg: AltLineConfig) -> bool:
+IsolatingArrow = namedtuple("IsolatingArrow", "diagram iso_color iso_weight "
+                            "middle_color middle_weight iso_label window reflected h")
+
+
+def isolating_arrow(diagram: DynkinA, i: int, r: int, j: int, s: int,
+                    m: int) -> IsolatingArrow:
+    """The cut test's per-arrow part, shared by every partner of the arrow of
+    label m from the middle (j, s) to the isolated end (i, r): its minimal
+    window J, J.reflect(i) and h, the dual Coxeter number of J."""
+    window = minimal_window(diagram, i, r, j, s, m)
+    if window is None:  # the label is not in the unrestricted set
+        raise ValueError(f"label {m} is not an admissible arrow gap for the isolated end")
+    return IsolatingArrow(diagram, i, r, j, s, m, window, window.reflect(i),
+                          window.dual_coxeter())
+
+
+def cut_general_conditions(arrow: IsolatingArrow, jp: int, sp: int, mp: int) -> bool:
     """The three window-membership conditions of the cut-simplicity test."""
-    dg, window = cfg.diagram, cfg.window
-    jp, sp, mp = cfg.other_color, cfg.other_weight, cfg.other_label
+    dg, _, r, j, s, m, window, reflected, h = arrow
     if not window.lo <= jp <= window.hi:
         return False
-    if mp not in r_set(dg, cfg.middle_color, cfg.middle_weight, jp, sp, window):
+    if mp not in r_set(dg, j, s, jp, sp, window):
         return False
-    gap = abs(cfg.iso_label - mp - window.dual_coxeter())
-    return gap in r_set(dg, window.reflect(cfg.iso_color), cfg.iso_weight, jp, sp,
-                        window)
+    return abs(m - mp - h) in r_set(dg, reflected, r, jp, sp, window)
+
+
+def end_cut_simple(arrow: IsolatingArrow, jp: int, sp: int, mp: int) -> bool:
+    """The cut test's per-partner part: is the cut isolating the arrow's end
+    simple when the middle's other arrow, of label m', reaches (j', s')?
+
+    With J the minimal window making the isolating arrow's label admissible,
+    the cut is simple exactly when all of the following hold: j' lies in J;
+    m' stays admissible over J; |m - m' - h| lies in the J-set of the
+    reflected isolated color against (j', s') (h the dual Coxeter number of
+    J); and, for isolated weight r > 1, m - m' + 1 is not in the J-set at
+    weight r - 1.  A True value means the three-vertex graph is not prime.
+    """
+    if not cut_general_conditions(arrow, jp, sp, mp):
+        return False
+    dg, i, r, _, _, m, window, _, _ = arrow
+    return r == 1 or m - mp + 1 not in r_set(dg, i, r - 1, jp, sp, window)
 
 
 def alt_line_cut_simple(cfg: AltLineConfig) -> bool:
-    """Is the tensor product isolating the i-end of the alternating line simple?
-
-    With J the minimal window making the isolating arrow's label admissible,
-    the cut is simple exactly when all of the following hold: the other end's
-    color lies in J; its label stays admissible over J; |m - m' - h| lies in
-    the J-set of the reflected isolated color against the other end (h the
-    dual Coxeter number of J); and, for isolated weight r > 1, m - m' + 1 is
-    not in the J-set at weight r - 1.  A True value means the three-vertex
-    graph is not prime.
-    """
-    if not cut_general_conditions(cfg):
-        return False
-    r = cfg.iso_weight
-    return r == 1 or (cfg.iso_label - cfg.other_label + 1
-                      not in r_set(cfg.diagram, cfg.iso_color, r - 1,
-                                   cfg.other_color, cfg.other_weight, cfg.window))
+    """Is the tensor product isolating the i-end of the alternating line simple?"""
+    return end_cut_simple(cfg.arrow, cfg.other_color, cfg.other_weight, cfg.other_label)
 
 
 def dual_pair_simple(w1: KRFactor, w2: KRFactor, diagram: DynkinA) -> bool:
@@ -238,12 +250,15 @@ def _first_simple_triple(g: QFactGraph) -> tuple[int, ...] | None:
     Neighbor lists are sorted (build_graph lists arrows in (tail, head)
     order), so a middle's pairs come in sorted-triple order; each stream
     stops at its first simple triple or at the first one not below the best.
+    The build has proved both arrows and that the ends are not joined, so no
+    config is built: an end's per-arrow part serves all its cuts in a stream.
     The scan refuses the input with ValueError once it would test more than
     graph.MAX_BUILD_PAIRS end cuts.
     """
-    best, budget = None, graph.MAX_BUILD_PAIRS
-    for mid in range(len(g)):
+    best, budget, vertices = None, graph.MAX_BUILD_PAIRS, g.vertices
+    for mid, vm in enumerate(vertices):
         for ends in (g.out_neighbors(mid), g.in_neighbors(mid)):
+            arrows = {}  # each isolated end's per-arrow part, from its first cut on
             for a, b in itertools.combinations(ends, 2):
                 key = tuple(sorted((mid, a, b)))
                 if best is not None and key >= best:
@@ -252,7 +267,14 @@ def _first_simple_triple(g: QFactGraph) -> tuple[int, ...] | None:
                     budget -= 1
                     if budget < 0:
                         raise _over_budget("end cuts")
-                    if alt_line_cut_simple(_alt_configs(g, mid, iso, other)):
+                    if iso not in arrows:
+                        vi = vertices[iso]
+                        arrows[iso] = isolating_arrow(
+                            g.diagram, vi.color, vi.weight, vm.color, vm.weight,
+                            abs(vm.exponent - vi.exponent))
+                    vo = vertices[other]
+                    if end_cut_simple(arrows[iso], vo.color, vo.weight,
+                                      abs(vm.exponent - vo.exponent)):
                         best = key
                         break
                 if best == key:

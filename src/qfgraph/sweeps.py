@@ -16,8 +16,8 @@ import itertools
 import random
 from collections import Counter, defaultdict
 
-from .decision import (AltLineConfig, alt_line_cut_simple, dual_pair_simple, is_prime,
-                       is_real)
+from .decision import (AltLineConfig, alt_line_cut_simple, dual_pair_simple,
+                       end_cut_simple, is_prime, is_real, isolating_arrow)
 from .drinfeld import DrinfeldPoly, KRFactor, dual, expand_all, q_factorize
 from .dynkin import DynkinA, Interval
 from .graph import QFactGraph, build_graph, classify
@@ -29,7 +29,7 @@ MAX_FAILURES = 5
 
 # Largest bounds the `sweep` command accepts, so that its largest run takes
 # under a minute (one core of a 2-vCPU Intel Xeon VM, Python 3.11):
-# forms-agree at rank 9 and weight 6 checks 3.1 10^6 cases in 13 s,
+# forms-agree at rank 9 and weight 6 checks 3.1 10^6 cases in 9-11 s,
 # redsets-algebra at the same bounds 1.1 10^5 cases in 0.4 s,
 # dominant-pair at rank 9 takes 0.75 s, and duality at 150 000 trials 27 s.
 # Without caps, `--max-rank 1000` never finishes.  The keys are the names of
@@ -73,12 +73,14 @@ def iter_linked_pairs(diagram: DynkinA, max_weight: int):
                     yield i, r, j, s, m
 
 
-def iter_alt_line_configs(max_rank: int, max_weight: int):
-    """All valid alternating-line configurations up to the given bounds.
+def iter_isolating_arrows(max_rank: int, max_weight: int):
+    """All valid alternating-line configurations up to the given bounds,
+    grouped by isolating arrow: (diagram, (i, r, j, s, m), partners).
 
     Each config joins a linked pair (i, r, j, s, m) of a rank to one that
     leaves its middle, (j, s, j', s', m'), both in iter_linked_pairs order;
     a join is refused when its ends are joined or, of one color, coalesce.
+    The partners (j', s', m') of each linked pair are its joins, in order.
     """
     weights = range(1, max_weight + 1)
     pairs = list(itertools.product(weights, repeat=2))
@@ -94,10 +96,10 @@ def iter_alt_line_configs(max_rank: int, max_weight: int):
         for i, r, j, s, m in linked:
             leaving[i, r].append((j, s, m))
         for i, r, j, s, m in linked:
-            for jp, sp, mp in leaving[j, s]:
-                gap = abs(m - mp)
-                if gap not in sets[i, r, jp, sp] and (i != jp or gap not in link[r, sp]):
-                    yield AltLineConfig(diagram, i, r, m, j, s, jp, sp, mp)
+            yield diagram, (i, r, j, s, m), [
+                (jp, sp, mp) for jp, sp, mp in leaving[j, s]
+                if (gap := abs(m - mp)) not in sets[i, r, jp, sp]
+                and (i != jp or gap not in link[r, sp])]
 
 
 def hull_distance(i: int, j: int, k: int) -> int:
@@ -106,16 +108,14 @@ def hull_distance(i: int, j: int, k: int) -> int:
     return max(lo - k, k - hi, 0)
 
 
-def sign_split(cfg: AltLineConfig, p: int, pp: int) -> tuple[int, int]:
+def sign_split(line: tuple, p: int, pp: int) -> tuple[int, int]:
     """The sign-split pair (p_plus, p_minus) of the string parameters p, p'.
 
-    The pair rewrites the gap m - m' in both signs:
-    m - m' = r + s' + d(i, j') - 2 p_plus and the negated identity for
-    p_minus.  Both identities are checked exactly.
+    `line` is a config's (i, r, m, j, s, j', s', m').  The pair rewrites the
+    gap m - m' in both signs: m - m' = r + s' + d(i, j') - 2 p_plus and the
+    negated identity for p_minus.  Both identities are checked exactly.
     """
-    i, r, m = cfg.iso_color, cfg.iso_weight, cfg.iso_label
-    j = cfg.middle_color
-    jp, sp, mp = cfg.other_color, cfg.other_weight, cfg.other_label
+    i, r, m, j, _, jp, sp, mp = line
     p_plus = sp - pp + p + hull_distance(i, j, jp)
     p_minus = r - p + pp + hull_distance(j, jp, i)
     base = r + sp + abs(i - jp)
@@ -124,24 +124,21 @@ def sign_split(cfg: AltLineConfig, p: int, pp: int) -> tuple[int, int]:
     return p_plus, p_minus
 
 
-def ineq_forms(cfg: AltLineConfig) -> tuple[int, int, bool, bool]:
-    """(p, p', general conditions, cut simple) via the string-parameter system.
+def ineq_forms(diagram: DynkinA, line: tuple, p: int) -> tuple[int, bool, bool]:
+    """(p', general conditions, cut simple) via the string-parameter system.
 
-    Exists solely for differential testing.  p and p' are the string
-    parameters of the two arrows, and d = d(j', [i,j]) is the offset of j'
-    from the hull of i and j.  The case split follows the sign of p: for
-    p <= 0 the window widens the hull by -p on each side, the general
-    conditions are d <= -p, -p' <= -p - d and r + p' - 1 in [p + d, min(r, s')),
-    and the weight drop is r <= s'; for p > 0 they are d = 0, p' >= 0 and
-    r - p + p' - 1 in [0, min(r, s')), and the weight drop is r <= s' or
-    p != p'.  `cfg.window` is not read.
+    Exists solely for differential testing.  `line` is a config's
+    (i, r, m, j, s, j', s', m'), p the string parameter of its isolating
+    arrow, which the caller solves once per arrow, and p' that of the other
+    arrow; d = d(j', [i,j]) is the offset of j' from the hull of i and j.
+    The case split follows the sign of p: for p <= 0 the window widens the
+    hull by -p on each side, the general conditions are d <= -p,
+    -p' <= -p - d and r + p' - 1 in [p + d, min(r, s')), and the weight drop
+    is r <= s'; for p > 0 they are d = 0, p' >= 0 and r - p + p' - 1 in
+    [0, min(r, s')), and the weight drop is r <= s' or p != p'.
     """
-    dg = cfg.diagram
-    i, r = cfg.iso_color, cfg.iso_weight
-    j, s = cfg.middle_color, cfg.middle_weight
-    jp, sp = cfg.other_color, cfg.other_weight
-    p = string_parameter(dg, i, r, j, s, cfg.iso_label)
-    pp = string_parameter(dg, j, s, jp, sp, cfg.other_label)
+    i, r, _, j, s, jp, sp, mp = line
+    pp = string_parameter(diagram, j, s, jp, sp, mp)
     if p is None or pp is None:
         raise ValueError("arrow labels are outside the unrestricted reducibility sets")
     offset = hull_distance(i, j, jp)
@@ -149,50 +146,49 @@ def ineq_forms(cfg: AltLineConfig) -> tuple[int, int, bool, bool]:
     if p <= 0:
         general = (offset <= -p and -pp <= -p - offset
                    and p + offset <= r + pp - 1 < floor)
-        return p, pp, general, general and r <= sp
+        return pp, general, general and r <= sp
     general = offset == 0 and pp >= 0 and 0 <= r - p + pp - 1 < floor
-    return p, pp, general, general and (r <= sp or p != pp)
+    return pp, general, general and (r <= sp or p != pp)
 
 
-def extra_condition_uniform(cfg: AltLineConfig) -> bool:
+def extra_condition_uniform(line: tuple) -> bool:
     """Third rewriting of the weight-drop condition: m + r <= m' + s' + d(i, j')."""
-    return (cfg.iso_label + cfg.iso_weight
-            <= cfg.other_label + cfg.other_weight
-            + abs(cfg.iso_color - cfg.other_color))
+    i, r, m, _, _, jp, sp, mp = line
+    return m + r <= mp + sp + abs(i - jp)
 
 
 def check_forms_agree(max_rank: int, max_weight: int) -> SweepResult:
-    """Membership form == inequality form == uniform weight-drop rewriting."""
+    """Membership form == inequality form == uniform weight-drop rewriting,
+    and the sign-split bounds under the general conditions.  The engine's
+    per-arrow part and the oracle's p are computed once per isolating arrow."""
     result = SweepResult("forms-agree")
-    for cfg in iter_alt_line_configs(max_rank, max_weight):
-        result.checked += 1
-        member_form = alt_line_cut_simple(cfg)
-        p, pp, general, ineq_form = ineq_forms(cfg)
-        if member_form != ineq_form:
-            result.fail(f"forms disagree ({member_form} vs {ineq_form}) "
-                        f"on {cfg.params_json()} at rank {cfg.diagram.n}")
-            continue
-        if general:
-            if member_form != extra_condition_uniform(cfg):
-                result.fail(f"uniform weight-drop rewriting disagrees "
-                            f"on {cfg.params_json()} at rank {cfg.diagram.n}")
-            _assert_sweep_bounds(cfg, p, pp, result)
+
+    def fail(what: str) -> None:  # the config is built only to be reported
+        cfg = AltLineConfig(diagram, *line)
+        result.fail(f"{what} on {cfg.params_json()} at rank {diagram.n}")
+
+    for diagram, (i, r, j, s, m), partners in iter_isolating_arrows(max_rank, max_weight):
+        arrow = isolating_arrow(diagram, i, r, j, s, m)
+        p = string_parameter(diagram, i, r, j, s, m)
+        for jp, sp, mp in partners:
+            result.checked += 1
+            line = (i, r, m, j, s, jp, sp, mp)
+            member_form = end_cut_simple(arrow, jp, sp, mp)
+            pp, general, ineq_form = ineq_forms(diagram, line, p)
+            if member_form != ineq_form:
+                fail(f"forms disagree ({member_form} vs {ineq_form})")
+            elif general:
+                if member_form != extra_condition_uniform(line):
+                    fail("uniform weight-drop rewriting disagrees")
+                p_plus, p_minus = sign_split(line, p, pp)
+                floor = min(r, sp)
+                if m >= mp and p_plus < floor:
+                    fail("p_plus bound fails")
+                if m <= mp and p_minus < floor:
+                    fail("p_minus bound fails")
+                if p <= 0 and m >= mp and p_plus > sp:
+                    fail("p_plus ceiling fails")
     return result
-
-
-def _assert_sweep_bounds(cfg: AltLineConfig, p: int, pp: int,
-                         result: SweepResult) -> None:
-    """Bound assertions on the sign-split parameters under the general conditions."""
-    p_plus, p_minus = sign_split(cfg, p, pp)
-    r, sp = cfg.iso_weight, cfg.other_weight
-    m, mp = cfg.iso_label, cfg.other_label
-    floor = min(r, sp)
-    if m >= mp and p_plus < floor:
-        result.fail(f"p_plus bound fails on {cfg.params_json()} at rank {cfg.diagram.n}")
-    if m <= mp and p_minus < floor:
-        result.fail(f"p_minus bound fails on {cfg.params_json()} at rank {cfg.diagram.n}")
-    if p <= 0 and m >= mp and p_plus > sp:
-        result.fail(f"p_plus ceiling fails on {cfg.params_json()} at rank {cfg.diagram.n}")
 
 
 def check_c3aline(max_rank: int, max_weight: int) -> SweepResult:

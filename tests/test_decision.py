@@ -7,7 +7,8 @@ import qfgraph.decision
 import qfgraph.sweeps
 from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, AltLineConfig,
                               _alt_configs, alt_line_cut_simple, cut_general_conditions,
-                              decide, dual_pair_simple, is_prime, is_real)
+                              decide, dual_pair_simple, end_cut_simple, is_prime,
+                              is_real)
 from qfgraph.drinfeld import KRFactor
 from qfgraph.dynkin import DynkinA
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
@@ -15,7 +16,7 @@ from qfgraph.graph import QFactGraph, build_graph
 from qfgraph.redsets import minimal_window, r_set, string_parameter
 from qfgraph.sweeps import (RANK_ONE, arrow_dual, check_duality, check_forms_agree,
                             color_dual, extra_condition_uniform, ineq_forms,
-                            iter_alt_line_configs, iter_linked_pairs, sign_split)
+                            iter_isolating_arrows, iter_linked_pairs, sign_split)
 
 A2 = DynkinA(2)
 
@@ -23,6 +24,26 @@ A2 = DynkinA(2)
 def cfg(diagram, iso, middle, other, source=True):
     (i, r, m), (j, s), (jp, sp, mp) = iso, middle, other
     return AltLineConfig(diagram, i, r, m, j, s, jp, sp, mp, middle_is_source=source)
+
+
+def line(c):
+    'a config\'s (i, r, m, j, s, j\', s\', m\'), which the oracles read'
+    return (c.iso_color, c.iso_weight, c.iso_label, c.middle_color, c.middle_weight,
+            c.other_color, c.other_weight, c.other_label)
+
+
+def oracle(c):
+    'the string-parameter oracle on a config, p solved here: (p, p\', general, simple)'
+    p = string_parameter(c.diagram, c.iso_color, c.iso_weight, c.middle_color,
+                         c.middle_weight, c.iso_label)
+    return (p, *ineq_forms(c.diagram, line(c), p))
+
+
+def iter_alt_line_configs(max_rank, max_weight):
+    'every config iter_isolating_arrows groups, in its order, built and validated'
+    for diagram, (i, r, j, s, m), partners in iter_isolating_arrows(max_rank, max_weight):
+        for jp, sp, mp in partners:
+            yield AltLineConfig(diagram, i, r, m, j, s, jp, sp, mp)
 
 
 # -- the cut-simplicity test ------------------------------------------------
@@ -56,16 +77,16 @@ def test_ineq_form_agrees_on_named_inputs():
                  ((2, 1, 4), (1, 2), (2, 2, 3)),
                  ((2, 2, 3), (1, 2), (2, 1, 4))]:
         c = cfg(A2, *args)
-        assert ineq_forms(c)[3] == alt_line_cut_simple(c)
+        assert oracle(c)[3] == alt_line_cut_simple(c)
     for r in range(2, 9):
         c = cfg(A2, (1, r, r + 1), (2, 2), (1, 1, 4))
-        assert ineq_forms(c)[3] == alt_line_cut_simple(c)
+        assert oracle(c)[3] == alt_line_cut_simple(c)
 
 
 def test_ineq_form_hand_evaluation():
     'shifted parameter 2 - 0 + 0 - 1 = 1 fails the window [0, 1)'
     c = cfg(A2, (2, 2, 4), (1, 1), (2, 1, 3))
-    p, pp, _, simple = ineq_forms(c)
+    p, pp, _, simple = oracle(c)
     assert simple is False
     assert p == 0 and pp == 0
     assert not (0 <= c.iso_weight - p + pp - 1 < 1)
@@ -73,10 +94,10 @@ def test_ineq_form_hand_evaluation():
 
 def test_uniform_extra_condition_on_examples():
     simple = cfg(A2, (2, 1, 3), (1, 1), (2, 2, 4))
-    assert extra_condition_uniform(simple)
+    assert extra_condition_uniform(line(simple))
     blocked = cfg(A2, (1, 3, 4), (2, 2), (1, 1, 4))
     assert alt_line_cut_simple(blocked) is False
-    assert not extra_condition_uniform(blocked)
+    assert not extra_condition_uniform(line(blocked))
 
 
 def test_validate_rejects_bad_configs():
@@ -120,7 +141,7 @@ def test_alt_configs_reads_the_labels_from_the_exponents():
 
 
 def reference_alt_line_configs(max_rank, max_weight):
-    """The enumerator iter_alt_line_configs replaced: each linked pair's second
+    """The enumerator iter_isolating_arrows replaced: each linked pair's second
     arm is filtered afresh from every (j', s', m') rather than taken from the
     linked pairs that leave its middle."""
     weights = range(1, max_weight + 1)
@@ -164,11 +185,11 @@ def test_cut_test_reduces_to_whole_window_configs():
     window [1, |J|] and gets the same answers from both forms."""
     cases = Counter()
     for c in iter_alt_line_configs(6, 4):
-        lo, hi = c.window.lo, c.window.hi
-        simple, oracle = alt_line_cut_simple(c), ineq_forms(c)[2:]
+        lo, hi = c.arrow.window.lo, c.arrow.window.hi
+        simple, forms = alt_line_cut_simple(c), oracle(c)[2:]
         if not lo <= c.other_color <= hi:
             cases["outside"] += 1
-            assert not simple and not oracle[1], c.params_json()
+            assert not simple and not forms[1], c.params_json()
             continue
         size = hi - lo + 1
         try:
@@ -178,32 +199,35 @@ def test_cut_test_reduces_to_whole_window_configs():
                               c.middle_is_source)
         except ValueError:
             cases["unbuilt"] += 1
-            assert not simple and not oracle[0], c.params_json()
+            assert not simple and not forms[0], c.params_json()
             continue
         cases["whole"] += 1
-        assert (t.window.lo, t.window.hi) == (1, size), c.params_json()
+        assert (t.arrow.window.lo, t.arrow.window.hi) == (1, size), c.params_json()
         assert alt_line_cut_simple(t) == simple, c.params_json()
-        assert ineq_forms(t)[2:] == oracle, c.params_json()
+        assert oracle(t)[2:] == forms, c.params_json()
     assert cases == {"outside": 39570, "unbuilt": 11922, "whole": 38416}
 
 
 def test_forms_agree_validates_and_windows_each_config_once(monkeypatch):
+    """A window and a per-arrow part per isolating arrow, a per-partner test
+    per config, and no config built while nothing fails."""
     calls = Counter()
-    window, init = minimal_window, AltLineConfig.__init__
 
-    def counted_window(*args):
-        calls["minimal_window"] += 1
-        return window(*args)
+    def count(owner, name):
+        function = getattr(owner, name)
 
-    def counted_init(self, *args, **kwargs):
-        calls["AltLineConfig"] += 1
-        init(self, *args, **kwargs)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
 
-    monkeypatch.setattr(qfgraph.decision, "minimal_window", counted_window)
-    monkeypatch.setattr(AltLineConfig, "__init__", counted_init)
+    count(qfgraph.decision, "minimal_window")
+    count(qfgraph.sweeps, "isolating_arrow")
+    count(qfgraph.sweeps, "end_cut_simple")
+    count(AltLineConfig, "__init__")
     result = check_forms_agree(3, 2)
-    assert result.passed and result.checked > 0
-    assert calls == {"minimal_window": result.checked, "AltLineConfig": result.checked}
+    assert result.passed and result.checked == 206
+    assert calls == {"minimal_window": 44, "isolating_arrow": 44, "end_cut_simple": 206}
 
 
 def test_forms_agree_evaluates_general_conditions_once(monkeypatch):
@@ -211,9 +235,9 @@ def test_forms_agree_evaluates_general_conditions_once(monkeypatch):
     calls = Counter()
     general = cut_general_conditions
 
-    def counted(c):
+    def counted(*args):
         calls["cut_general_conditions"] += 1
-        return general(c)
+        return general(*args)
 
     for module in (qfgraph.decision, qfgraph.sweeps):
         if getattr(module, "cut_general_conditions", None) is general:
@@ -224,7 +248,7 @@ def test_forms_agree_evaluates_general_conditions_once(monkeypatch):
 
 
 def test_forms_agree_solves_each_config_once(monkeypatch):
-    'the oracle solves p and p\' once per config; the bound checks reuse them'
+    'the oracle solves p once per isolating arrow and p\' once per config'
     calls = Counter()
     solve = string_parameter
 
@@ -235,7 +259,7 @@ def test_forms_agree_solves_each_config_once(monkeypatch):
     monkeypatch.setattr(qfgraph.sweeps, "string_parameter", counted)
     result = check_forms_agree(3, 2)
     assert result.passed and result.checked == 206
-    assert calls == {"string_parameter": 2 * result.checked}
+    assert calls == {"string_parameter": 44 + 206}
 
 
 def _on(iso, middle, other):
@@ -246,15 +270,14 @@ def _on(iso, middle, other):
 
 def test_forms_agree_catches_a_flipped_cut_test(monkeypatch):
     'the engine answering wrong on the lower triple fails the sweep once'
-    lower = cfg(A2, (2, 2, 4), (1, 1), (2, 1, 3)).params_json()
-
-    def flipped(c):
-        simple = alt_line_cut_simple(c)
-        if c.diagram.n == 2 and c.params_json() == lower:
+    def flipped(arrow, jp, sp, mp):
+        simple = end_cut_simple(arrow, jp, sp, mp)
+        dg, i, r, j, s, m = arrow[:6]
+        if dg.n == 2 and (i, r, m, j, s, jp, sp, mp) == (2, 2, 4, 1, 1, 2, 1, 3):
             return not simple
         return simple
 
-    monkeypatch.setattr(qfgraph.sweeps, "alt_line_cut_simple", flipped)
+    monkeypatch.setattr(qfgraph.sweeps, "end_cut_simple", flipped)
     result = check_forms_agree(3, 2)
     assert result.checked == 206
     assert result.failures == [
@@ -298,8 +321,9 @@ def test_general_conditions_agree_across_forms():
     'membership form == string-parameter form of the general conditions'
     held = 0
     for c in iter_alt_line_configs(6, 4):
-        _, _, general, simple = ineq_forms(c)
-        assert cut_general_conditions(c) == general, c.params_json()
+        _, _, general, simple = oracle(c)
+        assert cut_general_conditions(c.arrow, c.other_color, c.other_weight,
+                                      c.other_label) == general, c.params_json()
         assert general or not simple
         held += general
     assert held == 22332
@@ -316,35 +340,35 @@ def _ends(window):
 
 def test_case_parameters_examples():
     c = cfg(A2, (2, 2, 4), (1, 1), (2, 1, 3))
-    p, pp = ineq_forms(c)[:2]
-    sign_split(c, p, pp)
+    p, pp = oracle(c)[:2]
+    sign_split(line(c), p, pp)
     assert (p, pp) == (0, 0)
     assert _ends(_cut_window(c)) == (1, 2) and _cut_window(c).dual_coxeter() == 3
-    assert _ends(c.window) == _ends(_cut_window(c)) and "window" not in repr(c)
+    assert _ends(c.arrow.window) == _ends(_cut_window(c)) and "window" not in repr(c)
 
     c = cfg(A2, (2, 1, 3), (1, 1), (2, 2, 4))
-    p, pp = ineq_forms(c)[:2]
-    sign_split(c, p, pp)
+    p, pp = oracle(c)[:2]
+    sign_split(line(c), p, pp)
     assert (p, pp) == (0, 0)
     assert _ends(_cut_window(c)) == (1, 2) and _cut_window(c).dual_coxeter() == 3
 
     for r in range(2, 9):
         c = cfg(A2, (1, r, r + 1), (2, 2), (1, 1, 4))
-        p, pp = ineq_forms(c)[:2]
-        sign_split(c, p, pp)
+        p, pp = oracle(c)[:2]
+        sign_split(line(c), p, pp)
         assert p == 1
         assert _ends(_cut_window(c)) == (1, 2) and _cut_window(c).dual_coxeter() == 3
 
 
 def test_case_parameters_signed_identities():
     c = cfg(DynkinA(3), (3, 3, 5), (1, 2), (2, 1, 4))
-    p, pp = ineq_forms(c)[:2]
-    p_plus, p_minus = sign_split(c, p, pp)
+    p, pp = oracle(c)[:2]
+    p_plus, p_minus = sign_split(line(c), p, pp)
     base = c.iso_weight + c.other_weight + 1
     assert c.iso_label - c.other_label == base - 2 * p_plus
     assert c.other_label - c.iso_label == base - 2 * p_minus
     with pytest.raises(AssertionError, match="^sign-split identities violated$"):
-        sign_split(c, p + 1, pp)
+        sign_split(line(c), p + 1, pp)
 
 
 # -- dual pairs ---------------------------------------------------------------

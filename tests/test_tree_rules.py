@@ -18,9 +18,10 @@ import time
 from collections import Counter
 
 import qfgraph.decision
+import qfgraph.graph
 from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, CertStep,
                               Verdict, _alt_configs, _first_simple_triple,
-                              _tree_dual_pairs_simple,
+                              _over_budget, _tree_dual_pairs_simple,
                               alt_line_cut_simple, decide, dual_pair_simple,
                               is_prime, is_real)
 from qfgraph.drinfeld import KRFactor
@@ -498,6 +499,63 @@ def test_streamed_triple_scan_matches_sort_everything_oracle():
     for key in (("high degree", True), ("high degree", False),
                 ("copies", False), "later stream wins"):
         assert seen[key] > 25, (key, seen)
+
+
+def config_per_cut_first_simple_triple(g):
+    """The scan that built and validated a config for every end cut, where the
+    engine computes each end's per-arrow part once: same order, same stop rule,
+    same budget."""
+    best, budget = None, qfgraph.graph.MAX_BUILD_PAIRS
+    for mid in range(len(g)):
+        for ends in (g.out_neighbors(mid), g.in_neighbors(mid)):
+            for a, b in itertools.combinations(ends, 2):
+                key = tuple(sorted((mid, a, b)))
+                if best is not None and key >= best:
+                    break
+                for iso, other in ((a, b), (b, a)):
+                    budget -= 1
+                    if budget < 0:
+                        raise _over_budget("end cuts")
+                    if alt_line_cut_simple(_alt_configs(g, mid, iso, other)):
+                        best = key
+                        break
+                if best == key:
+                    break
+    return best
+
+
+def _scan_outcome(scan, g):
+    'the witness a scan returns, or the text of the ValueError it raises'
+    try:
+        return scan(g)
+    except ValueError as error:
+        return str(error)
+
+
+def test_scan_matches_config_per_cut_reference():
+    'same witness on random trees without building a config per end cut'
+    rng = random.Random(20261019)
+    found = 0
+    for _ in range(3000):
+        g = random_tree_graph(rng, max_rank=6, max_vertices=9, max_weight=4)
+        want = config_per_cut_first_simple_triple(g)
+        assert _first_simple_triple(g) == want, [v.label() for v in g.vertices]
+        found += want is not None
+    assert found == 1322
+
+
+def test_scan_stops_at_the_budget_of_the_config_per_cut_reference(monkeypatch):
+    'a star of 40 distinct leaves: 1560 end cuts, none simple, refused below that'
+    k = 41
+    g = build_graph([KRFactor(k + 2, k, 1)] + [KRFactor(k + 2 + t, 0, 1)
+                                               for t in range(2 - k, k - 1, 2)],
+                    DynkinA(2 * k + 3))
+    for budget in (0, 1, 2, 39, 40, 1000, 1559, 1560):
+        monkeypatch.setattr(qfgraph.graph, "MAX_BUILD_PAIRS", budget)
+        want = None if budget >= 1560 else \
+            f"the tree rules would test more than {budget} end cuts"
+        assert _scan_outcome(config_per_cut_first_simple_triple, g) == want
+        assert _scan_outcome(_first_simple_triple, g) == want
 
 
 def test_sixteen_vertex_tree_without_simple_triple():
