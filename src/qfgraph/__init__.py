@@ -11,18 +11,18 @@ on first use: no verdict reads them.
 import importlib.util
 import sys
 
-from .decision import (AltLineConfig, CertStep, Verdict, alt_line_cut_simple,
-                       decide, dual_pair_simple, is_prime, is_real)
+from .decision import (CertStep, Verdict, alt_line_cut_simple, decide,
+                       dual_pair_simple, is_prime, is_real, isolating_arrow)
 from .drinfeld import KRFactor, dual
 from .dynkin import DynkinA, Interval
 from .graph import Arrow, QFactGraph, ShapeClass, build_graph, classify
 from .redsets import minimal_window, r_set, string_parameter
 
 __all__ = [
-    "AltLineConfig", "Arrow", "CertStep", "DynkinA", "Interval", "KRFactor",
-    "QFactGraph", "ShapeClass", "Verdict", "alt_line_cut_simple", "build_graph",
-    "classify", "decide", "dual", "dual_pair_simple", "is_prime", "is_real",
-    "minimal_window", "r_set", "string_parameter",
+    "Arrow", "CertStep", "DynkinA", "Interval", "KRFactor", "QFactGraph",
+    "ShapeClass", "Verdict", "alt_line_cut_simple", "build_graph", "classify",
+    "decide", "dual", "dual_pair_simple", "is_prime", "is_real",
+    "isolating_arrow", "minimal_window", "r_set", "string_parameter",
 ]
 
 __version__ = "0.1.0"

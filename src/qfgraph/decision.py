@@ -22,63 +22,12 @@ from .drinfeld import KRFactor, dual
 from .graph import (ALTERNATING_LINE3, DISCONNECTED, MONOTONIC_LINE3, OTHER,
                     SINGLETON, TOTALLY_ORDERED, TRIANGLE, TWO_LINE, QFactGraph,
                     _overlaps, classify)
-from .redsets import minimal_window, r_set, string_parameter
+from .redsets import minimal_window, r_set
 
 PRIME = "prime"
 NOT_PRIME = "not_prime"
 REAL = "real"
 UNKNOWN = "unknown"
-
-
-class AltLineConfig:
-    """An alternating three-vertex line, normalized for the cut test.
-
-    The middle vertex carries both arrows; `middle_is_source` records the
-    original orientation (the cut test itself is orientation-blind, since
-    reversing all arrows negates every exponent and leaves the labels and
-    the criterion's quantities unchanged).  `iso_label` is the exponent gap
-    m on the arrow joining the middle to the end being isolated and
-    `other_label` the gap m' on the remaining arrow.
-
-    Building a config raises ValueError on a line that is not alternating;
-    `arrow` holds the cut test's per-arrow part for the isolating arrow.
-    """
-
-    __slots__ = ("diagram", "iso_color", "iso_weight", "iso_label", "middle_color",
-                 "middle_weight", "other_color", "other_weight", "other_label",
-                 "middle_is_source", "arrow")
-
-    def __init__(self, diagram: DynkinA, iso_color: int, iso_weight: int,
-                 iso_label: int, middle_color: int, middle_weight: int,
-                 other_color: int, other_weight: int, other_label: int,
-                 middle_is_source: bool = True) -> None:
-        for c in (iso_color, middle_color, other_color):
-            diagram.check_node(c)
-        self.arrow = isolating_arrow(diagram, iso_color, iso_weight, middle_color,
-                                     middle_weight, iso_label)
-        # Membership by string parameter, as in minimal_window: no set is built.
-        if string_parameter(diagram, middle_color, middle_weight, other_color,
-                            other_weight, other_label) is None:
-            raise ValueError(f"label {other_label} is not an admissible arrow gap "
-                             f"for the other end")
-        if string_parameter(diagram, iso_color, iso_weight, other_color, other_weight,
-                            abs(iso_label - other_label)) is not None:
-            raise ValueError("end vertices are adjacent; the line is not alternating")
-        self.diagram = diagram
-        self.iso_color, self.iso_weight, self.iso_label = iso_color, iso_weight, iso_label
-        self.middle_color, self.middle_weight = middle_color, middle_weight
-        self.other_color, self.other_weight = other_color, other_weight
-        self.other_label, self.middle_is_source = other_label, middle_is_source
-
-    def params_json(self) -> dict:
-        return {
-            "isolated": {"color": self.iso_color, "weight": self.iso_weight,
-                         "label": self.iso_label},
-            "middle": {"color": self.middle_color, "weight": self.middle_weight},
-            "other": {"color": self.other_color, "weight": self.other_weight,
-                      "label": self.other_label},
-            "middle_is_source": self.middle_is_source,
-        }
 
 
 IsolatingArrow = namedtuple("IsolatingArrow", "diagram iso_color iso_weight "
@@ -107,7 +56,7 @@ def cut_general_conditions(arrow: IsolatingArrow, jp: int, sp: int, mp: int) -> 
     return abs(m - mp - h) in r_set(dg, reflected, r, jp, sp, window)
 
 
-def end_cut_simple(arrow: IsolatingArrow, jp: int, sp: int, mp: int) -> bool:
+def alt_line_cut_simple(arrow: IsolatingArrow, jp: int, sp: int, mp: int) -> bool:
     """The cut test's per-partner part: is the cut isolating the arrow's end
     simple when the middle's other arrow, of label m', reaches (j', s')?
 
@@ -124,9 +73,26 @@ def end_cut_simple(arrow: IsolatingArrow, jp: int, sp: int, mp: int) -> bool:
     return r == 1 or m - mp + 1 not in r_set(dg, i, r - 1, jp, sp, window)
 
 
-def alt_line_cut_simple(cfg: AltLineConfig) -> bool:
-    """Is the tensor product isolating the i-end of the alternating line simple?"""
-    return end_cut_simple(cfg.arrow, cfg.other_color, cfg.other_weight, cfg.other_label)
+def _end_arrow(g: QFactGraph, middle: int, end: int) -> IsolatingArrow:
+    """The per-arrow part of the arrow of g joining the middle to an end of an
+    alternating triple; its label is the exponent gap of the two."""
+    vm, ve = g.vertices[middle], g.vertices[end]
+    return isolating_arrow(g.diagram, ve.color, ve.weight, vm.color, vm.weight,
+                           abs(vm.exponent - ve.exponent))
+
+
+def _cut_params(middle: KRFactor, iso: KRFactor, other: KRFactor) -> dict:
+    """A cut's certificate parameters: each end's color, weight and label (its
+    exponent gap to the middle), and whether the middle, above its ends, is
+    the source of both arrows."""
+    return {
+        "isolated": {"color": iso.color, "weight": iso.weight,
+                     "label": abs(middle.exponent - iso.exponent)},
+        "middle": {"color": middle.color, "weight": middle.weight},
+        "other": {"color": other.color, "weight": other.weight,
+                  "label": abs(middle.exponent - other.exponent)},
+        "middle_is_source": middle.exponent > iso.exponent,
+    }
 
 
 def dual_pair_simple(w1: KRFactor, w2: KRFactor, diagram: DynkinA) -> bool:
@@ -154,24 +120,6 @@ class Verdict(namedtuple("Verdict", "primality reality certificate",
         return out
 
 
-def _alt_configs(g: QFactGraph, middle: int, iso: int, other: int) -> AltLineConfig:
-    """Cut configuration for the alternating triple of g around the middle.
-
-    An arrow's label is the exponent gap of its ends, so both labels and the
-    orientation (the middle is the source when both ends lie below it) are
-    read from the exponents; gaps of different signs raise ValueError.  The
-    config's own checks prove both arrows and that the ends are not joined.
-    """
-    vm, vi, vo = g.vertices[middle], g.vertices[iso], g.vertices[other]
-    m, mp = vm.exponent - vi.exponent, vm.exponent - vo.exponent
-    if (m > 0) != (mp > 0):
-        raise ValueError("vertices do not form an alternating line around the middle")
-    return AltLineConfig(g.diagram, vi.color, vi.weight, abs(m),
-                         vm.color, vm.weight,
-                         vo.color, vo.weight, abs(mp),
-                         middle_is_source=m > 0)
-
-
 def _vertex_params(g: QFactGraph, ids) -> list[str]:
     return [g.vertices[v].label() for v in ids]
 
@@ -183,10 +131,11 @@ def _decided(primality: str, rule: str, cites: str, params: dict) -> Verdict:
 def is_prime(g: QFactGraph) -> Verdict:
     """Three-valued primality verdict with a rule-by-rule certificate.
 
-    The shape tag of classify(g) selects the rule.  A tree is not prime once
-    one of its alternating triples has a simple end cut, since every
-    connected subgraph of a prime tree is prime; the first such triple by
-    sorted vertex ids is the certificate's witness.
+    The shape tag of classify(g) selects the rule.  A three-vertex
+    alternating line is prime exactly when neither end cut is simple.  A tree
+    is not prime once one of its alternating triples has a simple end cut,
+    since every connected subgraph of a prime tree is prime; the first such
+    triple by sorted vertex ids is the certificate's witness.
     """
     if not g.vertices:
         raise ValueError("cannot decide primality of an empty graph")
@@ -209,29 +158,29 @@ def is_prime(g: QFactGraph) -> Verdict:
     if tag in (TRIANGLE, MONOTONIC_LINE3, TOTALLY_ORDERED):
         return _decided(PRIME, "totally_ordered", "totally ordered "
                         "q-factorization graphs are prime in type A", {})
-    if tag == ALTERNATING_LINE3:
-        e1, mid, e2 = shape.line_order
-        for iso, other in ((e1, e2), (e2, e1)):
-            cfg = _alt_configs(g, mid, iso, other)
-            if alt_line_cut_simple(cfg):
-                return _decided(
-                    NOT_PRIME, "alt_line_cut", "three-vertex alternating line: "
-                    "the cut isolating one end is a simple tensor product",
-                    {"isolated": g.vertices[iso].label(), "config": cfg.params_json()})
-        return _decided(
-            PRIME, "alt_line_prime", "three-vertex alternating line: neither "
-            "endpoint cut is a simple tensor product, and this criterion is exact",
-            {"ends": _vertex_params(g, (e1, e2))})
     if tag == OTHER:
         return _decided(UNKNOWN, "inconclusive",
                         "no implemented rule decides graphs with cycles", {})
-    # The tag is TREE: the alternating-triple scan, then the dual-pair rule.
-    triple = _first_simple_triple(g)
-    if triple is not None:
+    # An alternating line or a tree: the alternating-triple scan decides the
+    # line, whose middle it tests with the ends in line order, and refutes a
+    # tree; the dual-pair rule then tries the tree.
+    cut = _first_simple_cut(g)
+    if tag == ALTERNATING_LINE3:
+        if cut is not None:
+            return _decided(
+                NOT_PRIME, "alt_line_cut", "three-vertex alternating line: "
+                "the cut isolating one end is a simple tensor product",
+                {"isolated": g.vertices[cut[1]].label(),
+                 "config": _cut_params(*[g.vertices[v] for v in cut])})
+        return _decided(
+            PRIME, "alt_line_prime", "three-vertex alternating line: neither "
+            "endpoint cut is a simple tensor product, and this criterion is exact",
+            {"ends": _vertex_params(g, shape.line_order[::2])})
+    if cut is not None:
         return _decided(
             NOT_PRIME, "subgraph_not_prime", "every proper connected subgraph "
             "of a prime tree is prime; a non-prime subgraph refutes primality",
-            {"subgraph": _vertex_params(g, triple)})
+            {"subgraph": _vertex_params(g, sorted(cut))})
     if _tree_dual_pairs_simple(g):
         return _decided(
             PRIME, "dual_pairs_simple", "a tree is prime when the dual-pair "
@@ -240,22 +189,23 @@ def is_prime(g: QFactGraph) -> Verdict:
     return _decided(UNKNOWN, "inconclusive", "no implemented rule applies", {})
 
 
-def _first_simple_triple(g: QFactGraph) -> tuple[int, ...] | None:
-    """First alternating triple, by sorted vertex ids, with a simple end cut.
+def _first_simple_cut(g: QFactGraph) -> tuple[int, int, int] | None:
+    """First alternating triple, by sorted vertex ids, with a simple end cut,
+    as (middle, isolated end, other end).
 
     An alternating triple is a middle vertex with two out-neighbors or two
     in-neighbors; in a tree no other connected three-vertex subgraph can be
     non-prime, because a monotonic path is totally ordered.
 
     Neighbor lists are sorted (build_graph lists arrows in (tail, head)
-    order), so a middle's pairs come in sorted-triple order; each stream
-    stops at its first simple triple or at the first one not below the best.
-    The build has proved both arrows and that the ends are not joined, so no
-    config is built: an end's per-arrow part serves all its cuts in a stream.
-    The scan refuses the input with ValueError once it would test more than
-    graph.MAX_BUILD_PAIRS end cuts.
+    order), so a middle's pairs come in sorted-triple order, and each pair
+    isolates its lower-id end first; each stream stops at its first simple
+    triple or at the first one not below the best.  The build has proved
+    both arrows and that the ends are not joined, so an end's per-arrow part
+    serves all its cuts in a stream.  The scan refuses the input with
+    ValueError once it would test more than graph.MAX_BUILD_PAIRS end cuts.
     """
-    best, budget, vertices = None, graph.MAX_BUILD_PAIRS, g.vertices
+    best, cut, budget, vertices = None, None, graph.MAX_BUILD_PAIRS, g.vertices
     for mid, vm in enumerate(vertices):
         for ends in (g.out_neighbors(mid), g.in_neighbors(mid)):
             arrows = {}  # each isolated end's per-arrow part, from its first cut on
@@ -268,18 +218,15 @@ def _first_simple_triple(g: QFactGraph) -> tuple[int, ...] | None:
                     if budget < 0:
                         raise _over_budget("end cuts")
                     if iso not in arrows:
-                        vi = vertices[iso]
-                        arrows[iso] = isolating_arrow(
-                            g.diagram, vi.color, vi.weight, vm.color, vm.weight,
-                            abs(vm.exponent - vi.exponent))
+                        arrows[iso] = _end_arrow(g, mid, iso)
                     vo = vertices[other]
-                    if end_cut_simple(arrows[iso], vo.color, vo.weight,
-                                      abs(vm.exponent - vo.exponent)):
-                        best = key
+                    if alt_line_cut_simple(arrows[iso], vo.color, vo.weight,
+                                           abs(vm.exponent - vo.exponent)):
+                        best, cut = key, (mid, iso, other)
                         break
                 if best == key:
                     break
-    return best
+    return cut
 
 
 def _over_budget(what: str) -> ValueError:

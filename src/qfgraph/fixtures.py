@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, _alt_configs,
+from .decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, _end_arrow,
                        alt_line_cut_simple, is_prime, is_real)
 from .drinfeld import KRFactor, dual
 from .dynkin import DynkinA
@@ -76,6 +76,13 @@ def _arrow_set(g) -> set[tuple[str, str, int]]:
             for a in g.arrows}
 
 
+def _cut_simple(g, mid: int, iso: int, other: int) -> bool:
+    """Is the cut isolating `iso` of the alternating triple around `mid` simple?"""
+    vm, vo = g.vertices[mid], g.vertices[other]
+    return alt_line_cut_simple(_end_arrow(g, mid, iso), vo.color, vo.weight,
+                               abs(vm.exponent - vo.exponent))
+
+
 def run_newprimex() -> ExampleReport:
     report = ExampleReport(None)
     diagram, factors = newprimex_factors(1)
@@ -114,7 +121,8 @@ def run_cosubpt() -> ExampleReport:
     report.add("shape is a tree", classify(g).tag == TREE)
     # In a tree a connected three-vertex subgraph is a vertex and two neighbors.
     triples = [g.induced((v, a, b)) for v in range(len(g))
-               for a, b in itertools.combinations(g.undirected_neighbors(v), 2)]
+               for a, b in itertools.combinations(
+                   sorted(g.out_neighbors(v) + g.in_neighbors(v)), 2)]
     report.add("exactly two connected three-vertex subgraphs", len(triples) == 2)
     tags = sorted(classify(t).tag for t in triples)
     report.add("one monotonic and one alternating triple",
@@ -122,8 +130,8 @@ def run_cosubpt() -> ExampleReport:
     report.add("both three-vertex subgraphs are prime",
                all(is_prime(t).primality == PRIME for t in triples))
     mid = ids["1^2@1"]
-    cut_iso_2 = alt_line_cut_simple(_alt_configs(g, mid, ids["2^1@5"], ids["3^3@6"]))
-    cut_iso_3 = alt_line_cut_simple(_alt_configs(g, mid, ids["3^3@6"], ids["2^1@5"]))
+    cut_iso_2 = _cut_simple(g, mid, ids["2^1@5"], ids["3^3@6"])
+    cut_iso_3 = _cut_simple(g, mid, ids["3^3@6"], ids["2^1@5"])
     report.add("cut isolating 2^1@5 is not simple", cut_iso_2 is False)
     report.add("cut isolating 3^3@6 is not simple", cut_iso_3 is False)
     verdict = is_prime(g)
@@ -145,13 +153,13 @@ def run_cesubpt() -> ExampleReport:
     report.add("shape is a four-cycle (no finer tag)", classify(g).tag == OTHER)
     ids = {g.vertices[v].label(): v for v in range(len(g.vertices))}
     low_mid = ids["1^1@0"]
-    cut_b = alt_line_cut_simple(_alt_configs(g, low_mid, ids["2^2@4"], ids["2^1@3"]))
-    cut_c = alt_line_cut_simple(_alt_configs(g, low_mid, ids["2^1@3"], ids["2^2@4"]))
+    cut_b = _cut_simple(g, low_mid, ids["2^2@4"], ids["2^1@3"])
+    cut_c = _cut_simple(g, low_mid, ids["2^1@3"], ids["2^2@4"])
     report.add("cut isolating 2^2@4 (weight-2 end) is not simple", cut_b is False)
     report.add("cut isolating 2^1@3 (weight-1 end) is simple", cut_c is True)
     high_mid = ids["1^2@7"]
-    cut_c2 = alt_line_cut_simple(_alt_configs(g, high_mid, ids["2^1@3"], ids["2^2@4"]))
-    cut_b2 = alt_line_cut_simple(_alt_configs(g, high_mid, ids["2^2@4"], ids["2^1@3"]))
+    cut_c2 = _cut_simple(g, high_mid, ids["2^1@3"], ids["2^2@4"])
+    cut_b2 = _cut_simple(g, high_mid, ids["2^2@4"], ids["2^1@3"])
     report.add("upper triple: cut isolating 2^1@3 is not simple", cut_c2 is False)
     report.add("upper triple: cut isolating 2^2@4 is simple", cut_b2 is True)
     report.add("dual of 1^2@7 is 2^2@4",

@@ -67,9 +67,6 @@ class QFactGraph:
     def in_neighbors(self, v: int) -> list[int]:
         return self._in[v]
 
-    def undirected_neighbors(self, v: int) -> list[int]:
-        return sorted(self._out[v] + self._in[v])
-
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Weakly connected components as sorted vertex-id tuples; one walk."""
         seen: set[int] = set()
@@ -205,7 +202,7 @@ def build_graph(factors, diagram: DynkinA) -> QFactGraph:
         gap = exponents[t] - exponents[h]
         if gap in rs:
             arrows.append(Arrow(t, h, gap))
-    # Sorted arrows keep every neighbor list sorted (see _first_simple_triple).
+    # Sorted arrows keep every neighbor list sorted (see decision._first_simple_cut).
     arrows.sort()
     return QFactGraph(diagram, vertices, tuple(arrows), refactorized)
 
@@ -225,7 +222,8 @@ def classify(g: QFactGraph) -> ShapeClass:
     if n == 3:
         if len(g.arrows) == 3:
             return ShapeClass(TRIANGLE, comps)
-        middle = next(v for v in range(3) if len(g.undirected_neighbors(v)) == 2)
+        middle = next(v for v in range(3)
+                      if len(g.out_neighbors(v)) + len(g.in_neighbors(v)) == 2)
         if len(g.out_neighbors(middle)) == 1:  # one arrow in, one out
             return ShapeClass(MONOTONIC_LINE3, comps, g.exponent_order())
         ends = [v for v in range(3) if v != middle]

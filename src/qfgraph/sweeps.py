@@ -16,8 +16,8 @@ import itertools
 import random
 from collections import Counter, defaultdict
 
-from .decision import (AltLineConfig, alt_line_cut_simple, dual_pair_simple,
-                       end_cut_simple, is_prime, is_real, isolating_arrow)
+from .decision import (_cut_params, alt_line_cut_simple, dual_pair_simple, is_prime,
+                       is_real, isolating_arrow)
 from .drinfeld import DrinfeldPoly, KRFactor, dual, expand_all, q_factorize
 from .dynkin import DynkinA, Interval
 from .graph import QFactGraph, build_graph, classify
@@ -163,9 +163,9 @@ def check_forms_agree(max_rank: int, max_weight: int) -> SweepResult:
     per-arrow part and the oracle's p are computed once per isolating arrow."""
     result = SweepResult("forms-agree")
 
-    def fail(what: str) -> None:  # the config is built only to be reported
-        cfg = AltLineConfig(diagram, *line)
-        result.fail(f"{what} on {cfg.params_json()} at rank {diagram.n}")
+    def fail(what: str) -> None:  # the middle at exponent 0, both ends below it
+        params = _cut_params(KRFactor(j, 0, s), KRFactor(i, -m, r), KRFactor(jp, -mp, sp))
+        result.fail(f"{what} on {params} at rank {diagram.n}")
 
     for diagram, (i, r, j, s, m), partners in iter_isolating_arrows(max_rank, max_weight):
         arrow = isolating_arrow(diagram, i, r, j, s, m)
@@ -173,7 +173,7 @@ def check_forms_agree(max_rank: int, max_weight: int) -> SweepResult:
         for jp, sp, mp in partners:
             result.checked += 1
             line = (i, r, m, j, s, jp, sp, mp)
-            member_form = end_cut_simple(arrow, jp, sp, mp)
+            member_form = alt_line_cut_simple(arrow, jp, sp, mp)
             pp, general, ineq_form = ineq_forms(diagram, line, p)
             if member_form != ineq_form:
                 fail(f"forms disagree ({member_form} vs {ineq_form})")
@@ -198,8 +198,7 @@ def check_c3aline(max_rank: int, max_weight: int) -> SweepResult:
         diagram = DynkinA(n)
         for i, r, j, s, m in iter_linked_pairs(diagram, max_weight):
             result.checked += 1
-            cfg = AltLineConfig(diagram, i, r, m, j, s, i, r, m)
-            if not alt_line_cut_simple(cfg):
+            if not alt_line_cut_simple(isolating_arrow(diagram, i, r, j, s, m), i, r, m):
                 result.fail(f"cut not simple for i={i} r={r} j={j} s={s} m={m} "
                             f"at rank {n}")
     return result

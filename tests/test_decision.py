@@ -5,10 +5,9 @@ import pytest
 
 import qfgraph.decision
 import qfgraph.sweeps
-from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, AltLineConfig,
-                              _alt_configs, alt_line_cut_simple, cut_general_conditions,
-                              decide, dual_pair_simple, end_cut_simple, is_prime,
-                              is_real)
+from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, alt_line_cut_simple,
+                              cut_general_conditions, decide, dual_pair_simple,
+                              is_prime, is_real)
 from qfgraph.drinfeld import KRFactor
 from qfgraph.dynkin import DynkinA
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
@@ -17,6 +16,8 @@ from qfgraph.redsets import minimal_window, r_set, string_parameter
 from qfgraph.sweeps import (RANK_ONE, arrow_dual, check_duality, check_forms_agree,
                             color_dual, extra_condition_uniform, ineq_forms,
                             iter_isolating_arrows, iter_linked_pairs, sign_split)
+
+from altline import AltLineConfig, _alt_configs, cut_simple
 
 A2 = DynkinA(2)
 
@@ -50,24 +51,24 @@ def iter_alt_line_configs(max_rank, max_weight):
 
 def test_cut_booleans_weight_two_end():
     'isolating the weight-2 end of the lower triple is reducible'
-    assert alt_line_cut_simple(cfg(A2, (2, 2, 4), (1, 1), (2, 1, 3))) is False
+    assert cut_simple(cfg(A2, (2, 2, 4), (1, 1), (2, 1, 3))) is False
 
 
 def test_cut_booleans_weight_one_end():
     'isolating the weight-1 end of the lower triple is simple'
-    assert alt_line_cut_simple(cfg(A2, (2, 1, 3), (1, 1), (2, 2, 4))) is True
+    assert cut_simple(cfg(A2, (2, 1, 3), (1, 1), (2, 2, 4))) is True
 
 
 def test_cut_booleans_upper_triple():
-    assert alt_line_cut_simple(cfg(A2, (2, 1, 4), (1, 2), (2, 2, 3))) is False
-    assert alt_line_cut_simple(cfg(A2, (2, 2, 3), (1, 2), (2, 1, 4))) is True
+    assert cut_simple(cfg(A2, (2, 1, 4), (1, 2), (2, 2, 3))) is False
+    assert cut_simple(cfg(A2, (2, 2, 3), (1, 2), (2, 1, 4))) is True
 
 
 def test_cut_family_weight_threshold():
     'the one-parameter family: cut simple at r = 2 only, for r up to 8'
     for r in range(2, 9):
         expected = r == 2
-        got = alt_line_cut_simple(cfg(A2, (1, r, r + 1), (2, 2), (1, 1, 4)))
+        got = cut_simple(cfg(A2, (1, r, r + 1), (2, 2), (1, 1, 4)))
         assert got is expected, f"r={r}"
 
 
@@ -77,10 +78,10 @@ def test_ineq_form_agrees_on_named_inputs():
                  ((2, 1, 4), (1, 2), (2, 2, 3)),
                  ((2, 2, 3), (1, 2), (2, 1, 4))]:
         c = cfg(A2, *args)
-        assert oracle(c)[3] == alt_line_cut_simple(c)
+        assert oracle(c)[3] == cut_simple(c)
     for r in range(2, 9):
         c = cfg(A2, (1, r, r + 1), (2, 2), (1, 1, 4))
-        assert oracle(c)[3] == alt_line_cut_simple(c)
+        assert oracle(c)[3] == cut_simple(c)
 
 
 def test_ineq_form_hand_evaluation():
@@ -96,7 +97,7 @@ def test_uniform_extra_condition_on_examples():
     simple = cfg(A2, (2, 1, 3), (1, 1), (2, 2, 4))
     assert extra_condition_uniform(line(simple))
     blocked = cfg(A2, (1, 3, 4), (2, 2), (1, 1, 4))
-    assert alt_line_cut_simple(blocked) is False
+    assert cut_simple(blocked) is False
     assert not extra_condition_uniform(line(blocked))
 
 
@@ -186,7 +187,7 @@ def test_cut_test_reduces_to_whole_window_configs():
     cases = Counter()
     for c in iter_alt_line_configs(6, 4):
         lo, hi = c.arrow.window.lo, c.arrow.window.hi
-        simple, forms = alt_line_cut_simple(c), oracle(c)[2:]
+        simple, forms = cut_simple(c), oracle(c)[2:]
         if not lo <= c.other_color <= hi:
             cases["outside"] += 1
             assert not simple and not forms[1], c.params_json()
@@ -203,14 +204,14 @@ def test_cut_test_reduces_to_whole_window_configs():
             continue
         cases["whole"] += 1
         assert (t.arrow.window.lo, t.arrow.window.hi) == (1, size), c.params_json()
-        assert alt_line_cut_simple(t) == simple, c.params_json()
+        assert cut_simple(t) == simple, c.params_json()
         assert oracle(t)[2:] == forms, c.params_json()
     assert cases == {"outside": 39570, "unbuilt": 11922, "whole": 38416}
 
 
 def test_forms_agree_validates_and_windows_each_config_once(monkeypatch):
-    """A window and a per-arrow part per isolating arrow, a per-partner test
-    per config, and no config built while nothing fails."""
+    """A window and a per-arrow part per isolating arrow, and a per-partner
+    test per config."""
     calls = Counter()
 
     def count(owner, name):
@@ -223,11 +224,11 @@ def test_forms_agree_validates_and_windows_each_config_once(monkeypatch):
 
     count(qfgraph.decision, "minimal_window")
     count(qfgraph.sweeps, "isolating_arrow")
-    count(qfgraph.sweeps, "end_cut_simple")
-    count(AltLineConfig, "__init__")
+    count(qfgraph.sweeps, "alt_line_cut_simple")
     result = check_forms_agree(3, 2)
     assert result.passed and result.checked == 206
-    assert calls == {"minimal_window": 44, "isolating_arrow": 44, "end_cut_simple": 206}
+    assert calls == {"minimal_window": 44, "isolating_arrow": 44,
+                     "alt_line_cut_simple": 206}
 
 
 def test_forms_agree_evaluates_general_conditions_once(monkeypatch):
@@ -271,13 +272,13 @@ def _on(iso, middle, other):
 def test_forms_agree_catches_a_flipped_cut_test(monkeypatch):
     'the engine answering wrong on the lower triple fails the sweep once'
     def flipped(arrow, jp, sp, mp):
-        simple = end_cut_simple(arrow, jp, sp, mp)
+        simple = alt_line_cut_simple(arrow, jp, sp, mp)
         dg, i, r, j, s, m = arrow[:6]
         if dg.n == 2 and (i, r, m, j, s, jp, sp, mp) == (2, 2, 4, 1, 1, 2, 1, 3):
             return not simple
         return simple
 
-    monkeypatch.setattr(qfgraph.sweeps, "end_cut_simple", flipped)
+    monkeypatch.setattr(qfgraph.sweeps, "alt_line_cut_simple", flipped)
     result = check_forms_agree(3, 2)
     assert result.checked == 206
     assert result.failures == [
@@ -404,9 +405,9 @@ def test_duality_catches_dual_transforms_that_do_nothing(monkeypatch):
 # -- the symmetric always-simple configuration -------------------------------
 
 def test_c3aline_examples():
-    assert alt_line_cut_simple(cfg(A2, (1, 1, 3), (2, 1), (1, 1, 3))) is True
-    assert alt_line_cut_simple(cfg(A2, (2, 2, 4), (1, 1), (2, 2, 4))) is True
-    assert alt_line_cut_simple(cfg(DynkinA(3), (1, 3, 7), (3, 2), (1, 3, 7))) is True
+    assert cut_simple(cfg(A2, (1, 1, 3), (2, 1), (1, 1, 3))) is True
+    assert cut_simple(cfg(A2, (2, 2, 4), (1, 1), (2, 2, 4))) is True
+    assert cut_simple(cfg(DynkinA(3), (1, 3, 7), (3, 2), (1, 3, 7))) is True
     with pytest.raises(ValueError):
         cfg(A2, (1, 1, 4), (2, 1), (1, 1, 4))
 

@@ -104,7 +104,8 @@ def test_connected_subgraph_counts():
     dg, factors = cosubpt_factors()
     g = build_graph(factors, dg)
     assert g.is_tree() and len(g) == 4
-    assert sum(comb(len(g.undirected_neighbors(v)), 2) for v in range(len(g))) == 2
+    assert sum(comb(len(g.out_neighbors(v)) + len(g.in_neighbors(v)), 2)
+               for v in range(len(g))) == 2
     mono = build_graph([KRFactor(1, 9, 1), KRFactor(2, 6, 1), KRFactor(3, 3, 1)],
                        DynkinA(3))
     assert len(mono.arrows) == 2

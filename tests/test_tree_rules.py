@@ -20,9 +20,8 @@ from collections import Counter
 import qfgraph.decision
 import qfgraph.graph
 from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, CertStep,
-                              Verdict, _alt_configs, _first_simple_triple,
-                              _over_budget, _tree_dual_pairs_simple,
-                              alt_line_cut_simple, decide, dual_pair_simple,
+                              Verdict, _first_simple_cut, _over_budget,
+                              _tree_dual_pairs_simple, decide, dual_pair_simple,
                               is_prime, is_real)
 from qfgraph.drinfeld import KRFactor
 from qfgraph.dynkin import DynkinA
@@ -31,7 +30,9 @@ from qfgraph.graph import (ALTERNATING_LINE3, DISCONNECTED, MONOTONIC_LINE3,
                            OTHER, TREE, TRIANGLE, TWO_LINE, QFactGraph,
                            build_graph, classify)
 from qfgraph.redsets import r_set
-from qfgraph.sweeps import random_tree_graph
+from qfgraph.sweeps import iter_isolating_arrows, random_tree_graph
+
+from altline import _alt_configs, cut_simple
 
 TREE_RULES = ("subgraph_not_prime", "dual_pairs_simple", "inconclusive")
 
@@ -99,7 +100,7 @@ def _old_shape_rules(g):
         e1, mid, e2 = shape.line_order
         for iso, other in ((e1, e2), (e2, e1)):
             cfg = _alt_configs(g, mid, iso, other)
-            if alt_line_cut_simple(cfg):
+            if cut_simple(cfg):
                 return _verdict(NOT_PRIME, "alt_line_cut", "three-vertex "
                                 "alternating line: the cut isolating one end "
                                 "is a simple tensor product",
@@ -177,7 +178,7 @@ def connected_subgraphs(g, size: int) -> list:
         stack, seen = [ids[0]], {ids[0]}
         while stack:
             v = stack.pop()
-            for w in g.undirected_neighbors(v):
+            for w in g.out_neighbors(v) + g.in_neighbors(v):
                 if w in chosen and w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -200,12 +201,12 @@ def _tree_cut_witness(g):
         for w in g.out_neighbors(u):
             if w == v or g.adjacent(w, v):
                 continue
-            if alt_line_cut_simple(_alt_configs(g, u, v, w)):
+            if cut_simple(_alt_configs(g, u, v, w)):
                 return ((u, v), w, v)
         for w in g.in_neighbors(v):
             if w == u or g.adjacent(w, u):
                 continue
-            if alt_line_cut_simple(_alt_configs(g, v, u, w)):
+            if cut_simple(_alt_configs(g, v, u, w)):
                 return ((u, v), w, u)
     return None
 
@@ -243,6 +244,24 @@ def test_scan_matches_recursion_on_fixtures():
     assert witness_fired == []
 
 
+def test_three_vertex_rule_matches_the_config_branch():
+    """Every config iter_isolating_arrows(4, 3) groups, as a graph in both
+    orientations (the middle at 0, the ends at -m and -m' or at m and m'):
+    the scan decides each line as the branch that built a validated config
+    for each end in line order did, byte for byte."""
+    rules = Counter()
+    for diagram, (i, r, j, s, m), partners in iter_isolating_arrows(4, 3):
+        for jp, sp, mp in partners:
+            for sign in (-1, 1):
+                g = build_graph([KRFactor(j, 0, s), KRFactor(i, sign * m, r),
+                                 KRFactor(jp, sign * mp, sp)], diagram)
+                got = is_prime(g)
+                assert _traced(got) == _traced(_old_shape_rules(g)), \
+                    [v.label() for v in g.vertices]
+                rules[got.certificate[0].rule] += 1
+    assert rules == {"alt_line_cut": 4694, "alt_line_prime": 3424}
+
+
 def test_neighbor_pair_triples_are_the_connected_triples():
     'in a tree the connected 3-subsets are a vertex with two of its neighbors'
     rng = random.Random(20261019)
@@ -255,7 +274,8 @@ def test_neighbor_pair_triples_are_the_connected_triples():
         assert g.is_tree()
         want = sorted(sub.vertices for sub in connected_subgraphs(g, 3))
         got = sorted(g.induced((v, a, b)).vertices for v in range(len(g))
-                     for a, b in itertools.combinations(g.undirected_neighbors(v), 2))
+                     for a, b in itertools.combinations(
+                         sorted(g.out_neighbors(v) + g.in_neighbors(v)), 2))
         assert got == want, [v.label() for v in g.vertices]
         counts[len(want)] += 1
     assert counts[0] > 0 and max(counts) >= 6
@@ -431,8 +451,8 @@ def sort_everything_first_simple_triple(g):
         for ends in (g.out_neighbors(mid), g.in_neighbors(mid)):
             triples.extend((mid, a, b) for a, b in itertools.combinations(ends, 2))
     for mid, a, b in sorted(triples, key=sorted):
-        if alt_line_cut_simple(_alt_configs(g, mid, a, b)) or \
-                alt_line_cut_simple(_alt_configs(g, mid, b, a)):
+        if cut_simple(_alt_configs(g, mid, a, b)) or \
+                cut_simple(_alt_configs(g, mid, b, a)):
             return tuple(sorted((mid, a, b)))
     return None
 
@@ -442,8 +462,8 @@ def _first_found_triple(g):
     for mid in range(len(g)):
         for ends in (g.out_neighbors(mid), g.in_neighbors(mid)):
             for a, b in itertools.combinations(ends, 2):
-                if alt_line_cut_simple(_alt_configs(g, mid, a, b)) or \
-                        alt_line_cut_simple(_alt_configs(g, mid, b, a)):
+                if cut_simple(_alt_configs(g, mid, a, b)) or \
+                        cut_simple(_alt_configs(g, mid, b, a)):
                     return tuple(sorted((mid, a, b)))
     return None
 
@@ -490,8 +510,10 @@ def test_streamed_triple_scan_matches_sort_everything_oracle():
     seen = Counter()
     for g in graphs:
         want = sort_everything_first_simple_triple(g)
-        assert _first_simple_triple(g) == want, [v.label() for v in g.vertices]
-        degree = max(len(g.undirected_neighbors(v)) for v in range(len(g)))
+        cut = _first_simple_cut(g)
+        assert (cut and tuple(sorted(cut))) == want, [v.label() for v in g.vertices]
+        degree = max(len(g.out_neighbors(v)) + len(g.in_neighbors(v))
+                     for v in range(len(g)))
         copies = len(set(g.vertices)) < len(g)
         seen["high degree", want is None] += degree >= 6
         seen["copies", want is None] += copies and degree >= 6
@@ -501,11 +523,11 @@ def test_streamed_triple_scan_matches_sort_everything_oracle():
         assert seen[key] > 25, (key, seen)
 
 
-def config_per_cut_first_simple_triple(g):
+def config_per_cut_first_simple_cut(g):
     """The scan that built and validated a config for every end cut, where the
     engine computes each end's per-arrow part once: same order, same stop rule,
-    same budget."""
-    best, budget = None, qfgraph.graph.MAX_BUILD_PAIRS
+    same budget, same (middle, isolated end, other end)."""
+    best, cut, budget = None, None, qfgraph.graph.MAX_BUILD_PAIRS
     for mid in range(len(g)):
         for ends in (g.out_neighbors(mid), g.in_neighbors(mid)):
             for a, b in itertools.combinations(ends, 2):
@@ -516,12 +538,12 @@ def config_per_cut_first_simple_triple(g):
                     budget -= 1
                     if budget < 0:
                         raise _over_budget("end cuts")
-                    if alt_line_cut_simple(_alt_configs(g, mid, iso, other)):
-                        best = key
+                    if cut_simple(_alt_configs(g, mid, iso, other)):
+                        best, cut = key, (mid, iso, other)
                         break
                 if best == key:
                     break
-    return best
+    return cut
 
 
 def _scan_outcome(scan, g):
@@ -538,8 +560,8 @@ def test_scan_matches_config_per_cut_reference():
     found = 0
     for _ in range(3000):
         g = random_tree_graph(rng, max_rank=6, max_vertices=9, max_weight=4)
-        want = config_per_cut_first_simple_triple(g)
-        assert _first_simple_triple(g) == want, [v.label() for v in g.vertices]
+        want = config_per_cut_first_simple_cut(g)
+        assert _first_simple_cut(g) == want, [v.label() for v in g.vertices]
         found += want is not None
     assert found == 1322
 
@@ -554,8 +576,8 @@ def test_scan_stops_at_the_budget_of_the_config_per_cut_reference(monkeypatch):
         monkeypatch.setattr(qfgraph.graph, "MAX_BUILD_PAIRS", budget)
         want = None if budget >= 1560 else \
             f"the tree rules would test more than {budget} end cuts"
-        assert _scan_outcome(config_per_cut_first_simple_triple, g) == want
-        assert _scan_outcome(_first_simple_triple, g) == want
+        assert _scan_outcome(config_per_cut_first_simple_cut, g) == want
+        assert _scan_outcome(_first_simple_cut, g) == want
 
 
 def test_sixteen_vertex_tree_without_simple_triple():

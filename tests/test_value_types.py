@@ -19,12 +19,14 @@ import sys
 import pytest
 
 import qfgraph
-from qfgraph.decision import AltLineConfig, CertStep, decide
+from qfgraph.decision import CertStep, decide
 from qfgraph.drinfeld import DrinfeldPoly, KRFactor
 from qfgraph.dynkin import DynkinA, Interval
 from qfgraph.fixtures import cosubpt_factors
 from qfgraph.graph import build_graph
 from qfgraph.qchar import LWeight
+
+from altline import AltLineConfig
 
 
 def test_hashes_are_field_tuple_hashes():
