@@ -95,11 +95,11 @@ def _cut_params(middle: KRFactor, iso: KRFactor, other: KRFactor) -> dict:
     }
 
 
-def dual_pair_simple(w1: KRFactor, w2: KRFactor, diagram: DynkinA) -> bool:
-    """Is (dual of w1) tensor w2 simple over the whole diagram?"""
-    d = dual(w1, diagram)
-    gap = abs(d.exponent - w2.exponent)
-    return gap not in r_set(diagram, d.color, w1.weight, w2.color, w2.weight)
+def dual_pair_simple(d: KRFactor, w: KRFactor, diagram: DynkinA) -> bool:
+    """Is d tensor w simple over the whole diagram, for d = dual(w1, diagram)
+    the dual of a factor w1?  Taking the dual lets a scan compute it once."""
+    gap = abs(d.exponent - w.exponent)
+    return gap not in r_set(diagram, d.color, d.weight, w.color, w.weight)
 
 
 # -- verdicts ---------------------------------------------------------------
@@ -207,7 +207,7 @@ def _first_simple_cut(g: QFactGraph) -> tuple[int, int, int] | None:
     """
     best, cut, budget, vertices = None, None, graph.MAX_BUILD_PAIRS, g.vertices
     for mid, vm in enumerate(vertices):
-        for ends in (g.out_neighbors(mid), g.in_neighbors(mid)):
+        for ends in (g.out[mid], g.into[mid]):
             arrows = {}  # each isolated end's per-arrow part, from its first cut on
             for a, b in itertools.combinations(ends, 2):
                 key = tuple(sorted((mid, a, b)))
@@ -244,16 +244,17 @@ def _tree_dual_pairs_simple(g: QFactGraph) -> bool:
     bounded by r + s + n - 1, so (dual of u) tensor v can be reducible only
     when e_v lies within r_u + s + n - 1 of that exponent: when u's window
     [e - 2n - r, e + r - 2] overlaps v's span [e - s, e + s] (see _overlaps).
-    The scan refuses the input with ValueError once it would examine more
-    than graph.MAX_BUILD_PAIRS such pairs.
+    Each vertex's dual is computed once.  The scan refuses the input with
+    ValueError once it would examine more than graph.MAX_BUILD_PAIRS such pairs.
     """
-    n = g.diagram.n
-    pairs = _overlaps(g.vertices,
-                      lambda f: (f.exponent - 2 * n - f.weight, f.exponent + f.weight - 2),
+    dg, vertices = g.diagram, g.vertices
+    duals = [dual(f, dg) for f in vertices]
+    pairs = _overlaps(vertices,
+                      lambda f: (f.exponent - 2 * dg.n - f.weight, f.exponent + f.weight - 2),
                       lambda f: (f.exponent - f.weight, f.exponent + f.weight))
     for u, v in itertools.islice(pairs, graph.MAX_BUILD_PAIRS):
         if v != u and not g.adjacent(u, v) and \
-                not dual_pair_simple(g.vertices[u], g.vertices[v], g.diagram):
+                not dual_pair_simple(duals[u], vertices[v], dg):
             return False
     if next(pairs, None) is not None:
         raise _over_budget("dual pairs")

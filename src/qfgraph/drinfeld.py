@@ -29,10 +29,6 @@ class KRFactor(namedtuple("KRFactor", "color exponent weight")):
             raise ValueError(f"color must be positive, got {color}")
         return tuple.__new__(cls, (color, exponent, weight))
 
-    def roots(self) -> tuple[int, ...]:
-        """Exponents of the underlying q-string, highest first."""
-        return tuple(self.exponent + self.weight - 1 - 2 * k for k in range(self.weight))
-
     def label(self) -> str:
         return f"{self.color}^{self.weight}@{self.exponent}"
 
@@ -62,7 +58,8 @@ class DrinfeldPoly(namedtuple("DrinfeldPoly", "roots")):
 
 
 def expand_all(factors) -> DrinfeldPoly:
-    return DrinfeldPoly.from_roots((f.color, e) for f in factors for e in f.roots())
+    return DrinfeldPoly.from_roots((f.color, e) for f in factors for e in
+                                   range(f.exponent - f.weight + 1, f.exponent + f.weight, 2))
 
 
 def _peel(spans) -> list[tuple[int, int, int]]:

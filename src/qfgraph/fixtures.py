@@ -122,7 +122,7 @@ def run_cosubpt() -> ExampleReport:
     # In a tree a connected three-vertex subgraph is a vertex and two neighbors.
     triples = [g.induced((v, a, b)) for v in range(len(g))
                for a, b in itertools.combinations(
-                   sorted(g.out_neighbors(v) + g.in_neighbors(v)), 2)]
+                   sorted(g.out[v] + g.into[v]), 2)]
     report.add("exactly two connected three-vertex subgraphs", len(triples) == 2)
     tags = sorted(classify(t).tag for t in triples)
     report.add("one monotonic and one alternating triple",

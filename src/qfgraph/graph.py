@@ -35,21 +35,22 @@ ShapeClass = namedtuple("ShapeClass", "tag components line_order", defaults=(Non
 
 class QFactGraph:
     __slots__ = ("diagram", "vertices", "arrows", "was_refactorized", "_pairs",
-                 "_out", "_in", "_components")
+                 "out", "into", "_components")
 
     def __init__(self, diagram: DynkinA, vertices: tuple[KRFactor, ...],
                  arrows: tuple[Arrow, ...], was_refactorized: bool) -> None:
         self.diagram, self.vertices, self.arrows = diagram, vertices, arrows
         self.was_refactorized = was_refactorized
         self._pairs = {(a.tail, a.head) for a in arrows}
-        # Neighbor lists stay lists: a tuple per vertex, freed with every
+        # out[v] and into[v] list v's heads and tails, ascending for sorted
+        # arrows.  They stay lists: a tuple per vertex, freed with every
         # graph, piles up in CPython's tuple free lists and raises peak RSS.
         out: list[list[int]] = [[] for _ in vertices]
         into: list[list[int]] = [[] for _ in vertices]
         for a in arrows:
             out[a.tail].append(a.head)
             into[a.head].append(a.tail)
-        self._out, self._in = tuple(out), tuple(into)
+        self.out, self.into = tuple(out), tuple(into)
         # One walk per graph, shared by classify and is_tree.
         self._components = self.components()
 
@@ -60,12 +61,6 @@ class QFactGraph:
 
     def adjacent(self, u: int, v: int) -> bool:
         return (u, v) in self._pairs or (v, u) in self._pairs
-
-    def out_neighbors(self, v: int) -> list[int]:
-        return self._out[v]
-
-    def in_neighbors(self, v: int) -> list[int]:
-        return self._in[v]
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Weakly connected components as sorted vertex-id tuples; one walk."""
@@ -79,7 +74,7 @@ class QFactGraph:
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for w in self._out[v] + self._in[v]:
+                for w in self.out[v] + self.into[v]:
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
@@ -184,7 +179,7 @@ def build_graph(factors, diagram: DynkinA) -> QFactGraph:
     n = diagram.n
     exponents = [v.exponent for v in vertices]
     sides = [(v.color, v.weight) for v in vertices]
-    sets: dict[tuple[int, int], dict[tuple[int, int], range]] = {}
+    sets: dict[tuple[int, int, int, int], range] = {}
     arrows = []
     pairs = list(islice(_overlaps(
         vertices, lambda f: (f.exponent - f.weight, f.exponent - 1),
@@ -193,12 +188,10 @@ def build_graph(factors, diagram: DynkinA) -> QFactGraph:
         raise ValueError(f"the graph build would examine more than "
                          f"{MAX_BUILD_PAIRS} vertex pairs")
     for t, h in pairs:
-        row = sets.get(sides[t])
-        if row is None:
-            row = sets[sides[t]] = {}
-        rs = row.get(sides[h])
+        key = sides[t] + sides[h]
+        rs = sets.get(key)
         if rs is None:
-            rs = row[sides[h]] = r_set(diagram, *sides[t], *sides[h])
+            rs = sets[key] = r_set(diagram, *key)
         gap = exponents[t] - exponents[h]
         if gap in rs:
             arrows.append(Arrow(t, h, gap))
@@ -222,9 +215,8 @@ def classify(g: QFactGraph) -> ShapeClass:
     if n == 3:
         if len(g.arrows) == 3:
             return ShapeClass(TRIANGLE, comps)
-        middle = next(v for v in range(3)
-                      if len(g.out_neighbors(v)) + len(g.in_neighbors(v)) == 2)
-        if len(g.out_neighbors(middle)) == 1:  # one arrow in, one out
+        middle = next(v for v in range(3) if len(g.out[v]) + len(g.into[v]) == 2)
+        if len(g.out[middle]) == 1:  # one arrow in, one out
             return ShapeClass(MONOTONIC_LINE3, comps, g.exponent_order())
         ends = [v for v in range(3) if v != middle]
         return ShapeClass(ALTERNATING_LINE3, comps, (ends[0], middle, ends[1]))

@@ -387,7 +387,7 @@ def check_duality(trials: int, seed: int) -> SweepResult:
             gap = abs(a.exponent - (n + 1) - b.exponent)
             simple = string_parameter(dg, n + 1 - a.color, a.weight, b.color, b.weight,
                                       gap) is None
-            if dual_pair_simple(a, b, dg) != simple:
+            if dual_pair_simple(dual(a, dg), b, dg) != simple:
                 result.fail(f"dual-pair test disagrees with the string parameter "
                             f"for {a.label()}, {b.label()} at rank {n}")
         primality = is_prime(g).primality

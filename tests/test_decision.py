@@ -8,7 +8,7 @@ import qfgraph.sweeps
 from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, alt_line_cut_simple,
                               cut_general_conditions, decide, dual_pair_simple,
                               is_prime, is_real)
-from qfgraph.drinfeld import KRFactor
+from qfgraph.drinfeld import KRFactor, dual
 from qfgraph.dynkin import DynkinA
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
 from qfgraph.graph import QFactGraph, build_graph
@@ -375,9 +375,9 @@ def test_case_parameters_signed_identities():
 # -- dual pairs ---------------------------------------------------------------
 
 def test_dual_pair_simple_examples():
-    assert dual_pair_simple(KRFactor(2, 4, 2), KRFactor(1, 0, 1), A2) is True
-    assert dual_pair_simple(KRFactor(1, 7, 2), KRFactor(2, 3, 1), A2) is True
-    assert dual_pair_simple(KRFactor(1, 0, 1), KRFactor(1, 0, 1), A2) is False
+    assert dual_pair_simple(dual(KRFactor(2, 4, 2), A2), KRFactor(1, 0, 1), A2) is True
+    assert dual_pair_simple(dual(KRFactor(1, 7, 2), A2), KRFactor(2, 3, 1), A2) is True
+    assert dual_pair_simple(dual(KRFactor(1, 0, 1), A2), KRFactor(1, 0, 1), A2) is False
 
 
 def test_duality_catches_a_negated_dual_pair_test(monkeypatch):

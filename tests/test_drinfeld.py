@@ -13,14 +13,14 @@ from qfgraph.sweeps import RANK_ONE, merge_factorize
 
 
 def test_expand_examples():
+    'a factor of weight r at e expands to the roots e - r + 1, e - r + 3, ..., e + r - 1'
     assert expand_all([KRFactor(1, 3, 2)]).roots == ((1, 2), (1, 4))
     assert expand_all([KRFactor(2, 0, 1)]).roots == ((2, 0),)
     assert expand_all([KRFactor(3, 6, 3)]).roots == ((3, 4), (3, 6), (3, 8))
 
 
 def test_factor_roots_progression():
-    assert KRFactor(1, 3, 2).roots() == (4, 2)
-    assert KRFactor(3, 6, 3).roots() == (8, 6, 4)
+    assert expand_all([KRFactor(2, -1, 4)]).roots == ((2, -4), (2, -2), (2, 0), (2, 2))
     with pytest.raises(ValueError):
         KRFactor(1, 0, 0)
 

@@ -12,7 +12,7 @@ from qfgraph.graph import (ALTERNATING_LINE3, DISCONNECTED, MONOTONIC_LINE3,
                            OTHER, SINGLETON, TOTALLY_ORDERED, TREE, TRIANGLE,
                            TWO_LINE, Arrow, _overlaps, build_graph, classify)
 from qfgraph.redsets import r_set
-from qfgraph.sweeps import arrow_dual, color_dual
+from qfgraph.sweeps import arrow_dual, color_dual, random_tree_graph
 
 
 def arrow_set(g):
@@ -99,12 +99,35 @@ def test_arrows_are_exponent_decreasing():
                 == g.vertices[a.head].exponent + a.epsilon
 
 
+def test_neighbor_lists_ascend_and_list_each_arrow_once():
+    'out and into are strictly ascending, and each lists every arrow once'
+    rng = random.Random(20261019)
+    graphs = [random_tree_graph(rng) for _ in range(2000)]
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        factors = [KRFactor(rng.randint(1, n), rng.randint(-8, 8), rng.randint(1, 4))
+                   for _ in range(rng.randint(1, 12))]
+        graphs.append(build_graph(factors, DynkinA(n)))
+    seen = Counter()
+    for g in graphs:
+        for lists in (g.out, g.into):
+            assert len(lists) == len(g)
+            for ids in lists:
+                assert all(a < b for a, b in zip(ids, ids[1:])), ids
+                seen["two or more"] += len(ids) > 1
+        arrows = Counter((a.tail, a.head) for a in g.arrows)
+        assert set(arrows.values()) <= {1}
+        assert Counter((t, h) for t, heads in enumerate(g.out) for h in heads) == arrows
+        assert Counter((t, h) for h, tails in enumerate(g.into) for t in tails) == arrows
+    assert seen["two or more"] > 500, seen
+
+
 def test_connected_subgraph_counts():
     'one connected subset per vertex, per edge, and per vertex with two neighbors'
     dg, factors = cosubpt_factors()
     g = build_graph(factors, dg)
     assert g.is_tree() and len(g) == 4
-    assert sum(comb(len(g.out_neighbors(v)) + len(g.in_neighbors(v)), 2)
+    assert sum(comb(len(g.out[v]) + len(g.into[v]), 2)
                for v in range(len(g))) == 2
     mono = build_graph([KRFactor(1, 9, 1), KRFactor(2, 6, 1), KRFactor(3, 3, 1)],
                        DynkinA(3))

@@ -23,7 +23,8 @@ from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, CertStep,
                               Verdict, _first_simple_cut, _over_budget,
                               _tree_dual_pairs_simple, decide, dual_pair_simple,
                               is_prime, is_real)
-from qfgraph.drinfeld import KRFactor
+import qfgraph.drinfeld
+from qfgraph.drinfeld import KRFactor, dual
 from qfgraph.dynkin import DynkinA
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
 from qfgraph.graph import (ALTERNATING_LINE3, DISCONNECTED, MONOTONIC_LINE3,
@@ -56,7 +57,7 @@ def _reach(g) -> list[set]:
         stack = [v]
         while stack:
             u = stack.pop()
-            for w in g.out_neighbors(u):
+            for w in g.out[u]:
                 if w not in reach[v]:
                     reach[v].add(w)
                     stack.append(w)
@@ -138,9 +139,9 @@ def oracle_is_real(g) -> Verdict:
 
 def all_pairs_dual_simple(g) -> bool:
     """The dual-pair rule over every non-adjacent pair, both orders."""
-    n = len(g)
-    return all(dual_pair_simple(g.vertices[u], g.vertices[v], g.diagram)
-               and dual_pair_simple(g.vertices[v], g.vertices[u], g.diagram)
+    n, dg, vs = len(g), g.diagram, g.vertices
+    return all(dual_pair_simple(dual(vs[u], dg), vs[v], dg)
+               and dual_pair_simple(dual(vs[v], dg), vs[u], dg)
                for u in range(n) for v in range(u + 1, n) if not g.adjacent(u, v))
 
 
@@ -178,7 +179,7 @@ def connected_subgraphs(g, size: int) -> list:
         stack, seen = [ids[0]], {ids[0]}
         while stack:
             v = stack.pop()
-            for w in g.out_neighbors(v) + g.in_neighbors(v):
+            for w in g.out[v] + g.into[v]:
                 if w in chosen and w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -198,12 +199,12 @@ def _tree_subgraph_not_prime(g, memo: dict, witness_fired: list):
 def _tree_cut_witness(g):
     for a in g.arrows:
         u, v = a.tail, a.head
-        for w in g.out_neighbors(u):
+        for w in g.out[u]:
             if w == v or g.adjacent(w, v):
                 continue
             if cut_simple(_alt_configs(g, u, v, w)):
                 return ((u, v), w, v)
-        for w in g.in_neighbors(v):
+        for w in g.into[v]:
             if w == u or g.adjacent(w, u):
                 continue
             if cut_simple(_alt_configs(g, v, u, w)):
@@ -275,7 +276,7 @@ def test_neighbor_pair_triples_are_the_connected_triples():
         want = sorted(sub.vertices for sub in connected_subgraphs(g, 3))
         got = sorted(g.induced((v, a, b)).vertices for v in range(len(g))
                      for a, b in itertools.combinations(
-                         sorted(g.out_neighbors(v) + g.in_neighbors(v)), 2))
+                         sorted(g.out[v] + g.into[v]), 2))
         assert got == want, [v.label() for v in g.vertices]
         counts[len(want)] += 1
     assert counts[0] > 0 and max(counts) >= 6
@@ -443,12 +444,34 @@ def test_spread_out_dual_pairs_need_no_test(monkeypatch, count_window_ids):
     assert 0 < examined["pairs"] <= 2 * size
 
 
+def test_dual_pair_rule_takes_each_dual_once(monkeypatch):
+    'a star of 40 distinct leaves: 1560 dual-pair tests, at most one dual per vertex'
+    k = 41
+    g = build_graph([KRFactor(k + 2, k, 1)] + [KRFactor(k + 2 + t, 0, 1)
+                                               for t in range(2 - k, k - 1, 2)],
+                    DynkinA(2 * k + 3))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(qfgraph.decision, "dual", counted("dual", qfgraph.drinfeld.dual))
+    monkeypatch.setattr(qfgraph.decision, "dual_pair_simple",
+                        counted("dual_pair_simple", dual_pair_simple))
+    assert classify(g).tag == TREE and len(g) == k and _tree_dual_pairs_simple(g)
+    assert calls["dual_pair_simple"] == (k - 1) * (k - 2)
+    assert calls["dual"] <= len(g)
+
+
 def sort_everything_first_simple_triple(g):
     """The triple scan the streamed one replaced: list every alternating
     triple, sort them all by their sorted ids, and test them in that order."""
     triples = []
     for mid in range(len(g)):
-        for ends in (g.out_neighbors(mid), g.in_neighbors(mid)):
+        for ends in (g.out[mid], g.into[mid]):
             triples.extend((mid, a, b) for a, b in itertools.combinations(ends, 2))
     for mid, a, b in sorted(triples, key=sorted):
         if cut_simple(_alt_configs(g, mid, a, b)) or \
@@ -460,7 +483,7 @@ def sort_everything_first_simple_triple(g):
 def _first_found_triple(g):
     """The first simple triple in stream order, without comparing streams."""
     for mid in range(len(g)):
-        for ends in (g.out_neighbors(mid), g.in_neighbors(mid)):
+        for ends in (g.out[mid], g.into[mid]):
             for a, b in itertools.combinations(ends, 2):
                 if cut_simple(_alt_configs(g, mid, a, b)) or \
                         cut_simple(_alt_configs(g, mid, b, a)):
@@ -512,7 +535,7 @@ def test_streamed_triple_scan_matches_sort_everything_oracle():
         want = sort_everything_first_simple_triple(g)
         cut = _first_simple_cut(g)
         assert (cut and tuple(sorted(cut))) == want, [v.label() for v in g.vertices]
-        degree = max(len(g.out_neighbors(v)) + len(g.in_neighbors(v))
+        degree = max(len(g.out[v]) + len(g.into[v])
                      for v in range(len(g)))
         copies = len(set(g.vertices)) < len(g)
         seen["high degree", want is None] += degree >= 6
@@ -529,7 +552,7 @@ def config_per_cut_first_simple_cut(g):
     same budget, same (middle, isolated end, other end)."""
     best, cut, budget = None, None, qfgraph.graph.MAX_BUILD_PAIRS
     for mid in range(len(g)):
-        for ends in (g.out_neighbors(mid), g.in_neighbors(mid)):
+        for ends in (g.out[mid], g.into[mid]):
             for a, b in itertools.combinations(ends, 2):
                 key = tuple(sorted((mid, a, b)))
                 if best is not None and key >= best:
