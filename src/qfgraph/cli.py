@@ -27,6 +27,10 @@ from .redsets import r_set
 # set of 10^10 elements would need about a terabyte.
 MAX_RSET_ELEMENTS = 10**6
 
+# Most characters `rset` prints, bounded before any element is formatted:
+# 10^4 elements of 4000 digits pass the element bound and would print 40 MB.
+MAX_RSET_CHARS = 10**7
+
 # Bound on the magnitude of a rank, a factor field and an `rset` flag.
 # Python refuses to print an int of more than 4300 digits, and fields that
 # all parse can still yield one: two factors of weight 9 10^4299 merge into
@@ -96,6 +100,9 @@ def cmd_rset(args) -> int:
     if rs[MAX_RSET_ELEMENTS:]:  # a slice, not len(): len() overflows past 2^63
         raise ValueError(f"the reducibility set has more than "
                          f"{MAX_RSET_ELEMENTS} elements")
+    if len(rs) * (len(str(rs[-1])) + 2) > MAX_RSET_CHARS:  # digits and ", "
+        raise ValueError(f"the reducibility set would print more than "
+                         f"{MAX_RSET_CHARS} characters")
     print("{" + ", ".join(map(str, rs)) + "}")
     return 0
 

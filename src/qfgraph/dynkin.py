@@ -52,7 +52,3 @@ class DynkinA:
     def check_node(self, i: int) -> None:
         if not 1 <= i <= self.n:
             raise ValueError(f"node {i} out of range for rank {self.n}")
-
-    def check_interval(self, J: Interval) -> None:
-        if J.hi > self.n:
-            raise ValueError(f"interval [{J.lo}, {J.hi}] exceeds rank {self.n}")

@@ -7,11 +7,11 @@ modules (restricted to J) is reducible.  Its type-A closed form is
     { r + s + d(i,j) - 2p : -d([i,j], boundary of J) <= p < min(r, s) }.
 
 As p runs over its window the elements form one step-2 progression, and
-r_set returns it as a bare increasing `range`.  Membership is an exact
-parity-and-window test and no set is ever materialized.  `m in rs` is
-literal: negative gaps and zero are never members, so a caller asking about
-reducibility in either order tests `abs(m) in rs`.  The rank-one set, which
-decides whether two same-color q-strings coalesce, is r_set over DynkinA(1).
+r_set returns it as a bare increasing `range` and alone states the input
+checks and their errors; string_parameter solves for p without a range and
+calls r_set only to raise them.  `m in rs` is literal (no gap m <= 0 is a
+member; test `abs(m) in rs` for either order).  r_set over DynkinA(1) is the
+rank-one set, which decides whether two same-color q-strings coalesce.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ def r_set(diagram: DynkinA, i: int, r: int, j: int, s: int,
           window: Interval | None = None) -> range:
     """Reducibility set of the colored pair (i, r), (j, s) over the window.
 
-    The window defaults to the whole diagram.  Both colors must lie in the
-    window and both weights must be positive.
+    The window defaults to the whole diagram and must lie within the rank;
+    both colors must lie in the window and both weights must be positive.
     """
     lo, hi = (1, diagram.n) if window is None else (window.lo, window.hi)
     if hi > diagram.n:
-        diagram.check_interval(window)  # raises the rank error
+        raise ValueError(f"interval [{lo}, {hi}] exceeds rank {diagram.n}")
     a, b = (i, j) if i <= j else (j, i)
     if not (lo <= a and b <= hi):
         raise ValueError(f"colors ({i}, {j}) not inside window [{lo}, {hi}]")
@@ -46,16 +46,13 @@ def string_parameter(diagram: DynkinA, i: int, r: int, j: int, s: int, m: int,
 
     Returns None (rather than raising) on parity mismatch or when p falls
     outside [-d([i,j], boundary), min(r, s)), so callers can use this as a
-    membership probe.  The window, colors and weights are checked as in r_set.
+    membership probe.  A valid input builds no set; an invalid window, color
+    or weight raises r_set's error.
     """
     lo, hi = (1, diagram.n) if window is None else (window.lo, window.hi)
-    if hi > diagram.n:
-        diagram.check_interval(window)  # raises the rank error
     a, b = (i, j) if i <= j else (j, i)
-    if not (lo <= a and b <= hi):
-        raise ValueError(f"colors ({i}, {j}) not inside window [{lo}, {hi}]")
-    if r < 1 or s < 1:
-        raise ValueError(f"weights must be positive, got ({r}, {s})")
+    if hi > diagram.n or not (lo <= a and b <= hi) or r < 1 or s < 1:
+        r_set(diagram, i, r, j, s, window)  # raises the input error
     twice_p = r + s + b - a - m
     if twice_p % 2 != 0:
         return None

@@ -72,6 +72,23 @@ def test_rset_window_and_errors(capsys):
         assert err == "input error: the reducibility set has more than 1000000 elements\n"
 
 
+def test_rset_refuses_a_set_that_would_print_too_much(capsys, monkeypatch):
+    'elements times (digits of the largest + 2) is bounded before any is printed'
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["rset", "--rank", "20001", "--i", "10001",
+                                  "--r", "9" * 3999, "--j", "10001", "--s", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "input error: the reducibility set would print more than " \
+                  "10000000 characters\n"
+    argv = ["rset", "--rank", "3", "--i", "3", "--r", "3", "--j", "1", "--s", "2"]
+    monkeypatch.setattr(qfgraph.cli, "MAX_RSET_CHARS", 6)  # {5, 7}: 2 * (1 + 2)
+    assert run(capsys, argv)[:2] == (0, "{5, 7}\n")
+    monkeypatch.setattr(qfgraph.cli, "MAX_RSET_CHARS", 5)
+    assert run(capsys, argv) == (1, "", "input error: the reducibility set would "
+                                        "print more than 5 characters\n")
+
+
 def test_prime_command(capsys, tmp_path):
     path = write_input(tmp_path, 3, COSUBPT)
     code, out, _ = run(capsys, ["prime", path])
@@ -271,7 +288,12 @@ def test_tree_rules_over_the_pair_budget_are_an_input_error(capsys, tmp_path, mo
     assert run(capsys, ["prime", path])[:2] == (0, '{"primality": "prime", "reality": "real"}\n')
 
 
-def test_deeply_nested_json_is_an_input_error(tmp_path):
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
+    'through main the exact message; as a process, exit 1 and no traceback'
+    deeper = tmp_path / "deeper.json"
+    deeper.write_text("[" * 200000)
+    assert run(capsys, ["prime", str(deeper)]) == (
+        1, "", f"input error: JSON in {deeper} is nested too deeply\n")
     path = tmp_path / "deep.json"
     path.write_text('{"rank": 2, "factors": ' + "[" * 100000 + "]" * 100000 + "}")
     src = os.path.dirname(os.path.dirname(qfgraph.__file__))

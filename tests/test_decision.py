@@ -13,9 +13,10 @@ from qfgraph.dynkin import DynkinA
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
 from qfgraph.graph import QFactGraph, build_graph
 from qfgraph.redsets import minimal_window, r_set, string_parameter
-from qfgraph.sweeps import (RANK_ONE, arrow_dual, check_duality, check_forms_agree,
-                            color_dual, extra_condition_uniform, ineq_forms,
-                            iter_isolating_arrows, iter_linked_pairs, sign_split)
+from qfgraph.sweeps import (RANK_ONE, arrow_dual, check_c3aline, check_duality,
+                            check_forms_agree, color_dual, extra_condition_uniform,
+                            ineq_forms, iter_isolating_arrows, iter_linked_pairs,
+                            sign_split)
 
 from altline import AltLineConfig, _alt_configs, cut_simple
 
@@ -285,6 +286,20 @@ def test_forms_agree_catches_a_flipped_cut_test(monkeypatch):
         "forms disagree (True vs False) on {'isolated': {'color': 2, 'weight': 2, "
         "'label': 4}, 'middle': {'color': 1, 'weight': 1}, 'other': {'color': 2, "
         "'weight': 1, 'label': 3}, 'middle_is_source': True} at rank 2",
+    ]
+
+
+def test_c3aline_catches_a_cut_test_answering_not_simple(monkeypatch):
+    'one symmetric line the engine calls not simple fails the sweep with its text'
+    def refused_once(arrow, jp, sp, mp):
+        simple = alt_line_cut_simple(arrow, jp, sp, mp)
+        dg, i, r, j, s, m = arrow[:6]
+        return simple and (dg.n, i, r, j, s, m) != (2, 1, 2, 2, 2, 3)
+
+    monkeypatch.setattr(qfgraph.sweeps, "alt_line_cut_simple", refused_once)
+    assert check_c3aline(2, 2).lines() == [
+        "FAIL: c3aline (10 cases checked)",
+        "  counterexample: cut not simple for i=1 r=2 j=2 s=2 m=3 at rank 2",
     ]
 
 

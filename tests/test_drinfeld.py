@@ -5,11 +5,12 @@ from collections import Counter
 
 import pytest
 
+import qfgraph.sweeps
 from qfgraph.drinfeld import (DrinfeldPoly, KRFactor, dual, expand_all,
                               is_dissociate, normalize, q_factorize)
 from qfgraph.dynkin import DynkinA
 from qfgraph.redsets import r_set
-from qfgraph.sweeps import RANK_ONE, merge_factorize
+from qfgraph.sweeps import RANK_ONE, check_confluence, merge_factorize
 
 
 def test_expand_examples():
@@ -182,3 +183,43 @@ def test_factor_json():
         KRFactor.from_json({"color": 1, "exponent": "x", "weight": 1})
     with pytest.raises(ValueError):
         KRFactor.from_json({"color": 1})
+
+
+def _weight_one(poly):
+    'one weight-1 factor per root: it expands back to the roots but is no normal form'
+    return tuple(KRFactor(c, e, 1) for c, e in poly.roots)
+
+
+# Seed 28 draws the one polynomial below, whose normal form has a weight-2 string.
+ROOTS_28 = "((1, -3), (1, 4), (1, 6))"
+
+
+def test_confluence_catches_a_factorization_losing_a_root(monkeypatch):
+    monkeypatch.setattr(qfgraph.sweeps, "q_factorize", lambda poly: q_factorize(poly)[:-1])
+    assert check_confluence(1, 28).lines() == [
+        "FAIL: confluence (1 cases checked)",
+        f"  counterexample: root multiset not preserved for {ROOTS_28}",
+    ]
+
+
+def test_confluence_catches_a_factorization_that_is_not_idempotent(monkeypatch):
+    'the second factorization of the same roots answering otherwise fails the sweep'
+    calls = []
+
+    def second_differs(poly):
+        calls.append(poly)
+        return q_factorize(poly) if len(calls) % 2 else _weight_one(poly)
+
+    monkeypatch.setattr(qfgraph.sweeps, "q_factorize", second_differs)
+    assert check_confluence(1, 28).lines() == [
+        "FAIL: confluence (1 cases checked)",
+        f"  counterexample: not idempotent for {ROOTS_28}",
+    ]
+
+
+def test_confluence_catches_a_merge_oracle_that_never_merges(monkeypatch):
+    monkeypatch.setattr(qfgraph.sweeps, "merge_factorize", lambda poly, rng: _weight_one(poly))
+    assert check_confluence(1, 28).lines() == [
+        "FAIL: confluence (1 cases checked)",
+        f"  counterexample: merge oracle disagrees for {ROOTS_28}",
+    ]

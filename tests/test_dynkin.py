@@ -83,8 +83,8 @@ def test_construction_errors():
         Interval(3, 2)
     with pytest.raises(ValueError):
         Interval(0, 2)
-    with pytest.raises(ValueError):
-        DynkinA(3).check_interval(Interval(2, 4))
+    with pytest.raises(ValueError, match=r"^interval \[2, 4\] exceeds rank 3$"):
+        r_set(DynkinA(3), 2, 1, 2, 1, Interval(2, 4))
 
 
 def test_interval_basics():

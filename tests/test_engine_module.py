@@ -182,7 +182,7 @@ def test_every_engine_name_is_read_outside_the_sweeps():
 
 def test_redsets_and_dynkin_define_only_what_the_engine_reads():
     modules = _modules()
-    assert {"check_node", "check_interval"} <= _methods(_class(modules, "dynkin", "DynkinA"))
+    assert "check_node" in _methods(_class(modules, "dynkin", "DynkinA"))
     assert {"reflect", "dual_coxeter"} <= _methods(_class(modules, "dynkin", "Interval"))
     unread = _unread_by_engine(modules, ("redsets", "dynkin"))
     assert not unread, f"redsets.py and dynkin.py names only the sweeps read: {unread}"

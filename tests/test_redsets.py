@@ -169,7 +169,8 @@ def _interval_string_parameter(diagram, i, r, j, s, m, window=None):
     """string_parameter as it was written over Interval objects."""
     if window is None:
         window = Interval(1, diagram.n)
-    diagram.check_interval(window)
+    if window.hi > diagram.n:
+        raise ValueError(f"interval [{window.lo}, {window.hi}] exceeds rank {diagram.n}")
     if _reach(window, i, j) < 0:
         raise ValueError(f"colors ({i}, {j}) not inside window "
                          f"[{window.lo}, {window.hi}]")
@@ -208,6 +209,31 @@ def test_string_parameter_matches_interval_oracle():
                     args = (dg, i, r, j, s, m, window)
                     assert _outcome(string_parameter, *args) == \
                         _outcome(_interval_string_parameter, *args), args
+
+
+def test_string_parameter_defers_its_errors_to_r_set(monkeypatch):
+    'a valid input makes no r_set call; an invalid one raises exactly its error'
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return r_set(*args)
+
+    monkeypatch.setattr(qfgraph.redsets, "r_set", counted)
+    for n in range(1, 6):
+        dg, colors = DynkinA(n), range(n + 2)
+        windows = [None] + [Interval(a, b) for a in range(1, n + 2)
+                            for b in range(a, n + 2)]
+        for window, i, j in itertools.product(windows, colors, colors):
+            for r, s in itertools.product(range(-1, 3), repeat=2):
+                want = _outcome(r_set, dg, i, r, j, s, window)
+                for m in range(-1, r + s + n + 2):
+                    calls.clear()
+                    got = _outcome(string_parameter, dg, i, r, j, s, m, window)
+                    if isinstance(want, str):
+                        assert (got, len(calls)) == (want, 1), (n, window, i, r, j, s, m)
+                    else:
+                        assert not calls and (got is not None) == (m in want)
 
 
 def test_minimal_window_brute_force():
