@@ -2,9 +2,10 @@
 
 The central predicate decides, for a three-vertex alternating line, whether
 the cut isolating one end is a simple tensor product, tested through
-reducibility-set membership (the criterion's native form).  The equivalent
-string-parameter forms that the forms-agree sweep checks it against live in
-qfgraph.sweeps, so this module holds only what the verdicts run.
+reducibility-set membership (the criterion's native form), which
+string_parameter answers without building a set.  The inequality forms that
+the forms-agree sweep checks it against live in qfgraph.sweeps, so this
+module holds only what the verdicts run.
 
 Verdicts are three-valued and every verdict carries a certificate listing
 the rules that produced it.  The rule set is sound but deliberately
@@ -22,7 +23,7 @@ from .drinfeld import KRFactor, dual
 from .graph import (ALTERNATING_LINE3, DISCONNECTED, MONOTONIC_LINE3, OTHER,
                     SINGLETON, TOTALLY_ORDERED, TRIANGLE, TWO_LINE, QFactGraph,
                     _overlaps, classify)
-from .redsets import minimal_window, r_set
+from .redsets import minimal_window, string_parameter
 
 PRIME = "prime"
 NOT_PRIME = "not_prime"
@@ -51,9 +52,9 @@ def cut_general_conditions(arrow: IsolatingArrow, jp: int, sp: int, mp: int) -> 
     dg, _, r, j, s, m, window, reflected, h = arrow
     if not window.lo <= jp <= window.hi:
         return False
-    if mp not in r_set(dg, j, s, jp, sp, window):
+    if string_parameter(dg, j, s, jp, sp, mp, window) is None:
         return False
-    return abs(m - mp - h) in r_set(dg, reflected, r, jp, sp, window)
+    return string_parameter(dg, reflected, r, jp, sp, abs(m - mp - h), window) is not None
 
 
 def alt_line_cut_simple(arrow: IsolatingArrow, jp: int, sp: int, mp: int) -> bool:
@@ -70,7 +71,7 @@ def alt_line_cut_simple(arrow: IsolatingArrow, jp: int, sp: int, mp: int) -> boo
     if not cut_general_conditions(arrow, jp, sp, mp):
         return False
     dg, i, r, _, _, m, window, _, _ = arrow
-    return r == 1 or m - mp + 1 not in r_set(dg, i, r - 1, jp, sp, window)
+    return r == 1 or string_parameter(dg, i, r - 1, jp, sp, m - mp + 1, window) is None
 
 
 def _end_arrow(g: QFactGraph, middle: int, end: int) -> IsolatingArrow:
@@ -99,7 +100,7 @@ def dual_pair_simple(d: KRFactor, w: KRFactor, diagram: DynkinA) -> bool:
     """Is d tensor w simple over the whole diagram, for d = dual(w1, diagram)
     the dual of a factor w1?  Taking the dual lets a scan compute it once."""
     gap = abs(d.exponent - w.exponent)
-    return gap not in r_set(diagram, d.color, d.weight, w.color, w.weight)
+    return string_parameter(diagram, d.color, d.weight, w.color, w.weight, gap) is None
 
 
 # -- verdicts ---------------------------------------------------------------

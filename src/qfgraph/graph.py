@@ -15,7 +15,7 @@ from itertools import islice
 
 from .dynkin import DynkinA
 from .drinfeld import KRFactor, normalize
-from .redsets import r_set
+from .redsets import string_parameter
 
 SINGLETON = "singleton"
 TWO_LINE = "two_line"
@@ -124,9 +124,9 @@ class QFactGraph:
 # Most candidate (tail, head) pairs build_graph examines before it refuses
 # the input, so also the most arrows a graph can have.  The largest build of a
 # fixture or benchmark input examines 2655, a 10^5-factor fuzz input 247292.
-# A build is refused before any r_set call, once the pair list is one over the
-# cap: about 0.13 s and 50 MB peak (1800 factors, one per color at rank 1800;
-# one core of a 2-vCPU Intel Xeon VM, Python 3.11).
+# A build is refused before any string_parameter probe, once the pair list is
+# one over the cap: about 0.13 s and 50 MB peak (1800 factors, one per color at
+# rank 1800; one core of a 2-vCPU Intel Xeon VM, Python 3.11).
 MAX_BUILD_PAIRS = 5 * 10**5
 
 
@@ -168,18 +168,15 @@ def build_graph(factors, diagram: DynkinA) -> QFactGraph:
     <= r + s + n - 1, so a tail of weight r can only reach a head of its
     parity class whose exponent lies 1 to r + s + n - 1 below its own: the
     tail's [e - r, e - 1] overlaps the head's [e, e + s + n - 1] (see
-    _overlaps).  Each reducibility set is computed once per build.  An input
-    with more than MAX_BUILD_PAIRS such pairs is refused with ValueError
-    before any reducibility set is computed.
+    _overlaps).  Each pair's gap is tested by its string parameter, so no
+    reducibility set is built.  An input with more than MAX_BUILD_PAIRS such
+    pairs is refused with ValueError before any gap is tested.
     """
     factors = list(factors)
     for f in factors:
         diagram.check_node(f.color)
     vertices, refactorized = normalize(factors)
     n = diagram.n
-    exponents = [v.exponent for v in vertices]
-    sides = [(v.color, v.weight) for v in vertices]
-    sets: dict[tuple[int, int, int, int], range] = {}
     arrows = []
     pairs = list(islice(_overlaps(
         vertices, lambda f: (f.exponent - f.weight, f.exponent - 1),
@@ -188,12 +185,9 @@ def build_graph(factors, diagram: DynkinA) -> QFactGraph:
         raise ValueError(f"the graph build would examine more than "
                          f"{MAX_BUILD_PAIRS} vertex pairs")
     for t, h in pairs:
-        key = sides[t] + sides[h]
-        rs = sets.get(key)
-        if rs is None:
-            rs = sets[key] = r_set(diagram, *key)
-        gap = exponents[t] - exponents[h]
-        if gap in rs:
+        u, v = vertices[t], vertices[h]
+        gap = u.exponent - v.exponent
+        if string_parameter(diagram, u.color, u.weight, v.color, v.weight, gap) is not None:
             arrows.append(Arrow(t, h, gap))
     # Sorted arrows keep every neighbor list sorted (see decision._first_simple_cut).
     arrows.sort()

@@ -6,11 +6,12 @@ modules (restricted to J) is reducible.  Its type-A closed form is
 
     { r + s + d(i,j) - 2p : -d([i,j], boundary of J) <= p < min(r, s) }.
 
-As p runs over its window the elements form one step-2 progression, and
-r_set returns it as a bare increasing `range` and alone states the input
-checks and their errors; string_parameter solves for p without a range and
-calls r_set only to raise them.  `m in rs` is literal (no gap m <= 0 is a
-member; test `abs(m) in rs` for either order).  r_set over DynkinA(1) is the
+As p runs over its window the elements form one step-2 progression.  The
+engine tests a gap m through string_parameter, which returns its p or None
+without building a set (no gap m <= 0 is a member).  r_set returns the set as
+a bare increasing `range`, which `qfgraph rset` prints and the sweeps check
+the engine against, and alone states the input checks and their errors;
+string_parameter calls it only to raise them.  r_set over DynkinA(1) is the
 rank-one set, which decides whether two same-color q-strings coalesce.
 """
 

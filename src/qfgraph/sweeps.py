@@ -372,8 +372,8 @@ def check_duality(trials: int, seed: int) -> SweepResult:
     """Verdicts are invariant under arrow reversal and the diagram automorphism,
     the arrow dual reverses every arrow and the color dual keeps each one, both
     with the same labels, and each non-adjacent pair's dual-pair test matches
-    the string parameter of the dual's gap, a route through neither
-    drinfeld.dual nor r_set."""
+    r_set membership of the dual's gap, a route through neither drinfeld.dual
+    nor string_parameter."""
     result = SweepResult("duality")
     rng = random.Random(seed)
     for _ in range(trials):
@@ -385,8 +385,7 @@ def check_duality(trials: int, seed: int) -> SweepResult:
                 continue
             a, b = g.vertices[u], g.vertices[v]
             gap = abs(a.exponent - (n + 1) - b.exponent)
-            simple = string_parameter(dg, n + 1 - a.color, a.weight, b.color, b.weight,
-                                      gap) is None
+            simple = gap not in r_set(dg, n + 1 - a.color, a.weight, b.color, b.weight)
             if dual_pair_simple(dual(a, dg), b, dg) != simple:
                 result.fail(f"dual-pair test disagrees with the string parameter "
                             f"for {a.label()}, {b.label()} at rank {n}")

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 import qfgraph.graph
+import qfgraph.redsets
 from qfgraph.drinfeld import KRFactor
 from qfgraph.dynkin import DynkinA
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
@@ -204,7 +205,7 @@ def weight_bucket(w: int) -> str:
 
 
 def test_windowed_arrows_match_all_pairs_oracle():
-    'same arrows in the same order: rank 1, ties, negatives, weight 10^9, re-factorized'
+    'same arrows in the same order: rank 1, ties, negatives, weights to 10^3998, re-factorized'
     rng = random.Random(20261020)
     seen = Counter()
     for k in range(4000):
@@ -214,8 +215,9 @@ def test_windowed_arrows_match_all_pairs_oracle():
         factors = [KRFactor(rng.randint(1, n), rng.randint(-spread, spread),
                             rng.randint(1, 3) if rng.random() < 0.6 else rng.randint(4, 15))
                    for _ in range(rng.randint(1, 10))]
-        if k % 10 == 1:  # widens its own group; a partner about 10^9 away
-            huge = factors[0] = KRFactor(factors[0].color, factors[0].exponent, 10**9)
+        big = 10**9 if k % 10 == 1 else 10**3998 if k % 50 == 3 else None
+        if big:  # widens its own group; a partner about as far away as its weight
+            huge = factors[0] = KRFactor(factors[0].color, factors[0].exponent, big)
             color, weight = rng.randint(1, n), rng.randint(1, 4)
             gap = rng.choice(r_set(diagram, color, weight, huge.color, huge.weight))
             factors.append(KRFactor(color, huge.exponent + rng.choice((-1, 1)) * gap,
@@ -233,6 +235,9 @@ def test_windowed_arrows_match_all_pairs_oracle():
         seen["weight 10^9 arrow"] += any(
             g.vertices[a.tail].weight >= 10**9 or g.vertices[a.head].weight >= 10**9
             for a in g.arrows)
+        seen["weight 10^3998 arrow"] += any(
+            g.vertices[a.tail].weight >= 10**3998 or g.vertices[a.head].weight >= 10**3998
+            for a in g.arrows)
         seen["re-factorized"] += g.was_refactorized
         seen["pruned"] += max(exponents) - min(exponents) > \
             2 * max(v.weight for v in g.vertices) + n - 1
@@ -247,6 +252,25 @@ def test_windowed_arrows_match_all_pairs_oracle():
                 "pruned", "both parity classes", "bucket 1-3", "bucket 4-15",
                 "bucket 10^9", "arrow across buckets"):
         assert seen[key] > 50, (key, seen)
+    assert seen["weight 10^3998 arrow"] > 40, seen
+
+
+def count_probes(monkeypatch) -> Counter:
+    """Count the build's string_parameter probes and every r_set call."""
+    calls = Counter()
+    probe, r_set_ = qfgraph.graph.string_parameter, qfgraph.redsets.r_set
+
+    def probed(*args):
+        calls["string_parameter"] += 1
+        return probe(*args)
+
+    def counted(*args):
+        calls["r_set"] += 1
+        return r_set_(*args)
+
+    monkeypatch.setattr(qfgraph.graph, "string_parameter", probed)
+    monkeypatch.setattr(qfgraph.redsets, "r_set", counted)
+    return calls
 
 
 def test_sparse_build_tests_few_gaps(monkeypatch, count_window_ids):
@@ -255,16 +279,11 @@ def test_sparse_build_tests_few_gaps(monkeypatch, count_window_ids):
     size = 2000
     factors = [KRFactor(rng.randint(1, 4), rng.randint(0, 40 * size), rng.randint(1, 3))
                for _ in range(size)]
-    calls = Counter()
-
-    def counted(*args):
-        calls["r_set"] += 1
-        return r_set(*args)
-
-    monkeypatch.setattr(qfgraph.graph, "r_set", counted)
+    calls = count_probes(monkeypatch)
     g = build_graph(factors, DynkinA(4))
     assert len(g) > size * 0.9 and g.arrows
-    assert calls["r_set"] <= 2 * size
+    assert calls["string_parameter"] <= 2 * size
+    assert calls["r_set"] == 0, "a valid build builds no reducibility set"
     examined = count_window_ids(qfgraph.graph)
     heavy = build_graph(factors + [KRFactor(1, -5 * 10**9, 10**9)], DynkinA(4))
     assert arrow_set(heavy) == arrow_set(g)
@@ -272,7 +291,7 @@ def test_sparse_build_tests_few_gaps(monkeypatch, count_window_ids):
 
 
 def test_build_refuses_past_the_pair_budget(monkeypatch, count_window_ids):
-    'one pair over MAX_BUILD_PAIRS raises before any r_set call; exactly at it, it builds'
+    'one pair over MAX_BUILD_PAIRS raises before any probe; exactly at it, it builds'
     rng = random.Random(5)
     factors = [KRFactor(c, rng.randint(0, 40), 1) for c in range(1, 41)]
     diagram = DynkinA(40)
@@ -281,18 +300,14 @@ def test_build_refuses_past_the_pair_budget(monkeypatch, count_window_ids):
     budget = examined["pairs"]
     assert budget > len(g.arrows) > 100
     monkeypatch.setattr(qfgraph.graph, "MAX_BUILD_PAIRS", budget)
+    calls = count_probes(monkeypatch)
     assert build_graph(factors, diagram).arrows == g.arrows
+    assert calls == {"string_parameter": budget}, "one probe per pair, and no r_set call"
     monkeypatch.setattr(qfgraph.graph, "MAX_BUILD_PAIRS", budget - 1)
-    calls = Counter()
-
-    def counted(*args):
-        calls["r_set"] += 1
-        return r_set(*args)
-
-    monkeypatch.setattr(qfgraph.graph, "r_set", counted)
+    calls.clear()
     with pytest.raises(ValueError, match=f"more than {budget - 1} vertex pairs"):
         build_graph(factors, diagram)
-    assert calls["r_set"] == 0, "a refused build computes no reducibility set"
+    assert not calls, "a refused build makes no probe"
 
 
 Member = namedtuple("Member", "color exponent weight left right")
