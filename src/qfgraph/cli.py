@@ -23,12 +23,9 @@ from .dynkin import DynkinA, Interval
 from .graph import QFactGraph, build_graph, classify
 from .redsets import r_set
 
-# Largest reducibility set `rset` prints; each element is written out, so a
-# set of 10^10 elements would need about a terabyte.
-MAX_RSET_ELEMENTS = 10**6
-
-# Most characters `rset` prints, bounded before any element is formatted:
-# 10^4 elements of 4000 digits pass the element bound and would print 40 MB.
+# Most characters `rset` prints, bounded before any element is formatted.
+# The text "{a, b, ...}" takes a digit and two more characters per element,
+# so a set of more than MAX_RSET_CHARS // 3 elements would pass it too.
 MAX_RSET_CHARS = 10**7
 
 # Bound on the magnitude of a rank, a factor field and an `rset` flag.
@@ -97,10 +94,8 @@ def cmd_rset(args) -> int:
     if args.jlo is not None:
         window = Interval(args.jlo, args.jhi)
     rs = r_set(diagram, args.i, args.r, args.j, args.s, window)
-    if rs[MAX_RSET_ELEMENTS:]:  # a slice, not len(): len() overflows past 2^63
-        raise ValueError(f"the reducibility set has more than "
-                         f"{MAX_RSET_ELEMENTS} elements")
-    if len(rs) * (len(str(rs[-1])) + 2) > MAX_RSET_CHARS:  # digits and ", "
+    # The size first, by a slice: len() overflows past 2^63.
+    if rs[MAX_RSET_CHARS // 3:] or len(rs) * (len(str(rs[-1])) + 2) > MAX_RSET_CHARS:
         raise ValueError(f"the reducibility set would print more than "
                          f"{MAX_RSET_CHARS} characters")
     print("{" + ", ".join(map(str, rs)) + "}")

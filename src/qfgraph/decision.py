@@ -199,20 +199,21 @@ def _first_simple_cut(g: QFactGraph) -> tuple[int, int, int] | None:
     non-prime, because a monotonic path is totally ordered.
 
     Neighbor lists are sorted (build_graph lists arrows in (tail, head)
-    order), so a middle's pairs come in sorted-triple order, and each pair
-    isolates its lower-id end first; each stream stops at its first simple
-    triple or at the first one not below the best.  The build has proved
-    both arrows and that the ends are not joined, so an end's per-arrow part
-    serves all its cuts in a stream.  The scan refuses the input with
-    ValueError once it would test more than graph.MAX_BUILD_PAIRS end cuts.
+    order), so a middle's pairs come in strictly rising sorted-triple order,
+    and each pair isolates its lower-id end first; each stream stops untested
+    at the first triple not below the best, at the latest the one after its
+    own first simple triple.  The build has proved both arrows and that the
+    ends are not joined, so an end's per-arrow part serves all its cuts in a
+    stream.  The scan refuses the input with ValueError once it would test
+    more than graph.MAX_BUILD_PAIRS end cuts.
     """
-    best, cut, budget, vertices = None, None, graph.MAX_BUILD_PAIRS, g.vertices
+    best, budget, vertices = None, graph.MAX_BUILD_PAIRS, g.vertices  # best: (key, cut)
     for mid, vm in enumerate(vertices):
         for ends in (g.out[mid], g.into[mid]):
             arrows = {}  # each isolated end's per-arrow part, from its first cut on
             for a, b in itertools.combinations(ends, 2):
                 key = tuple(sorted((mid, a, b)))
-                if best is not None and key >= best:
+                if best is not None and key >= best[0]:
                     break
                 for iso, other in ((a, b), (b, a)):
                     budget -= 1
@@ -223,11 +224,9 @@ def _first_simple_cut(g: QFactGraph) -> tuple[int, int, int] | None:
                     vo = vertices[other]
                     if alt_line_cut_simple(arrows[iso], vo.color, vo.weight,
                                            abs(vm.exponent - vo.exponent)):
-                        best, cut = key, (mid, iso, other)
+                        best = key, (mid, iso, other)
                         break
-                if best == key:
-                    break
-    return cut
+    return None if best is None else best[1]
 
 
 def _over_budget(what: str) -> ValueError:

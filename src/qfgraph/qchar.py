@@ -140,12 +140,6 @@ class SocleHead(namedtuple("SocleHead", "socle head dropped_trivial p")):
 
     __slots__ = ()
 
-    def socle_lweight(self) -> LWeight:
-        return _fundamental_product(self.socle)
-
-    def head_lweight(self) -> LWeight:
-        return _fundamental_product(self.head)
-
     def to_json(self) -> dict:
         return {
             "socle": [f.to_json() for f in self.socle],

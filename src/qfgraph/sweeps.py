@@ -21,7 +21,8 @@ from .decision import (_cut_params, alt_line_cut_simple, dual_pair_simple, is_pr
 from .drinfeld import DrinfeldPoly, KRFactor, dual, expand_all, q_factorize
 from .dynkin import DynkinA, Interval
 from .graph import QFactGraph, build_graph, classify
-from .qchar import LWeight, dominant_product_lweights, fundamental_qchar, socle_head
+from .qchar import (LWeight, _fundamental_product, dominant_product_lweights,
+                    fundamental_qchar, socle_head)
 from .redsets import minimal_window, r_set, string_parameter
 
 # Counterexamples a sweep keeps; it goes on counting cases after that.
@@ -215,7 +216,7 @@ def check_dominant_pair(max_rank: int) -> SweepResult:
                 result.checked += 1
                 dominant = dominant_product_lweights(diagram, i, j, m)
                 sh = socle_head(diagram, i, j, m)
-                expected = {sh.head_lweight(), sh.socle_lweight()}
+                expected = {_fundamental_product(sh.head), _fundamental_product(sh.socle)}
                 if dominant != frozenset(expected):
                     result.fail(f"dominant set mismatch n={n} i={i} j={j} m={m}")
                     continue
@@ -429,26 +430,24 @@ def _merge_once(segments: list[tuple[int, int]], rng: random.Random) -> bool:
     """
     order = list(range(len(segments)))
     rng.shuffle(order)
-    for pos_a in range(len(order)):
-        for pos_b in range(pos_a + 1, len(order)):
-            a, b = order[pos_a], order[pos_b]
-            lo_a, hi_a = segments[a]
-            lo_b, hi_b = segments[b]
-            if (lo_a - lo_b) % 2 != 0:
-                continue
-            wa = (hi_a - lo_a) // 2 + 1
-            wb = (hi_b - lo_b) // 2 + 1
-            gap = abs((lo_a + hi_a) - (lo_b + hi_b)) // 2
-            if gap not in r_set(RANK_ONE, 1, wa, 1, wb):
-                continue
-            union = (min(lo_a, lo_b), max(hi_a, hi_b))
-            inter_lo, inter_hi = max(lo_a, lo_b), min(hi_a, hi_b)
-            for idx in sorted((a, b), reverse=True):
-                del segments[idx]
-            segments.append(union)
-            if inter_lo <= inter_hi:
-                segments.append((inter_lo, inter_hi))
-            return True
+    for a, b in itertools.combinations(order, 2):
+        lo_a, hi_a = segments[a]
+        lo_b, hi_b = segments[b]
+        if (lo_a - lo_b) % 2 != 0:
+            continue
+        wa = (hi_a - lo_a) // 2 + 1
+        wb = (hi_b - lo_b) // 2 + 1
+        gap = abs((lo_a + hi_a) - (lo_b + hi_b)) // 2
+        if gap not in r_set(RANK_ONE, 1, wa, 1, wb):
+            continue
+        union = (min(lo_a, lo_b), max(hi_a, hi_b))
+        inter_lo, inter_hi = max(lo_a, lo_b), min(hi_a, hi_b)
+        for idx in sorted((a, b), reverse=True):
+            del segments[idx]
+        segments.append(union)
+        if inter_lo <= inter_hi:
+            segments.append((inter_lo, inter_hi))
+        return True
     return False
 
 

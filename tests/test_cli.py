@@ -10,6 +10,7 @@ import qfgraph
 import qfgraph.cli
 import qfgraph.fixtures
 import qfgraph.graph
+import qfgraph.qchar
 from qfgraph.cli import main, make_parser
 from qfgraph.sweeps import SWEEP_CAPS
 
@@ -55,12 +56,12 @@ def test_rset_window_and_errors(capsys):
                                   "--j", "2", "--s", "1", "--jlo", "2"])
     assert (code, out) == (1, "")
     assert err == "input error: --jlo and --jhi must be given together\n"
-    # At most 10^6 elements are printed; the check does not depend on the set size.
+    # At most 10^7 characters are printed; the check does not depend on the set size.
     code, out, _ = run(capsys, ["rset", "--rank", "1", "--i", "1", "--r", "1000000",
                                 "--j", "1", "--s", "1000000"])
     assert code == 0 and out.count(",") == 10 ** 6 - 1
-    for argv in (["--rank", "1", "--i", "1", "--r", "1000001",
-                  "--j", "1", "--s", "1000001"],
+    for argv in (["--rank", "1", "--i", "1", "--r", "1200000",
+                  "--j", "1", "--s", "1200000"],
                  ["--rank", "20000000000", "--i", "10000000000", "--r", "1",
                   "--j", "10000000000", "--s", "1"],
                  ["--rank", "2", "--i", "1", "--r", str(10 ** 30), "--j", "2",
@@ -69,7 +70,8 @@ def test_rset_window_and_errors(capsys):
         code, out, err = run(capsys, ["rset"] + argv)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
-        assert err == "input error: the reducibility set has more than 1000000 elements\n"
+        assert err == "input error: the reducibility set would print more than " \
+                      "10000000 characters\n"
 
 
 def test_rset_refuses_a_set_that_would_print_too_much(capsys, monkeypatch):
@@ -332,6 +334,14 @@ def test_qchar_product_command(capsys):
     assert payload["socle_head"]["socle"] == [
         {"color": 2, "exponent": 1, "weight": 1}]
     assert len(payload["dominant"]) == 2
+
+
+def test_qchar_product_reports_a_socle_pair_that_is_not_simple(capsys, monkeypatch):
+    'the socle pair 1@1, 3@1 of 2@0 times 2@2 at rank 3, with its gap 0 put in its set'
+    monkeypatch.setattr(qfgraph.qchar, "r_set", lambda *args: range(0, 1))
+    argv = ["qchar-product", "--rank", "3", "--i", "2", "--j", "2", "--m", "2"]
+    assert run(capsys, argv) == (2, "", "internal invariant violation: socle pair "
+                                        "unexpectedly fails the simplicity test\n")
 
 
 def test_qchar_product_over_the_pair_limit_is_an_input_error():

@@ -11,7 +11,7 @@ from qfgraph.decision import (NOT_PRIME, PRIME, REAL, UNKNOWN, alt_line_cut_simp
 from qfgraph.drinfeld import KRFactor, dual
 from qfgraph.dynkin import DynkinA
 from qfgraph.fixtures import cesubpt_factors, cosubpt_factors, newprimex_factors
-from qfgraph.graph import QFactGraph, build_graph
+from qfgraph.graph import OTHER, QFactGraph, build_graph, classify
 from qfgraph.redsets import minimal_window, r_set, string_parameter
 from qfgraph.sweeps import (RANK_ONE, arrow_dual, check_c3aline, check_duality,
                             check_forms_agree, color_dual, extra_condition_uniform,
@@ -333,6 +333,27 @@ def test_forms_agree_catches_a_zero_sign_split(monkeypatch):
     ]
 
 
+def test_forms_agree_catches_a_p_plus_over_its_ceiling(monkeypatch):
+    'p_plus past s\' fails where p <= 0 and m >= m\', and passes the p_plus bound'
+    def raised(c, p, pp):
+        p_plus, p_minus = sign_split(c, p, pp)
+        return p_plus + 100, p_minus
+
+    monkeypatch.setattr(qfgraph.sweeps, "sign_split", raised)
+    assert check_forms_agree(2, 1).failures == [
+        f"p_plus ceiling fails {_on((1, 1, 3), (2, 1), (1, 1, 3))}",
+        f"p_plus ceiling fails {_on((2, 1, 3), (1, 1), (2, 1, 3))}",
+    ]
+
+
+def test_forms_agree_refuses_arrow_labels_outside_the_sets(monkeypatch):
+    'a string parameter of None for an arrow label is an error, not a verdict'
+    monkeypatch.setattr(qfgraph.sweeps, "string_parameter", lambda *args: None)
+    with pytest.raises(ValueError) as exc:
+        check_forms_agree(2, 1)
+    assert str(exc.value) == "arrow labels are outside the unrestricted reducibility sets"
+
+
 def test_general_conditions_agree_across_forms():
     'membership form == string-parameter form of the general conditions'
     held = 0
@@ -415,6 +436,32 @@ def test_duality_catches_dual_transforms_that_do_nothing(monkeypatch):
     assert not result.passed
     assert all(f.startswith(("arrow-dual arrows differ for ", "color-dual arrows differ for "))
                for f in result.failures)
+
+
+# The first three trees check_duality draws at seed 2024, as its failures name them.
+DUALITY_TREES = ["['1^2@14', '2^2@-1', '2^3@0', '2^3@8', '4^2@-7'] at rank 4",
+                 "['1^1@-4', '3^3@-10', '3^2@-9', '3^1@0'] at rank 3",
+                 "['3^1@0', '4^3@5'] at rank 4"]
+
+
+def test_duality_catches_an_arrow_dual_of_another_reality(monkeypatch):
+    'each trial asks is_real of the tree, its arrow dual and its color dual, in turn'
+    calls = itertools.count()
+    monkeypatch.setattr(qfgraph.sweeps, "is_real",
+                        lambda g: is_real(g)._replace(reality=UNKNOWN)
+                        if next(calls) % 3 == 1 else is_real(g))
+    assert check_duality(3, 2024).failures == [
+        f"arrow-dual verdict differs for {tree}" for tree in DUALITY_TREES]
+
+
+def test_duality_catches_a_color_dual_of_another_shape(monkeypatch):
+    'each trial asks classify of the tree, its arrow dual and its color dual, in turn'
+    calls = itertools.count()
+    monkeypatch.setattr(qfgraph.sweeps, "classify",
+                        lambda g: classify(g)._replace(tag=OTHER)
+                        if next(calls) % 3 == 2 else classify(g))
+    assert check_duality(3, 2024).failures == [
+        f"color-dual shape tag differs for {tree}" for tree in DUALITY_TREES]
 
 
 # -- the symmetric always-simple configuration -------------------------------

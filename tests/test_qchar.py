@@ -9,7 +9,7 @@ import qfgraph.qchar
 import qfgraph.sweeps
 from qfgraph.drinfeld import KRFactor
 from qfgraph.dynkin import DynkinA
-from qfgraph.qchar import (LWeight, dominant_product_lweights,
+from qfgraph.qchar import (LWeight, _fundamental_product, dominant_product_lweights,
                            fundamental_qchar, socle_head)
 from qfgraph.redsets import r_set
 from qfgraph.sweeps import check_dominant_pair
@@ -157,11 +157,52 @@ def test_dominant_pair_catches_a_filter_dropping_one_candidate(monkeypatch):
     assert result.failures[0] == "dominant set mismatch n=1 i=1 j=1 m=2"
 
 
+def test_dominant_pair_catches_a_one_element_dominant_set(monkeypatch):
+    'a socle put equal to the head, and a product without the socle, agree on one weight'
+    def head_twice(diagram, i, j, m):
+        sh = socle_head(diagram, i, j, m)
+        return sh._replace(socle=sh.head)
+
+    monkeypatch.setattr(qfgraph.sweeps, "socle_head", head_twice)
+    monkeypatch.setattr(qfgraph.sweeps, "dominant_product_lweights",
+                        lambda diagram, i, j, m: frozenset(
+                            {_fundamental_product(socle_head(diagram, i, j, m).head)}))
+    assert check_dominant_pair(2).failures == [
+        "dominant set size 1 n=1 i=1 j=1 m=2",
+        "dominant set size 1 n=2 i=1 j=1 m=2",
+        "dominant set size 1 n=2 i=1 j=2 m=3",
+        "dominant set size 1 n=2 i=2 j=1 m=3",
+        "dominant set size 1 n=2 i=2 j=2 m=2",
+    ]
+
+
+def test_dominant_pair_catches_a_q_character_without_its_top(monkeypatch):
+    'the head weight over omega_{j, m} is the top of the q-character of i'
+    monkeypatch.setattr(qfgraph.sweeps, "fundamental_qchar",
+                        lambda diagram, i: fundamental_qchar(diagram, i)[1:])
+    assert check_dominant_pair(2).failures == [
+        "dominant weight not of top-times-left form n=1 i=1 j=1 m=2",
+        "dominant weight not of top-times-left form n=2 i=1 j=1 m=2",
+        "dominant weight not of top-times-left form n=2 i=1 j=2 m=3",
+        "dominant weight not of top-times-left form n=2 i=2 j=1 m=3",
+        "dominant weight not of top-times-left form n=2 i=2 j=2 m=2",
+    ]
+
+
 def test_dominant_product_rejects_bad_gap():
     with pytest.raises(ValueError):
         dominant_product_lweights(DynkinA(3), 1, 3, 2)
     with pytest.raises(ValueError):
         dominant_product_lweights(DynkinA(2), 1, 1, 3)
+
+
+def test_dominant_product_refuses_past_the_pair_bound():
+    'rank 1000 passes the bound by its size squared, rank 999 at i = j = 2 by binomials'
+    for n, i in ((1000, 1), (999, 2)):
+        with pytest.raises(ValueError) as exc:
+            dominant_product_lweights(DynkinA(n), i, i, 2)
+        assert str(exc.value) == (f"the product of fundamentals {i} and {i} at rank {n} "
+                                  f"has more than 1000000 l-weight pairs")
 
 
 def test_socle_head_examples():
@@ -200,7 +241,7 @@ def test_socle_head_matches_brute_force_dominants():
             for m in r_set(dg, i, 1, j, 1):
                 sh = socle_head(dg, i, j, m)
                 assert dominant_product_lweights(dg, i, j, m) == \
-                    frozenset({sh.head_lweight(), sh.socle_lweight()})
+                    frozenset({_fundamental_product(sh.head), _fundamental_product(sh.socle)})
 
 
 def weyl_dim_sl3(a: int, b: int) -> int:

@@ -9,7 +9,7 @@ import qfgraph.redsets
 import qfgraph.sweeps
 from qfgraph.dynkin import DynkinA, Interval
 from qfgraph.redsets import minimal_window, r_set, string_parameter
-from qfgraph.sweeps import RANK_ONE, check_redsets_algebra
+from qfgraph.sweeps import RANK_ONE, check_redsets_algebra, hull_distance
 
 
 def test_r_set_examples():
@@ -341,6 +341,70 @@ def test_redsets_algebra_catches_a_hull_minimal_window(monkeypatch):
         "minimal window not admissible 2,1,2,2 m=5",
         "minimal window not admissible 2,2,2,1 m=5",
         "minimal window not admissible 2,2,2,2 m=6",
+    ]
+
+
+def test_redsets_algebra_catches_a_hull_distance_off_the_identity(monkeypatch):
+    'node 2 put at distance 0 from the hull of 1 and 1 breaks the identity both ways round'
+    monkeypatch.setattr(qfgraph.sweeps, "hull_distance", lambda i, j, k:
+                        0 if (i, j, k) == (1, 1, 2) else hull_distance(i, j, k))
+    assert check_redsets_algebra(2, 1).failures == [
+        "hull-distance identity fails n=2 i=1 j=1 k=2",
+        "hull-distance identity fails n=2 i=2 j=1 k=1",
+    ]
+
+
+def test_redsets_algebra_catches_a_hull_distance_over_its_bound(monkeypatch):
+    'one unit moved between the two terms of the identity keeps it, but not the bound'
+    moved = {(1, 1, 2): 1, (2, 1, 1): -1}
+    monkeypatch.setattr(qfgraph.sweeps, "hull_distance",
+                        lambda i, j, k: hull_distance(i, j, k) + moved.get((i, j, k), 0))
+    assert check_redsets_algebra(2, 1).failures == [
+        "hull-distance bound fails n=2 i=1 j=1 k=2",
+    ]
+
+
+def _changed_once(monkeypatch, key, change):
+    """Install on the sweep an r_set that applies change to the one set whose
+    (rank, i, r, j, s, window ends), or (rank, i, r, j, s) without a window,
+    is key."""
+    def changed(diagram, i, r, j, s, window=None):
+        rs = r_set(diagram, i, r, j, s, window)
+        ends = () if window is None else _ends(window)
+        return change(rs) if (diagram.n, i, r, j, s, *ends) == key else rs
+
+    monkeypatch.setattr(qfgraph.sweeps, "r_set", changed)
+
+
+def test_redsets_algebra_catches_an_asymmetric_set(monkeypatch):
+    'a set listed top first differs from its swap, and from the steps, but has its elements'
+    _changed_once(monkeypatch, (2, 1, 2, 2, 2, 1, 2), lambda rs: rs[::-1])
+    assert check_redsets_algebra(2, 2).failures == [
+        "symmetry fails (1, 2, 2, 2, Interval(lo=1, hi=2))",
+        "extremes/steps fail (1, 2, 2, 2, Interval(lo=1, hi=2))",
+        "symmetry fails (2, 2, 1, 2, Interval(lo=1, hi=2))",
+    ]
+
+
+def test_redsets_algebra_catches_a_set_of_the_wrong_parity(monkeypatch):
+    'a symmetric set shifted by one: its one element is off the parity and off every set'
+    _changed_once(monkeypatch, (2, 1, 1, 1, 1, 1, 2),
+                  lambda rs: range(rs.start + 1, rs.stop + 1, 2))
+    assert check_redsets_algebra(2, 1).failures == [
+        "parity fails (1, 1, 1, 1, Interval(lo=1, hi=2))",
+        "extremes/steps fail (1, 1, 1, 1, Interval(lo=1, hi=2))",
+        "monotonicity into whole diagram fails (1, 1, 1, 1, Interval(lo=1, hi=2))",
+        "string-parameter round trip fails (1, 1, 1, 1, Interval(lo=1, hi=2)) m=3",
+        "monotonicity fails 1,1,1,1 Interval(lo=1, hi=1) vs Interval(lo=1, hi=2)",
+    ]
+
+
+def test_redsets_algebra_catches_a_whole_diagram_set_missing_its_top(monkeypatch):
+    'every window set holding the dropped top is no longer inside the whole-diagram set'
+    _changed_once(monkeypatch, (2, 1, 1, 1, 1), lambda rs: rs[:-1])
+    assert check_redsets_algebra(2, 1).failures == [
+        "monotonicity into whole diagram fails (1, 1, 1, 1, Interval(lo=1, hi=1))",
+        "monotonicity into whole diagram fails (1, 1, 1, 1, Interval(lo=1, hi=2))",
     ]
 
 
