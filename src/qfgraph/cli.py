@@ -1,8 +1,10 @@
 """Command-line front end.
 
 JSON in, JSON out on stdout; human-readable notes go to stderr.  Exit codes:
-0 success, 1 input error (usage errors included), 2 internal invariant
-violation (including failed example reproductions and sweep counterexamples).
+0 success, 1 input error (usage errors included) or a stdout closed before
+the output was written, 2 internal invariant violation (including failed
+example reproductions and sweep counterexamples).  The commands, their
+options and their help come from the table COMMANDS.
 
 The input file format is a single object:
 
@@ -11,10 +13,12 @@ The input file format is a single object:
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import os
+import re
 import sys
+from types import SimpleNamespace
+from typing import Callable, NoReturn
 
 from . import fixtures, qchar, sweeps
 from .decision import decide, is_prime, is_real
@@ -193,83 +197,227 @@ def cmd_sweep(args) -> int:
     return 0 if result.passed else 2
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, not 2: they are input errors (subparsers too)."""
+class Command:
+    """A handler with its help line, its positional as (name, help) or None,
+    and its options as flag -> (type, default, help); type bool takes no
+    value.  A plain class: building a NamedTuple class adds about 0.15 ms to
+    each start."""
 
-    def error(self, message):
-        self.exit(1, f"input error: {self.prog}: {message}\n{self.format_usage()}")
+    def __init__(self, run: Callable[..., int], help: str,
+                 positional: tuple[str, str] | None, options: dict) -> None:
+        self.run, self.help, self.positional, self.options = run, help, positional, options
 
 
-@functools.cache
-def make_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="qfgraph",
-        description="q-factorization graphs of Drinfeld polynomials in type A: "
-                    "build graphs, decide primality and reality, emit certificates.")
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of an option that must be given
+HELP_FLAGS = ("-h", "--help")
 
-    p = sub.add_parser("rset", help="print a reducibility set")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--jlo", type=int, default=None,
-                   help="window lower end (defaults to the whole diagram)")
-    p.add_argument("--jhi", type=int, default=None, help="window upper end")
-    p.set_defaults(func=cmd_rset)
+COMMANDS = {
+    "rset": Command(cmd_rset, "print a reducibility set", None, {
+        "--rank": (int, REQUIRED, ""),
+        "--i": (int, REQUIRED, ""),
+        "--r": (int, REQUIRED, ""),
+        "--j": (int, REQUIRED, ""),
+        "--s": (int, REQUIRED, ""),
+        "--jlo": (int, None, "window lower end (defaults to the whole diagram)"),
+        "--jhi": (int, None, "window upper end")}),
+    "factorize": Command(cmd_factorize, "q-factorize the product of the input factors",
+                         ("input", ""), {}),
+    "graph": Command(cmd_graph, "emit the graph in DOT format", ("input", ""), {
+        "--dot": (str, None, "write DOT here instead of stdout")}),
+    "classify": Command(cmd_classify, "shape tag of the graph", ("input", ""), {}),
+    "prime": Command(cmd_prime, "primality verdict with certificate", ("input", ""), {
+        "--trace": (bool, False, "include the certificate")}),
+    "real": Command(cmd_real, "reality verdict", ("input", ""), {
+        "--trace": (bool, False, "include the certificate")}),
+    "qchar-product": Command(cmd_qchar_product,
+                             "dominant l-weights and socle/head of a product "
+                             "of two fundamental modules", None, {
+        "--rank": (int, REQUIRED, ""),
+        "--i": (int, REQUIRED, ""),
+        "--j": (int, REQUIRED, ""),
+        "--m": (int, REQUIRED, "")}),
+    "examples": Command(cmd_examples, "re-verify a built-in example family",
+                        ("name", "the example family; an unknown name lists them"), {}),
+    "sweep": Command(cmd_sweep, "run an exhaustive or randomized property sweep", None, {
+        "--check": (str, REQUIRED, "the sweep; an unknown name lists them"),
+        "--max-rank": (int, 6, ""),
+        "--max-weight": (int, 4, ""),
+        "--trials": (int, 1000, ""),
+        "--seed": (int, 2024, "")}),
+}
 
-    p = sub.add_parser("factorize", help="q-factorize the product of the input factors")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_factorize)
 
-    p = sub.add_parser("graph", help="emit the graph in DOT format")
-    p.add_argument("input")
-    p.add_argument("--dot", default=None, help="write DOT here instead of stdout")
-    p.set_defaults(func=cmd_graph)
+def _shown(flag: str, kind: type) -> str:
+    return flag if kind is bool else f"{flag} {flag[2:].upper().replace('-', '_')}"
 
-    p = sub.add_parser("classify", help="shape tag of the graph")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("prime", help="primality verdict with certificate")
-    p.add_argument("input")
-    p.add_argument("--trace", action="store_true", help="include the certificate")
-    p.set_defaults(func=cmd_prime)
+def _usage(name: str | None) -> str:
+    if name is None:
+        return "usage: qfgraph [-h] {" + ",".join(COMMANDS) + "} ..."
+    command = COMMANDS[name]
+    words = ["usage: qfgraph", name, "[-h]"]
+    for flag, (kind, default, _) in command.options.items():
+        words.append(_shown(flag, kind) if default is REQUIRED else f"[{_shown(flag, kind)}]")
+    if command.positional:
+        words.append(command.positional[0])
+    return " ".join(words)
 
-    p = sub.add_parser("real", help="reality verdict")
-    p.add_argument("input")
-    p.add_argument("--trace", action="store_true", help="include the certificate")
-    p.set_defaults(func=cmd_real)
 
-    p = sub.add_parser("qchar-product",
-                       help="dominant l-weights and socle/head of a product "
-                            "of two fundamental modules")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_qchar_product)
+def _help(name: str | None) -> str:
+    if name is None:
+        about = ("q-factorization graphs of Drinfeld polynomials in type A: build\n"
+                 "graphs, decide primality and reality, emit certificates.")
+        rows = [(n, c.help) for n, c in COMMANDS.items()]
+    else:
+        command = COMMANDS[name]
+        about = command.help
+        rows = [command.positional] if command.positional else []
+        rows += [(_shown(flag, kind), text)
+                 for flag, (kind, _, text) in command.options.items()]
+    rows.append(("-h, --help", "show this help message and exit"))
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join([_usage(name), "", about, ""]
+                     + [f"  {left:<{width}}{text}".rstrip() for left, text in rows])
 
-    p = sub.add_parser("examples", help="re-verify a built-in example family")
-    p.add_argument("name", help="the example family; an unknown name lists them")
-    p.set_defaults(func=cmd_examples)
 
-    p = sub.add_parser("sweep", help="run an exhaustive or randomized property sweep")
-    p.add_argument("--check", required=True, help="the sweep; an unknown name lists them")
-    p.add_argument("--max-rank", type=int, default=6)
-    p.add_argument("--max-weight", type=int, default=4)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=2024)
-    p.set_defaults(func=cmd_sweep)
+def _fail(name: str | None, message: str) -> NoReturn:
+    prog = "qfgraph" if name is None else f"qfgraph {name}"
+    print(f"input error: {prog}: {message}\n{_usage(name)}", file=sys.stderr)
+    sys.exit(1)
 
-    return parser
+
+def _option(name: str | None, flags, arg: str):
+    """None if arg is a value; else (flag, the value after '=' or None), with
+    flag None for an unknown option.  A long option may be cut to a unique
+    prefix, and -h may have more characters stuck on."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg in flags:
+        return arg, None
+    head, eq, value = arg.partition("=")
+    if eq and head in flags:
+        return head, value
+    if arg[1] == "-":
+        matches = [flag for flag in flags if flag.startswith(head)]
+        if len(matches) > 1:
+            _fail(name, f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif arg[1] == "h":
+        return "-h", arg[2:]
+    # A negative number or an argument with a space is a value.  The pattern
+    # is compiled on first use, which few requests reach.
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _help_exit(name: str | None, flag: str, value: str | None) -> NoReturn:
+    # -h may be repeated in one argument (-hhh); nothing else may follow it.
+    if value is not None and (flag == "--help" or set(value) != {"h"}):
+        _fail(name, f"argument -h/--help: ignored explicit argument {value!r}")
+    print(_help(name))
+    sys.stdout.flush()
+    sys.exit(0)
+
+
+def parse_argv(argv: list[str]) -> tuple[str, SimpleNamespace]:
+    """The command argv names, and its values read against COMMANDS in one
+    pass, left to right.  Options may come before or after the positional,
+    take their value as the next argument or after '=', and repeat (the last
+    one wins); after '--' every argument is positional.  A usage error exits
+    1, and -h or --help exits 0 with the help on stdout."""
+    stop = argv.index("--") if "--" in argv else len(argv)
+    unknown = []
+    for k, arg in enumerate(argv):
+        found = _option(None, HELP_FLAGS, arg) if k < stop else None
+        if found is None:
+            break
+        if found[0] is None:
+            unknown.append(arg)
+        else:
+            _help_exit(None, *found)
+    else:
+        _fail(None, "the following arguments are required: command")
+    if k == stop or arg not in COMMANDS:
+        _fail(None, f"argument command: invalid choice: {arg!r} "
+                    f"(choose from {', '.join(map(repr, COMMANDS))})")
+    return arg, _values(arg, argv[k + 1:], stop - k - 1, unknown)
+
+
+def _values(name: str, args: list[str], stop: int, unknown: list[str]) -> SimpleNamespace:
+    """The values of command name read from args, whose '--' is at stop;
+    unknown holds the unknown options seen before the command."""
+    command = COMMANDS[name]
+    flags = (*HELP_FLAGS, *command.options)
+    found = {i: _option(name, flags, arg) for i, arg in enumerate(args[:stop])}
+    found = {i: f for i, f in found.items() if f is not None}
+    values = {flag: default for flag, (_, default, _) in command.options.items()}
+    positional = command.positional
+    i = 0
+    while i < len(args):
+        if i not in found:
+            j = i + (i == stop)  # a '--' may come before the positional
+            if positional and j < len(args):
+                values[positional[0]] = args[j]
+                positional = None
+                i = j + 1 + (j + 1 == stop)  # or right after it
+            else:
+                unknown.append(args[i])
+                i += 1
+            continue
+        flag, value = found[i]
+        i += 1
+        if flag is None:
+            unknown.append(args[i - 1])
+            continue
+        if flag in HELP_FLAGS:
+            _help_exit(name, flag, value)
+        kind = command.options[flag][0]
+        if kind is bool:
+            if value is not None:
+                _fail(name, f"argument {flag}: ignored explicit argument {value!r}")
+            value = True
+        else:
+            if value is None:
+                if i >= len(args) or i in found or i == stop:
+                    _fail(name, f"argument {flag}: expected one argument")
+                value = args[i]
+                i += 1
+            try:
+                value = kind(value)
+            except ValueError:
+                _fail(name, f"argument {flag}: invalid {kind.__name__} value: {value!r}")
+        values[flag] = value
+    missing = [flag for flag, value in values.items() if value is REQUIRED]
+    if positional:
+        missing.append(positional[0])
+    if missing:
+        _fail(name, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        _fail(name, f"unrecognized arguments: {' '.join(unknown)}")
+    # "--max-rank" is read as args.max_rank, and a positional by its name.
+    return SimpleNamespace(**{key.lstrip("-").replace("-", "_"): value
+                              for key, value in values.items()})
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        name, args = parse_argv(sys.argv[1:] if argv is None else argv)
+        code = COMMANDS[name].run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point stdout's descriptor at devnull, so
+        # that the flush at exit finds no closed pipe (the recipe of the
+        # signal module's "Note on SIGPIPE"); an in-memory stdout has none.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):  # io.UnsupportedOperation too
+            return 1
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), fd)
+        return 1
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import qfgraph.cli
 import qfgraph.fixtures
 import qfgraph.graph
 import qfgraph.qchar
-from qfgraph.cli import main, make_parser
+from qfgraph.cli import main
 from qfgraph.sweeps import SWEEP_CAPS
 
 
@@ -322,8 +323,45 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys):
         assert exc.value.code == 0 and "usage: qfgraph" in capsys.readouterr().out
 
 
-def test_parser_is_built_once():
-    assert make_parser() is make_parser()
+def test_closed_stdout_in_process(monkeypatch):
+    'a closed pipe gets its descriptor pointed at devnull; an in-memory stdout has none'
+    argv = ["rset", "--rank", "2", "--i", "1", "--r", "1", "--j", "2", "--s", "1"]
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 1
+        stdout.write("the flush at exit succeeds\n")
+        stdout.flush()
+        assert os.path.samestat(os.fstat(write), os.stat(os.devnull))
+
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(argv) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["rset", "--rank", "1", "--i", "1", "--r", "1000000", "--j", "1", "--s", "1000000"],
+    ["factorize", "big.json"]])
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, argv):
+    'the reader takes 10 bytes of output of several megabytes and closes the pipe'
+    write_input(tmp_path, 3, [{"color": 1 + k % 3, "exponent": 4 * k, "weight": 1}
+                              for k in range(100000)], name="big.json")
+    src = os.path.dirname(os.path.dirname(qfgraph.__file__))
+    proc = subprocess.Popen([sys.executable, "-m", "qfgraph.cli", *argv], cwd=tmp_path,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 def test_qchar_product_command(capsys):

@@ -6,10 +6,9 @@ method must be read by some src/ module; a definition reading its own name
 does not count.  A top-level name is read as a bare name or through the bare
 name of its module (`sweeps.CHECKS` reads sweeps.CHECKS, `args.CHECKS` reads
 nothing), so the CLI can reach the lazily loaded modules by attribute.  Code
-that only the tests read does not belong in src/.  Two exceptions count as
+that only the tests read does not belong in src/.  One exception counts as
 read: a name that the benchmark tracer wraps (the FUNCTIONS and METHODS of
-perfbench/tracer.py, read from the tracer itself), and a method that
-overrides an inherited one, such as argparse's `error`.
+perfbench/tracer.py, read from the tracer itself).
 
 The same guard, with the sweeps and q-characters left out of the readers,
 keeps the five engine modules to the engine: every name in dynkin.py,
@@ -110,16 +109,6 @@ def _unread(modules: dict, defining, readers) -> list[str]:
     return unread
 
 
-def _overrides(qualified: str) -> bool:
-    """Is module.Class.method an override of a method its class inherits?"""
-    parts = qualified.split(".")
-    if len(parts) != 3:
-        return False
-    mod, cls, meth = parts
-    bases = getattr(importlib.import_module(f"qfgraph.{mod}"), cls).__mro__[1:]
-    return any(meth in vars(base) for base in bases)
-
-
 def _traced() -> set[str]:
     """The names the tracer wraps, as module.name or module.Class.method."""
     tracer = _tracer()
@@ -129,8 +118,7 @@ def _traced() -> set[str]:
 
 def _unread_in_package(modules: dict) -> list[str]:
     traced = _traced()
-    return [q for q in _unread(modules, modules, modules)
-            if q not in traced and not _overrides(q)]
+    return [q for q in _unread(modules, modules, modules) if q not in traced]
 
 
 def test_every_name_in_the_package_is_read_by_the_package():

@@ -93,21 +93,25 @@ def test_interval_calls_post_init_through_the_class(monkeypatch):
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
-    """Nor does it execute the q-characters, sweeps or examples: after the
-    import and a `prime --trace` request only the engine modules have run
-    (a lazily loaded module that has not run is not a plain module yet)."""
-    # -S skips site, whose .pth files may import either module themselves.
+    """Nor argparse or gettext, before or after a `prime --trace` request:
+    the arguments are read from the command table.  Nor does it execute the
+    q-characters, sweeps or examples: after the import and the request only
+    the engine modules have run (a lazily loaded module that has not run is
+    not a plain module yet)."""
+    # -S skips site, whose .pth files may import these modules themselves.
     src = os.path.dirname(os.path.dirname(qfgraph.__file__))
     diagram, factors = cosubpt_factors()
     path = tmp_path / "input.json"
     path.write_text(json.dumps({"rank": diagram.n,
                                 "factors": [f.to_json() for f in factors]}))
     probe = ("import contextlib, io, sys, types, qfgraph.cli\n"
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+             "unwanted = {'dataclasses', 'inspect', 'argparse', 'gettext'}\n"
+             "print(sorted(unwanted & set(sys.modules)))\n"
              "with contextlib.redirect_stdout(io.StringIO()) as out, \\\n"
              "        contextlib.redirect_stderr(io.StringIO()):\n"
              "    code = qfgraph.cli.main(['prime', '--trace', sys.argv[1]])\n"
              "print(code, '\"certificate\"' in out.getvalue())\n"
+             "print(sorted(unwanted & set(sys.modules)))\n"
              "print(*sorted(name for name, m in sys.modules.items()\n"
              "              if name.partition('.')[0] == 'qfgraph'\n"
              "              and type(m) is types.ModuleType))\n")
@@ -116,6 +120,6 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "[]", "0 True",
+        "[]", "0 True", "[]",
         "qfgraph qfgraph.cli qfgraph.decision qfgraph.drinfeld qfgraph.dynkin "
         "qfgraph.graph qfgraph.redsets"]
