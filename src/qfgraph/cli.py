@@ -1,8 +1,9 @@
 """Command-line front end.
 
 JSON in, JSON out on stdout; human-readable notes go to stderr.  Exit codes:
-0 success, 1 input error (usage errors included) or a stdout closed before
-the output was written, 2 internal invariant violation (including failed
+0 success, 1 input error (usage errors included) or a stdout that could not
+be written (a closed pipe, or `output error: ...` on stderr for a full disk
+or a closed descriptor), 2 internal invariant violation (including failed
 example reproductions and sweep counterexamples).  The commands, their
 options and their help come from the table COMMANDS.
 
@@ -13,6 +14,7 @@ The input file format is a single object:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -79,6 +81,13 @@ def emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+def _flush() -> None:
+    # With fd 1 closed at start, sys.stdout is None and print() drops output.
+    if sys.stdout is None:
+        raise OSError("stdout is closed")
+    sys.stdout.flush()
+
+
 def build_from_path(path: str) -> QFactGraph:
     diagram, factors = load_input(path)
     g = build_graph(factors, diagram)
@@ -126,7 +135,7 @@ def cmd_graph(args) -> int:
             raise ValueError(f"cannot write {args.dot}: {exc}") from exc
         print(f"wrote {args.dot}", file=sys.stderr)
     else:
-        sys.stdout.write(dot)
+        print(dot, end="")
     return 0
 
 
@@ -317,106 +326,94 @@ def _help_exit(name: str | None, flag: str, value: str | None) -> NoReturn:
     if value is not None and (flag == "--help" or set(value) != {"h"}):
         _fail(name, f"argument -h/--help: ignored explicit argument {value!r}")
     print(_help(name))
-    sys.stdout.flush()
+    _flush()
     sys.exit(0)
 
 
 def parse_argv(argv: list[str]) -> tuple[str, SimpleNamespace]:
-    """The command argv names, and its values read against COMMANDS in one
-    pass, left to right.  Options may come before or after the positional,
-    take their value as the next argument or after '=', and repeat (the last
-    one wins); after '--' every argument is positional.  A usage error exits
-    1, and -h or --help exits 0 with the help on stdout."""
+    """The command argv names and its values, read against COMMANDS left to
+    right.  An option may precede or follow the positional, take its value
+    next or after '=', and repeat (the last one wins).  Each argument after
+    the first '--' is a value; that '--' is skipped right before a missing
+    positional or right after it.  A usage error exits 1, -h or --help 0."""
     stop = argv.index("--") if "--" in argv else len(argv)
     unknown = []
-    for k, arg in enumerate(argv):
-        found = _option(None, HELP_FLAGS, arg) if k < stop else None
-        if found is None:
+    for k, name in enumerate(argv):  # only -h and --help precede the command
+        if k == stop or not (option := _option(None, HELP_FLAGS, name)):
             break
-        if found[0] is None:
-            unknown.append(arg)
-        else:
-            _help_exit(None, *found)
+        if option[0] is not None:
+            _help_exit(None, *option)
+        unknown.append(name)
     else:
         _fail(None, "the following arguments are required: command")
-    if k == stop or arg not in COMMANDS:
-        _fail(None, f"argument command: invalid choice: {arg!r} "
+    if k == stop or name not in COMMANDS:
+        _fail(None, f"argument command: invalid choice: {name!r} "
                     f"(choose from {', '.join(map(repr, COMMANDS))})")
-    return arg, _values(arg, argv[k + 1:], stop - k - 1, unknown)
-
-
-def _values(name: str, args: list[str], stop: int, unknown: list[str]) -> SimpleNamespace:
-    """The values of command name read from args, whose '--' is at stop;
-    unknown holds the unknown options seen before the command."""
     command = COMMANDS[name]
     flags = (*HELP_FLAGS, *command.options)
-    found = {i: _option(name, flags, arg) for i, arg in enumerate(args[:stop])}
-    found = {i: f for i, f in found.items() if f is not None}
+    # Classified up front, so that an ambiguous prefix is refused even after -h.
+    found = [_option(name, flags, arg) if k < i < stop else None
+             for i, arg in enumerate(argv)]
     values = {flag: default for flag, (_, default, _) in command.options.items()}
-    positional = command.positional
-    i = 0
-    while i < len(args):
-        if i not in found:
-            j = i + (i == stop)  # a '--' may come before the positional
-            if positional and j < len(args):
-                values[positional[0]] = args[j]
-                positional = None
-                i = j + 1 + (j + 1 == stop)  # or right after it
-            else:
-                unknown.append(args[i])
-                i += 1
-            continue
-        flag, value = found[i]
-        i += 1
-        if flag is None:
-            unknown.append(args[i - 1])
-            continue
-        if flag in HELP_FLAGS:
+    positional = [command.positional[0]] if command.positional else []  # its name, until read
+    i = k + 1
+    while i < len(argv):
+        arg, (flag, value) = argv[i], found[i] or (None, None)
+        if i == stop:  # the first '--': skipped before a missing positional
+            if not (positional and i + 1 < len(argv)):
+                unknown.append(arg)
+        elif found[i] is None and positional:
+            values[positional.pop()] = arg
+            i += i + 1 == stop  # skip a '--' right after it
+        elif flag is None:
+            unknown.append(arg)
+        elif flag in HELP_FLAGS:
             _help_exit(name, flag, value)
-        kind = command.options[flag][0]
-        if kind is bool:
+        elif command.options[flag][0] is bool:
             if value is not None:
                 _fail(name, f"argument {flag}: ignored explicit argument {value!r}")
-            value = True
+            values[flag] = True
         else:
+            kind = command.options[flag][0]
             if value is None:
-                if i >= len(args) or i in found or i == stop:
-                    _fail(name, f"argument {flag}: expected one argument")
-                value = args[i]
                 i += 1
+                if i == len(argv) or found[i] or i == stop:
+                    _fail(name, f"argument {flag}: expected one argument")
+                value = argv[i]
             try:
-                value = kind(value)
+                values[flag] = kind(value)
             except ValueError:
                 _fail(name, f"argument {flag}: invalid {kind.__name__} value: {value!r}")
-        values[flag] = value
-    missing = [flag for flag, value in values.items() if value is REQUIRED]
-    if positional:
-        missing.append(positional[0])
+        i += 1
+    missing = [flag for flag, value in values.items() if value is REQUIRED] + positional
     if missing:
         _fail(name, f"the following arguments are required: {', '.join(missing)}")
     if unknown:
         _fail(name, f"unrecognized arguments: {' '.join(unknown)}")
     # "--max-rank" is read as args.max_rank, and a positional by its name.
-    return SimpleNamespace(**{key.lstrip("-").replace("-", "_"): value
-                              for key, value in values.items()})
+    return name, SimpleNamespace(**{key.lstrip("-").replace("-", "_"): value
+                                    for key, value in values.items()})
 
 
 def main(argv=None) -> int:
     try:
         name, args = parse_argv(sys.argv[1:] if argv is None else argv)
         code = COMMANDS[name].run(args)
-        sys.stdout.flush()
+        _flush()
         return code
-    except BrokenPipeError:
-        # The reader closed stdout.  Point stdout's descriptor at devnull, so
-        # that the flush at exit finds no closed pipe (the recipe of the
-        # signal module's "Note on SIGPIPE"); an in-memory stdout has none.
+    except OSError as exc:
+        # A standard stream failed (a command turns the OSError of a file it
+        # opens into a ValueError); a closed pipe gets no message.  A stdout
+        # that still fails, if it has a descriptor, is pointed at devnull so
+        # that the flush at exit succeeds (the signal module's "Note on SIGPIPE").
+        if not isinstance(exc, BrokenPipeError):
+            with contextlib.suppress(OSError):
+                print(f"output error: {exc}", file=sys.stderr)
         try:
-            fd = sys.stdout.fileno()
-        except (AttributeError, OSError):  # io.UnsupportedOperation too
-            return 1
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), fd)
+            _flush()
+        except OSError:
+            with contextlib.suppress(AttributeError, OSError), open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)

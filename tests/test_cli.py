@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -362,6 +363,55 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path, argv):
     finally:
         proc.kill()
         proc.stderr.close()
+
+
+def test_full_or_missing_stdout_in_process(capsys, monkeypatch, tmp_path):
+    'a stdout that refuses writes, or none at all, is an output error with exit 1'
+    path = write_input(tmp_path, 3, COSUBPT)
+
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    for stdout, message in ((Full(), "output error: [Errno 28] "),
+                            (None, "output error: stdout is closed\n")):
+        monkeypatch.setattr(sys, "stdout", stdout)
+        for argv in (["prime", path], ["--help"], ["rset", "--rank", "1", "--i", "1",
+                                                   "--r", "1", "--j", "1", "--s", "1"]):
+            assert main(argv) == 1, argv
+            assert message in capsys.readouterr().err, argv
+
+
+def run_redirected(tmp_path, redirect, argv, unbuffered=""):
+    'python -m qfgraph.cli argv in tmp_path, with a shell redirection of its own'
+    write_input(tmp_path, 3, COSUBPT, name="in.json")
+    src = os.path.dirname(os.path.dirname(qfgraph.__file__))
+    return subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh",
+                           sys.executable, "-m", "qfgraph.cli", *argv],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("redirect", [">/dev/full", ">&-"], ids=["full", "closed"])
+@pytest.mark.parametrize("argv", [
+    ["prime", "in.json"], ["--help"],
+    ["rset", "--rank", "2", "--i", "1", "--r", "1", "--j", "2", "--s", "1"]], ids=" ".join)
+def test_full_or_closed_stdout_exits_1_without_a_traceback(tmp_path, argv, redirect,
+                                                           unbuffered):
+    'the shell points fd 1 at a full device or closes it, buffered or not'
+    proc = run_redirected(tmp_path, redirect, argv, unbuffered)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert "output error: " in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stderr_keeps_what_stdout_holds(tmp_path):
+    'a note that fails on stderr does not send the buffered verdict to devnull'
+    proc = run_redirected(tmp_path, "2>/dev/full", ["prime", "in.json"])
+    assert json.loads(proc.stdout) == {"primality": "unknown", "reality": "real"}
 
 
 def test_qchar_product_command(capsys):
