@@ -4,8 +4,9 @@ JSON in, JSON out on stdout; human-readable notes go to stderr.  Exit codes:
 0 success, 1 input error (usage errors included) or a stdout that could not
 be written (a closed pipe, or `output error: ...` on stderr for a full disk
 or a closed descriptor), 2 internal invariant violation (including failed
-example reproductions and sweep counterexamples).  The commands, their
-options and their help come from the table COMMANDS.
+example reproductions and sweep counterexamples).  A closed or full stderr
+loses its notes and messages but changes neither stdout nor the exit code.
+The commands, their options and their help come from the table COMMANDS.
 
 The input file format is a single object:
 
@@ -19,6 +20,7 @@ import json
 import os
 import re
 import sys
+from itertools import chain, repeat
 from types import SimpleNamespace
 from typing import Callable, NoReturn
 
@@ -51,8 +53,11 @@ def check_field(name: str, *values: int) -> None:
 
 def load_input(path: str) -> tuple[DynkinA, list[KRFactor]]:
     try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
+        if "\r" in text:  # the newlines a text-mode read translates
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        data = json.loads(text)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # also undecodable bytes and over-long integers
@@ -69,16 +74,47 @@ def load_input(path: str) -> tuple[DynkinA, list[KRFactor]]:
         raise ValueError("'factors' must be a non-empty list")
     check_field("'rank'", rank)
     diagram = DynkinA(rank)
-    factors = [KRFactor.from_json(item) for item in raw]
-    for field, values in zip(KRFactor._fields, zip(*factors)):
+    # Every factor checked at once; only a bad one sends each item through
+    # from_json, which names the first bad item.
+    try:
+        rows = [(f["color"], f["exponent"], f["weight"]) for f in raw]
+        columns = tuple(zip(*rows))
+        valid = set(map(type, chain(*columns))) == {int} \
+            and min(columns[0]) >= 1 and min(columns[2]) >= 1
+    except (KeyError, TypeError):
+        valid = False
+    if not valid:
+        rows = [KRFactor.from_json(item) for item in raw]
+        columns = tuple(zip(*rows))
+    for field, values in zip(KRFactor._fields, columns):
         check_field(f"factor field '{field}'", *values)
-    for f in factors:
-        diagram.check_node(f.color)
+    if max(columns[0]) > rank:
+        for color in columns[0]:
+            diagram.check_node(color)
+    factors = list(map(tuple.__new__, repeat(KRFactor), rows))  # checked above
     return diagram, factors
 
 
 def emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
+
+
+def note(text: str) -> None:
+    """Write a note or an error message to stderr, or drop it when stderr is
+    closed or fails, so that stdout and the exit code stay the command's own.
+
+    A failed write leaves its text in the stream's buffer, and the flush at
+    exit would fail on it and set exit code 120; a failing descriptor is
+    pointed at devnull instead (an in-memory stream has none)."""
+    stream = sys.stderr
+    if stream is None:  # fd 2 was closed at start
+        return
+    try:
+        stream.write(text + "\n")
+        stream.flush()
+    except (OSError, ValueError):
+        with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), stream.fileno())
 
 
 def _flush() -> None:
@@ -92,8 +128,7 @@ def build_from_path(path: str) -> QFactGraph:
     diagram, factors = load_input(path)
     g = build_graph(factors, diagram)
     if g.was_refactorized:
-        print("note: input was only a pre-factorization; it has been "
-              "re-factorized", file=sys.stderr)
+        note("note: input was only a pre-factorization; it has been re-factorized")
     return g
 
 
@@ -133,7 +168,7 @@ def cmd_graph(args) -> int:
                 handle.write(dot)
         except OSError as exc:
             raise ValueError(f"cannot write {args.dot}: {exc}") from exc
-        print(f"wrote {args.dot}", file=sys.stderr)
+        note(f"wrote {args.dot}")
     else:
         print(dot, end="")
     return 0
@@ -153,8 +188,7 @@ def cmd_prime(args) -> int:
     g = build_from_path(args.input)
     verdict = decide(g)
     emit(verdict.to_json(trace=args.trace))
-    print(f"primality: {verdict.primality}; reality: {verdict.reality}",
-          file=sys.stderr)
+    note(f"primality: {verdict.primality}; reality: {verdict.reality}")
     return 0
 
 
@@ -179,7 +213,7 @@ def cmd_examples(args) -> int:
     for line in report.lines():
         print(line)
     if not report.all_passed():
-        print("example reproduction failed", file=sys.stderr)
+        note("example reproduction failed")
         return 2
     return 0
 
@@ -291,7 +325,7 @@ def _help(name: str | None) -> str:
 
 def _fail(name: str | None, message: str) -> NoReturn:
     prog = "qfgraph" if name is None else f"qfgraph {name}"
-    print(f"input error: {prog}: {message}\n{_usage(name)}", file=sys.stderr)
+    note(f"input error: {prog}: {message}\n{_usage(name)}")
     sys.exit(1)
 
 
@@ -402,13 +436,13 @@ def main(argv=None) -> int:
         _flush()
         return code
     except OSError as exc:
-        # A standard stream failed (a command turns the OSError of a file it
-        # opens into a ValueError); a closed pipe gets no message.  A stdout
-        # that still fails, if it has a descriptor, is pointed at devnull so
-        # that the flush at exit succeeds (the signal module's "Note on SIGPIPE").
+        # stdout failed (note drops what stderr refuses, and a command turns
+        # the OSError of a file it opens into a ValueError); a closed pipe
+        # gets no message.  A stdout that still fails, if it has a
+        # descriptor, is pointed at devnull so that the flush at exit
+        # succeeds (the signal module's "Note on SIGPIPE").
         if not isinstance(exc, BrokenPipeError):
-            with contextlib.suppress(OSError):
-                print(f"output error: {exc}", file=sys.stderr)
+            note(f"output error: {exc}")
         try:
             _flush()
         except OSError:
@@ -416,10 +450,10 @@ def main(argv=None) -> int:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
     except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        note(f"input error: {exc}")
         return 1
     except AssertionError as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
+        note(f"internal invariant violation: {exc}")
         return 2
 
 

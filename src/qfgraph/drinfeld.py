@@ -118,8 +118,7 @@ def normalize(factors) -> tuple[tuple[KRFactor, ...], bool]:
     back its keys; it is then kept as given.
     """
     factors = tuple(sorted(factors))
-    keys = _peel((f.color, f.exponent - f.weight + 1, f.exponent + f.weight - 1)
-                 for f in factors)
+    keys = _peel([(c, e - w + 1, e + w - 1) for c, e, w in factors])
     if keys == list(factors):  # a KRFactor equals the tuple of its fields
         return factors, False
     return tuple([KRFactor(*k) for k in keys]), True

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from itertools import islice
+from itertools import repeat
 
 from .dynkin import DynkinA
 from .drinfeld import KRFactor, normalize
-from .redsets import string_parameter
 
 SINGLETON = "singleton"
 TWO_LINE = "two_line"
@@ -34,22 +33,24 @@ ShapeClass = namedtuple("ShapeClass", "tag components line_order", defaults=(Non
 
 
 class QFactGraph:
-    __slots__ = ("diagram", "vertices", "arrows", "was_refactorized", "_pairs",
+    __slots__ = ("diagram", "vertices", "arrows", "was_refactorized", "_keys",
                  "out", "into", "_components")
 
     def __init__(self, diagram: DynkinA, vertices: tuple[KRFactor, ...],
                  arrows: tuple[Arrow, ...], was_refactorized: bool) -> None:
         self.diagram, self.vertices, self.arrows = diagram, vertices, arrows
         self.was_refactorized = was_refactorized
-        self._pairs = {(a.tail, a.head) for a in arrows}
+        size = len(vertices)
+        # The arrow (t, h) as the integer key t * V + h.
+        self._keys = {t * size + h for t, h, _ in arrows}
         # out[v] and into[v] list v's heads and tails, ascending for sorted
         # arrows.  They stay lists: a tuple per vertex, freed with every
         # graph, piles up in CPython's tuple free lists and raises peak RSS.
         out: list[list[int]] = [[] for _ in vertices]
         into: list[list[int]] = [[] for _ in vertices]
-        for a in arrows:
-            out[a.tail].append(a.head)
-            into[a.head].append(a.tail)
+        for t, h, _ in arrows:
+            out[t].append(h)
+            into[h].append(t)
         self.out, self.into = tuple(out), tuple(into)
         # One walk per graph, shared by classify and is_tree.
         self._components = self.components()
@@ -60,24 +61,25 @@ class QFactGraph:
         return len(self.vertices)
 
     def adjacent(self, u: int, v: int) -> bool:
-        return (u, v) in self._pairs or (v, u) in self._pairs
+        size = len(self.vertices)
+        return u * size + v in self._keys or v * size + u in self._keys
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Weakly connected components as sorted vertex-id tuples; one walk."""
-        seen: set[int] = set()
+        out, into = self.out, self.into
+        seen = [False] * len(out)
         comps = []
-        for start in range(len(self.vertices)):
-            if start in seen:
+        for start in range(len(out)):
+            if seen[start]:
                 continue
-            stack, comp = [start], []
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self.out[v] + self.into[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
+            seen[start] = True
+            comp = [start]
+            for v in comp:  # grows while it is read: a breadth-first walk
+                for neighbors in (out[v], into[v]):
+                    for w in neighbors:
+                        if not seen[w]:
+                            seen[w] = True
+                            comp.append(w)
             comps.append(tuple(sorted(comp)))
         return tuple(comps)
 
@@ -92,7 +94,7 @@ class QFactGraph:
     def exponent_order(self) -> tuple[int, ...]:
         """Vertex ids by descending exponent, ties in id order."""
         return tuple(sorted(range(len(self.vertices)),
-                            key=lambda v: -self.vertices[v].exponent))
+                            key=[-f.exponent for f in self.vertices].__getitem__))
 
     def is_totally_ordered(self) -> bool:
         """All vertex pairs comparable in the arrow-generated partial order.
@@ -102,8 +104,8 @@ class QFactGraph:
         neighbors in it: the order is total exactly when each consecutive
         pair is joined by an arrow.  Equal exponents are never joined.
         """
-        order = self.exponent_order()
-        return all((u, v) in self._pairs for u, v in zip(order, order[1:]))
+        order, size, keys = self.exponent_order(), len(self.vertices), self._keys
+        return all(u * size + v in keys for u, v in zip(order, order[1:]))
 
     # -- subgraphs and export -----------------------------------------------
 
@@ -124,15 +126,16 @@ class QFactGraph:
 # Most candidate (tail, head) pairs build_graph examines before it refuses
 # the input, so also the most arrows a graph can have.  The largest build of a
 # fixture or benchmark input examines 2655, a 10^5-factor fuzz input 247292.
-# A build is refused before any string_parameter probe, once the pair list is
-# one over the cap: about 0.13 s and 50 MB peak (1800 factors, one per color at
-# rank 1800; one core of a 2-vCPU Intel Xeon VM, Python 3.11).
+# A build is refused before any pair is tested, once the partner runs add up
+# to one over the cap: about 0.08 s and 18 MB peak for a `prime` process
+# (1800 factors, one per color at rank 1800; one core of a 2-vCPU Intel Xeon
+# VM, Python 3.11).
 MAX_BUILD_PAIRS = 5 * 10**5
 
 
 def _overlaps(factors, left, right):
-    """Every id pair (a, b) of one parity class whose closed intervals
-    left(factors[a]) and right(factors[b]) overlap, each exactly once.
+    """The partner runs of every id pair (a, b) of one parity class whose
+    closed intervals left(factors[a]) and right(factors[b]) overlap.
 
     Every element of r_set(i, r, j, s) has the parity of r + s + i + j, so an
     arrow or a dual pair joins only factors of one class
@@ -141,6 +144,11 @@ def _overlaps(factors, left, right):
     starting inside the left one.  So each side is sorted by start once per
     class, and an interval's partners are one bisect slice of the other
     side: O(V log V + K) for K pairs, whatever the weights.
+
+    Yields, lazily, (a, 0, bs) for each left interval and (b, 1, as_) for
+    each right one that has partners: side 0 pairs a with each of bs, side 1
+    each of as_ with b.  Expanded in order, the runs give every pair exactly
+    once.
     """
     classes: tuple[list, list] = ([], [])
     for v, f in enumerate(factors):
@@ -151,11 +159,13 @@ def _overlaps(factors, left, right):
         lstarts, _, lids = zip(*lefts)
         rstarts, _, rids = zip(*rights)
         for lo, hi, a in lefts:
-            for b in rids[bisect_left(rstarts, lo):bisect_right(rstarts, hi)]:
-                yield a, b
+            bs = rids[bisect_left(rstarts, lo):bisect_right(rstarts, hi)]
+            if bs:
+                yield a, 0, bs
         for lo, hi, b in rights:
-            for a in lids[bisect_right(lstarts, lo):bisect_right(lstarts, hi)]:
-                yield a, b
+            as_ = lids[bisect_right(lstarts, lo):bisect_right(lstarts, hi)]
+            if as_:
+                yield b, 1, as_
 
 
 def build_graph(factors, diagram: DynkinA) -> QFactGraph:
@@ -168,30 +178,54 @@ def build_graph(factors, diagram: DynkinA) -> QFactGraph:
     <= r + s + n - 1, so a tail of weight r can only reach a head of its
     parity class whose exponent lies 1 to r + s + n - 1 below its own: the
     tail's [e - r, e - 1] overlaps the head's [e, e + s + n - 1] (see
-    _overlaps).  Each pair's gap is tested by its string parameter, so no
-    reducibility set is built.  An input with more than MAX_BUILD_PAIRS such
-    pairs is refused with ValueError before any gap is tested.
+    _overlaps).  An input with more than MAX_BUILD_PAIRS such pairs is
+    refused with ValueError before any pair is tested.
+
+    Within a parity class, the gap m = e - e' of a tail (i, e, r) over a head
+    (j, e', s) lies in r_set(i, r, j, s) exactly when
+    |r - s| + |i - j| < m <= r + s - 2 + min(i + j, 2n + 2 - i - j).  In the
+    rotated coordinates (e - r - i, e - r + i, e + r - i, e + r + i) of each
+    factor, that is four strict rises from head to tail, the tail's first
+    coordinate at least 2 below the head's last and its second at most 2n
+    above the head's third: integer comparisons, with no set and no call per
+    pair.  Arrows are sorted as the keys t * V + h and made in that order.
     """
     factors = list(factors)
     for f in factors:
         diagram.check_node(f.color)
     vertices, refactorized = normalize(factors)
-    n = diagram.n
-    arrows = []
-    pairs = list(islice(_overlaps(
-        vertices, lambda f: (f.exponent - f.weight, f.exponent - 1),
-        lambda f: (f.exponent, f.exponent + f.weight + n - 1)), MAX_BUILD_PAIRS + 1))
-    if len(pairs) > MAX_BUILD_PAIRS:
-        raise ValueError(f"the graph build would examine more than "
-                         f"{MAX_BUILD_PAIRS} vertex pairs")
-    for t, h in pairs:
-        u, v = vertices[t], vertices[h]
-        gap = u.exponent - v.exponent
-        if string_parameter(diagram, u.color, u.weight, v.color, v.weight, gap) is not None:
-            arrows.append(Arrow(t, h, gap))
+    n, size = diagram.n, len(vertices)
+    runs, examined = [], 0
+    for run in _overlaps(vertices, lambda f: (f.exponent - f.weight, f.exponent - 1),
+                         lambda f: (f.exponent, f.exponent + f.weight + n - 1)):
+        examined += len(run[2])
+        if examined > MAX_BUILD_PAIRS:
+            raise ValueError(f"the graph build would examine more than "
+                             f"{MAX_BUILD_PAIRS} vertex pairs")
+        runs.append(run)
+    coords = [(e - r - i, e - r + i, e + r - i, e + r + i) for i, e, r in vertices]
+    two_n, keys = 2 * n, []
+    for v, side, ids in runs:
+        av, bv, cv, dv = coords[v]
+        if side:  # v is the head of each pair
+            for t in ids:
+                at, bt, ct, dt = coords[t]
+                if av < at <= dv - 2 and bv < bt <= cv + two_n and cv < ct and dv < dt:
+                    keys.append(t * size + v)
+        else:  # v is the tail
+            for h in ids:
+                ah, bh, ch, dh = coords[h]
+                if ah < av and bh < bv and bv - two_n <= ch < cv and av + 2 <= dh < dv:
+                    keys.append(v * size + h)
     # Sorted arrows keep every neighbor list sorted (see decision._first_simple_cut).
-    arrows.sort()
-    return QFactGraph(diagram, vertices, tuple(arrows), refactorized)
+    keys.sort()
+    # tuple.__new__ makes each Arrow in C, without the namedtuple's Python-level
+    # constructor.  The arrows are listed before the tuple is made: a tuple
+    # made from an iterator grows step by step, and in the tree-verdicts
+    # benchmark that raised peak RSS by about 1 MB.
+    arrows = tuple([tuple.__new__(Arrow, (t, h, vertices[t].exponent - vertices[h].exponent))
+                    for t, h in map(divmod, keys, repeat(size))])
+    return QFactGraph(diagram, vertices, arrows, refactorized)
 
 
 def classify(g: QFactGraph) -> ShapeClass:

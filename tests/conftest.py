@@ -5,17 +5,17 @@ import pytest
 
 @pytest.fixture
 def count_window_ids(monkeypatch):
-    """Install, on a module that imports _overlaps, a counter of the id
-    pairs it yields; returns the Counter."""
+    """Install, on a module that imports _overlaps, a counter of the partner
+    ids its runs give out; returns the Counter."""
 
     def install(module) -> Counter:
         examined = Counter()
         overlaps = module._overlaps
 
         def counting(*args):
-            for pair in overlaps(*args):
-                examined["pairs"] += 1
-                yield pair
+            for run in overlaps(*args):
+                examined["pairs"] += len(run[2])
+                yield run
 
         monkeypatch.setattr(module, "_overlaps", counting)
         return examined

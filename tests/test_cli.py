@@ -13,7 +13,9 @@ import qfgraph.cli
 import qfgraph.fixtures
 import qfgraph.graph
 import qfgraph.qchar
-from qfgraph.cli import main
+from qfgraph.cli import check_field, load_input, main
+from qfgraph.drinfeld import KRFactor
+from qfgraph.dynkin import DynkinA
 from qfgraph.sweeps import SWEEP_CAPS
 
 
@@ -414,6 +416,20 @@ def test_full_stderr_keeps_what_stdout_holds(tmp_path):
     assert json.loads(proc.stdout) == {"primality": "unknown", "reality": "real"}
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("redirect", ["2>/dev/full", "2>&-"], ids=["full", "closed"])
+def test_full_or_closed_stderr_keeps_stdout_and_the_exit_code(tmp_path, redirect,
+                                                              unbuffered):
+    'a note or an error message that stderr loses reaches neither stdout nor the exit code'
+    (tmp_path / "bad.json").write_text('{"rank": 2, "factors": [')
+    proc = run_redirected(tmp_path, redirect, ["prime", "in.json"], unbuffered)
+    assert (proc.returncode, proc.stdout) == (
+        0, '{"primality": "unknown", "reality": "real"}\n')
+    proc = run_redirected(tmp_path, redirect, ["prime", "bad.json"], unbuffered)
+    assert (proc.returncode, proc.stdout) == (1, "")
+
+
 def test_qchar_product_command(capsys):
     code, out, _ = run(capsys, ["qchar-product", "--rank", "2", "--i", "1",
                                 "--j", "1", "--m", "2"])
@@ -575,6 +591,85 @@ def test_malformed_inputs(capsys, tmp_path):
     path = write_input(tmp_path, 0, [{"color": 1, "exponent": 0, "weight": 1}])
     code, _, err = run(capsys, ["prime", path])
     assert code == 1
+
+
+def text_mode_load_input(path):
+    """load_input as it was: a text-mode read, then each factor through from_json."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"JSON in {path} is nested too deeply") from exc
+    if not isinstance(data, dict):
+        raise ValueError("input must be a JSON object")
+    rank = data.get("rank")
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+        raise ValueError("'rank' must be a positive integer")
+    raw = data.get("factors")
+    if not isinstance(raw, list) or not raw:
+        raise ValueError("'factors' must be a non-empty list")
+    check_field("'rank'", rank)
+    diagram = DynkinA(rank)
+    factors = [KRFactor.from_json(item) for item in raw]
+    for field, values in zip(KRFactor._fields, zip(*factors)):
+        check_field(f"factor field '{field}'", *values)
+    for f in factors:
+        diagram.check_node(f.color)
+    return diagram, factors
+
+
+def load_outcome(load, path):
+    try:
+        diagram, factors = load(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    return diagram.n, [(type(f), *f) for f in factors]
+
+
+def factor_file(factors, rank=3):
+    return json.dumps({"rank": rank, "factors": factors}).encode()
+
+
+GOOD = {"color": 1, "exponent": -4, "weight": 2}
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff{}", b'{"rank": 2, "factors": [' + b" " * 9000 + b"\xc3\x28]}",
+    b'{"rank": 2,\r\n "factors": [}', b'{"rank": 2,\r "factors": [}',
+    b'{"rank": 2, "factors": [{"color": "a\r\nb"}]}', b'{"rank": 2, "factors": "a\rb"}',
+    b"\xef\xbb\xbf" + factor_file([GOOD]), b"", b"\xe2\x82",
+    factor_file([GOOD, {"color": 2, "exponent": 3, "weight": 1}]).replace(b", ", b",\r\n"),
+    factor_file([GOOD, {"color": 1.0, "exponent": 0, "weight": 1}, {"color": 1}]),
+    factor_file([GOOD, {"color": 1, "weight": 1}, {"color": True, "exponent": 0, "weight": 1}]),
+    factor_file([GOOD, [1, 2, 3]]), factor_file([None]), factor_file(["color"]),
+    factor_file([GOOD, {"color": 0, "exponent": 0, "weight": 1}]),
+    factor_file([GOOD, {"color": 1, "exponent": 0, "weight": 0}]),
+    factor_file([GOOD, {"color": 4, "exponent": 0, "weight": 1}]),
+    factor_file([GOOD, {"color": 4, "exponent": 10 ** 4000, "weight": 1}]),
+    factor_file([GOOD, {"color": 1, "exponent": 0, "weight": -10 ** 4000}]),
+    factor_file([GOOD, {"color": 1, "exponent": 0, "weight": 2, "extra": []}]),
+], ids=["not UTF-8 at 0", "not UTF-8 past 8 KiB", "CRLF before a syntax error",
+        "CR before a syntax error", "CRLF in a string", "CR in a string", "BOM", "empty",
+        "truncated UTF-8", "valid with CRLF", "type error before a missing key",
+        "missing key before a type error", "a list item", "a null item", "a string item",
+        "color 0", "weight 0", "color over the rank", "huge exponent over the rank",
+        "huge negative weight", "an extra key"])
+def test_load_input_reads_what_text_mode_read(tmp_path, content):
+    'the same factors, or the same message, as a text-mode read and from_json per item'
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert load_outcome(load_input, str(path)) == load_outcome(text_mode_load_input, str(path))
+
+
+def test_load_input_on_a_directory_or_a_missing_file(tmp_path):
+    for path in (str(tmp_path), str(tmp_path / "missing.json")):
+        want = load_outcome(text_mode_load_input, path)
+        assert want[0] == "error" and want[1].startswith(f"cannot read {path}: [Errno ")
+        assert load_outcome(load_input, path) == want
 
 
 def test_fields_past_the_print_bound_are_refused(capsys, tmp_path):

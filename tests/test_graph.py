@@ -256,20 +256,20 @@ def test_windowed_arrows_match_all_pairs_oracle():
 
 
 def count_probes(monkeypatch) -> Counter:
-    """Count the build's string_parameter probes and every r_set call."""
+    """Count string_parameter probes and r_set calls, wherever the build
+    could reach them."""
     calls = Counter()
-    probe, r_set_ = qfgraph.graph.string_parameter, qfgraph.redsets.r_set
 
-    def probed(*args):
-        calls["string_parameter"] += 1
-        return probe(*args)
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
 
-    def counted(*args):
-        calls["r_set"] += 1
-        return r_set_(*args)
-
-    monkeypatch.setattr(qfgraph.graph, "string_parameter", probed)
-    monkeypatch.setattr(qfgraph.redsets, "r_set", counted)
+    for name in ("string_parameter", "r_set"):
+        counted = counting(name, getattr(qfgraph.redsets, name))
+        monkeypatch.setattr(qfgraph.redsets, name, counted)
+        monkeypatch.setattr(qfgraph.graph, name, counted, raising=False)
     return calls
 
 
@@ -282,8 +282,7 @@ def test_sparse_build_tests_few_gaps(monkeypatch, count_window_ids):
     calls = count_probes(monkeypatch)
     g = build_graph(factors, DynkinA(4))
     assert len(g) > size * 0.9 and g.arrows
-    assert calls["string_parameter"] <= 2 * size
-    assert calls["r_set"] == 0, "a valid build builds no reducibility set"
+    assert not calls, "the build probes no gap and builds no set"
     examined = count_window_ids(qfgraph.graph)
     heavy = build_graph(factors + [KRFactor(1, -5 * 10**9, 10**9)], DynkinA(4))
     assert arrow_set(heavy) == arrow_set(g)
@@ -291,7 +290,7 @@ def test_sparse_build_tests_few_gaps(monkeypatch, count_window_ids):
 
 
 def test_build_refuses_past_the_pair_budget(monkeypatch, count_window_ids):
-    'one pair over MAX_BUILD_PAIRS raises before any probe; exactly at it, it builds'
+    'one pair over MAX_BUILD_PAIRS raises before any pair is tested; exactly at it, it builds'
     rng = random.Random(5)
     factors = [KRFactor(c, rng.randint(0, 40), 1) for c in range(1, 41)]
     diagram = DynkinA(40)
@@ -302,12 +301,19 @@ def test_build_refuses_past_the_pair_budget(monkeypatch, count_window_ids):
     monkeypatch.setattr(qfgraph.graph, "MAX_BUILD_PAIRS", budget)
     calls = count_probes(monkeypatch)
     assert build_graph(factors, diagram).arrows == g.arrows
-    assert calls == {"string_parameter": budget}, "one probe per pair, and no r_set call"
+    assert not calls, "no probe and no r_set call"
     monkeypatch.setattr(qfgraph.graph, "MAX_BUILD_PAIRS", budget - 1)
     calls.clear()
     with pytest.raises(ValueError, match=f"more than {budget - 1} vertex pairs"):
         build_graph(factors, diagram)
     assert not calls, "a refused build makes no probe"
+    half = budget // 2
+    monkeypatch.setattr(qfgraph.graph, "MAX_BUILD_PAIRS", half)
+    examined.clear()
+    with pytest.raises(ValueError, match=f"more than {half} vertex pairs"):
+        build_graph(factors, diagram)
+    assert half < examined["pairs"] <= half + len(factors), \
+        "the build stops at the first run past the budget"
 
 
 Member = namedtuple("Member", "color exponent weight left right")
@@ -334,7 +340,8 @@ def test_overlaps_matches_all_pairs_oracle():
         factors = [Member(rng.randint(1, 6), rng.randint(-40, 40) * 2 + rng.choice(parities),
                           2, random_interval(rng, starts), random_interval(rng, starts))
                    for _ in range(rng.randint(0, 12))]
-        got = list(_overlaps(factors, lambda f: f.left, lambda f: f.right))
+        got = [(v, x) if side == 0 else (x, v) for v, side, ids in
+               _overlaps(factors, lambda f: f.left, lambda f: f.right) for x in ids]
         want = [(a, b) for a, fa in enumerate(factors) for b, fb in enumerate(factors)
                 if (fa.exponent + fa.weight + fa.color) % 2
                 == (fb.exponent + fb.weight + fb.color) % 2
