@@ -83,9 +83,9 @@ def load_input(path: str) -> tuple[DynkinA, list[KRFactor]]:
             and min(columns[0]) >= 1 and min(columns[2]) >= 1
     except (KeyError, TypeError):
         valid = False
-    if not valid:
-        rows = [KRFactor.from_json(item) for item in raw]
-        columns = tuple(zip(*rows))
+    if not valid:  # from_json raises on the first bad item, naming it
+        for item in raw:
+            KRFactor.from_json(item)
     for field, values in zip(KRFactor._fields, columns):
         check_field(f"factor field '{field}'", *values)
     if max(columns[0]) > rank:

@@ -37,21 +37,26 @@ class QFactGraph:
                  "out", "into", "_components")
 
     def __init__(self, diagram: DynkinA, vertices: tuple[KRFactor, ...],
-                 arrows: tuple[Arrow, ...], was_refactorized: bool) -> None:
-        self.diagram, self.vertices, self.arrows = diagram, vertices, arrows
-        self.was_refactorized = was_refactorized
-        size = len(vertices)
-        # The arrow (t, h) as the integer key t * V + h.
-        self._keys = {t * size + h for t, h, _ in arrows}
+                 keys: list[int], was_refactorized: bool) -> None:
+        self.diagram, self.vertices, self.was_refactorized = diagram, vertices, was_refactorized
+        # The arrow (t, h) as the integer key t * V + h; build_graph sorts them.
+        self._keys = set(keys)
         # out[v] and into[v] list v's heads and tails, ascending for sorted
-        # arrows.  They stay lists: a tuple per vertex, freed with every
+        # keys.  They stay lists: a tuple per vertex, freed with every
         # graph, piles up in CPython's tuple free lists and raises peak RSS.
         out: list[list[int]] = [[] for _ in vertices]
         into: list[list[int]] = [[] for _ in vertices]
-        for t, h, _ in arrows:
+        # tuple.__new__ makes each Arrow in C, without the namedtuple's
+        # Python-level constructor.  The arrows are listed before the tuple is
+        # made: a tuple made from an iterator grows step by step, and in the
+        # tree-verdicts benchmark that raised peak RSS by about 1 MB.
+        arrows = []
+        for t, h in map(divmod, keys, repeat(len(vertices))):
             out[t].append(h)
             into[h].append(t)
-        self.out, self.into = tuple(out), tuple(into)
+            arrows.append(tuple.__new__(
+                Arrow, (t, h, vertices[t].exponent - vertices[h].exponent)))
+        self.arrows, self.out, self.into = tuple(arrows), tuple(out), tuple(into)
         # One walk per graph, shared by classify and is_tree.
         self._components = self.components()
 
@@ -188,12 +193,12 @@ def build_graph(factors, diagram: DynkinA) -> QFactGraph:
     factor, that is four strict rises from head to tail, the tail's first
     coordinate at least 2 below the head's last and its second at most 2n
     above the head's third: integer comparisons, with no set and no call per
-    pair.  Arrows are sorted as the keys t * V + h and made in that order.
+    pair.  The graph is made from the arrows' keys t * V + h, sorted.
     """
-    factors = list(factors)
-    for f in factors:
-        diagram.check_node(f.color)
     vertices, refactorized = normalize(factors)
+    # normalize keeps the colors and sorts by color first: the ends hold both extremes.
+    for f in vertices[:1] + vertices[-1:]:
+        diagram.check_node(f.color)
     n, size = diagram.n, len(vertices)
     runs, examined = [], 0
     for run in _overlaps(vertices, lambda f: (f.exponent - f.weight, f.exponent - 1),
@@ -217,15 +222,9 @@ def build_graph(factors, diagram: DynkinA) -> QFactGraph:
                 ah, bh, ch, dh = coords[h]
                 if ah < av and bh < bv and bv - two_n <= ch < cv and av + 2 <= dh < dv:
                     keys.append(v * size + h)
-    # Sorted arrows keep every neighbor list sorted (see decision._first_simple_cut).
+    # Sorted keys keep every neighbor list sorted (see decision._first_simple_cut).
     keys.sort()
-    # tuple.__new__ makes each Arrow in C, without the namedtuple's Python-level
-    # constructor.  The arrows are listed before the tuple is made: a tuple
-    # made from an iterator grows step by step, and in the tree-verdicts
-    # benchmark that raised peak RSS by about 1 MB.
-    arrows = tuple([tuple.__new__(Arrow, (t, h, vertices[t].exponent - vertices[h].exponent))
-                    for t, h in map(divmod, keys, repeat(size))])
-    return QFactGraph(diagram, vertices, arrows, refactorized)
+    return QFactGraph(diagram, vertices, keys, refactorized)
 
 
 def classify(g: QFactGraph) -> ShapeClass:

@@ -367,14 +367,16 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path, argv):
         proc.stderr.close()
 
 
+class Full(io.StringIO):
+    """A stream on a full device: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 def test_full_or_missing_stdout_in_process(capsys, monkeypatch, tmp_path):
     'a stdout that refuses writes, or none at all, is an output error with exit 1'
     path = write_input(tmp_path, 3, COSUBPT)
-
-    class Full(io.StringIO):
-        def write(self, text):
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
     for stdout, message in ((Full(), "output error: [Errno 28] "),
                             (None, "output error: stdout is closed\n")):
         monkeypatch.setattr(sys, "stdout", stdout)
@@ -382,6 +384,27 @@ def test_full_or_missing_stdout_in_process(capsys, monkeypatch, tmp_path):
                                                    "--r", "1", "--j", "1", "--s", "1"]):
             assert main(argv) == 1, argv
             assert message in capsys.readouterr().err, argv
+
+
+def test_closed_or_failing_stderr_in_process(capsys, monkeypatch, tmp_path):
+    'an error message that stderr refuses, or no stderr at all, changes neither stdout nor exit 1'
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"rank": 2, "factors": [')
+    argv = ["prime", str(bad)]
+    monkeypatch.setattr(sys, "stderr", None)
+    assert main(argv) == 1
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as stderr:
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert main(argv) == 1
+        stderr.write("the flush at exit succeeds\n")
+        stderr.flush()
+        assert os.path.samestat(os.fstat(write), os.stat(os.devnull))
+
+    monkeypatch.setattr(sys, "stderr", Full())  # in memory: no descriptor to point
+    assert main(argv) == 1
+    assert capsys.readouterr().out == ""
 
 
 def run_redirected(tmp_path, redirect, argv, unbuffered=""):

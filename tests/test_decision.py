@@ -587,7 +587,7 @@ def test_is_real():
 
 
 def test_empty_graph_is_refused():
-    empty = QFactGraph(A2, (), (), False)
+    empty = QFactGraph(A2, (), [], False)
     with pytest.raises(ValueError, match="primality of an empty graph"):
         is_prime(empty)
     with pytest.raises(ValueError, match="reality of an empty graph"):

@@ -182,6 +182,26 @@ def test_build_graph_validates_colors():
         build_graph([KRFactor(4, 0, 1)], DynkinA(3))
 
 
+def test_build_graph_checks_colors_in_constant_calls(monkeypatch):
+    'the build checks only the least and greatest color; one bad color anywhere still raises'
+    calls = Counter()
+    check_node = DynkinA.check_node
+
+    def counted(self, i):
+        calls["check_node"] += 1
+        return check_node(self, i)
+
+    monkeypatch.setattr(DynkinA, "check_node", counted)
+    diagram = DynkinA(50)
+    factors = [KRFactor(1 + k % 50, 100 * k, 1 + k % 3) for k in range(2000)]
+    g = build_graph(factors, diagram)
+    assert len(g) == 2000 and 1 <= calls["check_node"] <= 2
+    bad = KRFactor(51, 7, 1)
+    for at in (0, 1000, 2000):
+        with pytest.raises(ValueError, match="^node 51 out of range for rank 50$"):
+            build_graph(factors[:at] + [bad] + factors[at:], diagram)
+
+
 def test_classify_rejects_empty():
     g = build_graph([], DynkinA(2))
     with pytest.raises(ValueError):
