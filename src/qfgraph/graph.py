@@ -33,8 +33,8 @@ ShapeClass = namedtuple("ShapeClass", "tag components line_order", defaults=(Non
 
 
 class QFactGraph:
-    __slots__ = ("diagram", "vertices", "arrows", "was_refactorized", "_keys",
-                 "out", "into", "_components")
+    __slots__ = ("diagram", "vertices", "was_refactorized", "_keys", "out",
+                 "into", "_components")
 
     def __init__(self, diagram: DynkinA, vertices: tuple[KRFactor, ...],
                  keys: list[int], was_refactorized: bool) -> None:
@@ -46,21 +46,20 @@ class QFactGraph:
         # graph, piles up in CPython's tuple free lists and raises peak RSS.
         out: list[list[int]] = [[] for _ in vertices]
         into: list[list[int]] = [[] for _ in vertices]
-        # tuple.__new__ makes each Arrow in C, without the namedtuple's
-        # Python-level constructor.  The arrows are listed before the tuple is
-        # made: a tuple made from an iterator grows step by step, and in the
-        # tree-verdicts benchmark that raised peak RSS by about 1 MB.
-        arrows = []
         for t, h in map(divmod, keys, repeat(len(vertices))):
             out[t].append(h)
             into[h].append(t)
-            arrows.append(tuple.__new__(
-                Arrow, (t, h, vertices[t].exponent - vertices[h].exponent)))
-        self.arrows, self.out, self.into = tuple(arrows), tuple(out), tuple(into)
+        self.out, self.into = tuple(out), tuple(into)
         # One walk per graph, shared by classify and is_tree.
         self._components = self.components()
 
     # -- basic queries ------------------------------------------------------
+
+    @property
+    def arrows(self) -> tuple[Arrow, ...]:
+        """The arrows in (tail, head) order with their gaps, made from `out` on each read."""
+        e = [f.exponent for f in self.vertices]
+        return tuple([Arrow(t, h, e[t] - e[h]) for t, heads in enumerate(self.out) for h in heads])
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -91,10 +90,10 @@ class QFactGraph:
     def is_tree(self) -> bool:
         """Connected with one arrow fewer than vertices.
 
-        Counting arrows counts edges: build_graph joins a pair only in the
+        Counting keys counts edges: build_graph joins a pair only in the
         direction of its positive exponent gap, so no pair is joined twice.
         """
-        return len(self.arrows) == len(self) - 1 and len(self._components) == 1
+        return len(self._keys) == len(self) - 1 and len(self._components) == 1
 
     def exponent_order(self) -> tuple[int, ...]:
         """Vertex ids by descending exponent, ties in id order."""
@@ -240,7 +239,7 @@ def classify(g: QFactGraph) -> ShapeClass:
     if n == 2:
         return ShapeClass(TWO_LINE, comps, g.exponent_order())
     if n == 3:
-        if len(g.arrows) == 3:
+        if len(g._keys) == 3:
             return ShapeClass(TRIANGLE, comps)
         middle = next(v for v in range(3) if len(g.out[v]) + len(g.into[v]) == 2)
         if len(g.out[middle]) == 1:  # one arrow in, one out

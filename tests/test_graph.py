@@ -123,6 +123,18 @@ def test_neighbor_lists_ascend_and_list_each_arrow_once():
     assert seen["two or more"] > 500, seen
 
 
+def test_graph_stores_no_arrow():
+    'the graph keeps its keys and neighbor lists; arrows are made from them on each read'
+    def holds_arrow(value):
+        return isinstance(value, Arrow) or isinstance(value, (tuple, list, set)) \
+            and any(map(holds_arrow, value))
+
+    for dg, factors in (cosubpt_factors(), cesubpt_factors(), newprimex_factors(2)):
+        g = build_graph(factors, dg)
+        assert not any(holds_arrow(getattr(g, name)) for name in type(g).__slots__)
+        assert g.arrows and g.arrows == g.arrows and g.arrows is not g.arrows
+
+
 def test_connected_subgraph_counts():
     'one connected subset per vertex, per edge, and per vertex with two neighbors'
     dg, factors = cosubpt_factors()
