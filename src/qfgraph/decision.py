@@ -244,22 +244,21 @@ def _tree_dual_pairs_simple(g: QFactGraph) -> bool:
     bounded by r + s + n - 1, so (dual of u) tensor v can be reducible only
     when e_v lies within r_u + s + n - 1 of that exponent: when u's window
     [e - 2n - r, e + r - 2] overlaps v's span [e - s, e + s] (see _overlaps).
-    Each vertex's dual is computed once.  The scan walks the partner runs in
-    order, stops at the first pair that is not simple, and refuses the input
-    with ValueError once it would examine more than graph.MAX_BUILD_PAIRS
-    such pairs.
+    Each vertex's dual is computed once.  The scan walks the pairs (u, v) of
+    each run (us, vs) in order, stops at the first pair that is not simple,
+    and refuses the input with ValueError once it would examine more than
+    graph.MAX_BUILD_PAIRS such pairs.
     """
     dg, vertices = g.diagram, g.vertices
     duals = [dual(f, dg) for f in vertices]
     budget = graph.MAX_BUILD_PAIRS
-    for w, side, ids in _overlaps(
+    for us, vs in _overlaps(
             vertices, lambda f: (f.exponent - 2 * dg.n - f.weight, f.exponent + f.weight - 2),
             lambda f: (f.exponent - f.weight, f.exponent + f.weight)):
-        for x in ids:
+        for u, v in itertools.product(us, vs):
             budget -= 1
             if budget < 0:
                 raise _over_budget("dual pairs")
-            u, v = (x, w) if side else (w, x)
             if v != u and not g.adjacent(u, v) and \
                     not dual_pair_simple(duals[u], vertices[v], dg):
                 return False

@@ -149,10 +149,10 @@ def _overlaps(factors, left, right):
     class, and an interval's partners are one bisect slice of the other
     side: O(V log V + K) for K pairs, whatever the weights.
 
-    Yields, lazily, (a, 0, bs) for each left interval and (b, 1, as_) for
-    each right one that has partners: side 0 pairs a with each of bs, side 1
-    each of as_ with b.  Expanded in order, the runs give every pair exactly
-    once.
+    Yields, lazily, a run (lefts, rights) of id tuples for each interval that
+    has partners: ((a,), bs) for a left interval a, (as_, (b,)) for a right
+    one b.  Each (left id, right id) of a run's product is a pair, and
+    expanded in order, the runs give every pair exactly once.
     """
     classes: tuple[list, list] = ([], [])
     for v, f in enumerate(factors):
@@ -165,11 +165,11 @@ def _overlaps(factors, left, right):
         for lo, hi, a in lefts:
             bs = rids[bisect_left(rstarts, lo):bisect_right(rstarts, hi)]
             if bs:
-                yield a, 0, bs
+                yield (a,), bs
         for lo, hi, b in rights:
             as_ = lids[bisect_right(lstarts, lo):bisect_right(lstarts, hi)]
             if as_:
-                yield b, 1, as_
+                yield as_, (b,)
 
 
 def build_graph(factors, diagram: DynkinA) -> QFactGraph:
@@ -200,27 +200,22 @@ def build_graph(factors, diagram: DynkinA) -> QFactGraph:
         diagram.check_node(f.color)
     n, size = diagram.n, len(vertices)
     runs, examined = [], 0
-    for run in _overlaps(vertices, lambda f: (f.exponent - f.weight, f.exponent - 1),
-                         lambda f: (f.exponent, f.exponent + f.weight + n - 1)):
-        examined += len(run[2])
+    for tails, heads in _overlaps(vertices, lambda f: (f.exponent - f.weight, f.exponent - 1),
+                                  lambda f: (f.exponent, f.exponent + f.weight + n - 1)):
+        examined += len(tails) * len(heads)
         if examined > MAX_BUILD_PAIRS:
             raise ValueError(f"the graph build would examine more than "
                              f"{MAX_BUILD_PAIRS} vertex pairs")
-        runs.append(run)
+        runs.append((tails, heads))
     coords = [(e - r - i, e - r + i, e + r - i, e + r + i) for i, e, r in vertices]
     two_n, keys = 2 * n, []
-    for v, side, ids in runs:
-        av, bv, cv, dv = coords[v]
-        if side:  # v is the head of each pair
-            for t in ids:
-                at, bt, ct, dt = coords[t]
-                if av < at <= dv - 2 and bv < bt <= cv + two_n and cv < ct and dv < dt:
-                    keys.append(t * size + v)
-        else:  # v is the tail
-            for h in ids:
+    for tails, heads in runs:
+        for t in tails:
+            at, bt, ct, dt = coords[t]
+            for h in heads:
                 ah, bh, ch, dh = coords[h]
-                if ah < av and bh < bv and bv - two_n <= ch < cv and av + 2 <= dh < dv:
-                    keys.append(v * size + h)
+                if ah < at <= dh - 2 and bh < bt <= ch + two_n and ch < ct and dh < dt:
+                    keys.append(t * size + h)
     # Sorted keys keep every neighbor list sorted (see decision._first_simple_cut).
     keys.sort()
     return QFactGraph(diagram, vertices, keys, refactorized)

@@ -5,8 +5,8 @@ import pytest
 
 @pytest.fixture
 def count_window_ids(monkeypatch):
-    """Install, on a module that imports _overlaps, a counter of the partner
-    ids its runs give out; returns the Counter."""
+    """Install, on a module that imports _overlaps, a counter of the pairs
+    its (lefts, rights) runs give out; returns the Counter."""
 
     def install(module) -> Counter:
         examined = Counter()
@@ -14,7 +14,7 @@ def count_window_ids(monkeypatch):
 
         def counting(*args):
             for run in overlaps(*args):
-                examined["pairs"] += len(run[2])
+                examined["pairs"] += len(run[0]) * len(run[1])
                 yield run
 
         monkeypatch.setattr(module, "_overlaps", counting)

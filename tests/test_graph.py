@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter, namedtuple
 from math import comb
@@ -372,8 +373,9 @@ def test_overlaps_matches_all_pairs_oracle():
         factors = [Member(rng.randint(1, 6), rng.randint(-40, 40) * 2 + rng.choice(parities),
                           2, random_interval(rng, starts), random_interval(rng, starts))
                    for _ in range(rng.randint(0, 12))]
-        got = [(v, x) if side == 0 else (x, v) for v, side, ids in
-               _overlaps(factors, lambda f: f.left, lambda f: f.right) for x in ids]
+        runs = list(_overlaps(factors, lambda f: f.left, lambda f: f.right))
+        assert all(sorted(map(len, run))[0] == 1 for run in runs), runs
+        got = [(a, b) for lefts, rights in runs for a in lefts for b in rights]
         want = [(a, b) for a, fa in enumerate(factors) for b, fb in enumerate(factors)
                 if (fa.exponent + fa.weight + fa.color) % 2
                 == (fb.exponent + fb.weight + fb.color) % 2
@@ -393,3 +395,39 @@ def test_overlaps_matches_all_pairs_oracle():
     for key in ("no factor", "one class empty", "both classes", "equal starts",
                 "single point pair", "negative pair", "end 10^9"):
         assert seen[key] > 50, (key, seen)
+
+
+def test_every_arrow_boundary_of_two_factors_in_both_orders():
+    """Each two-factor input at ranks 1-4, weights 1-3 and gaps from
+    -(r + s + n + 1) to r + s + n + 1, in both input orders, has one arrow
+    exactly when the gap lies in r_set in its direction, and none otherwise.
+
+    Every end of every r_set is reached, and one step past it on both sides,
+    so each of the build's six comparisons meets its boundary from both
+    sides, as tail and as head.  Two loosenings cannot be told apart by any
+    input: within a parity class the tail's first coordinate minus the head's
+    last, and its second minus the head's third, are even, so `at <= dh - 2`
+    and `at <= dh - 1` agree, and so do `bt <= ch + 2n` and `bt <= ch + 2n + 1`.
+    """
+    builds = Counter()
+    for n in range(1, 5):
+        diagram = DynkinA(n)
+        for i, j in itertools.product(range(1, n + 1), repeat=2):
+            for r, s in itertools.product(range(1, 4), repeat=2):
+                reach = r + s + n + 1
+                for m in range(-reach, reach + 1):
+                    u, v = KRFactor(i, m, r), KRFactor(j, 0, s)
+                    if m > 0 and m in r_set(diagram, i, r, j, s):
+                        want = {(u.label(), v.label(), m)}
+                    elif m < 0 and -m in r_set(diagram, j, s, i, r):
+                        want = {(v.label(), u.label(), -m)}
+                    else:
+                        want = set()
+                    for factors in ([u, v], [v, u]):
+                        g = build_graph(factors, diagram)
+                        if g.was_refactorized:
+                            builds["re-factorized"] += 1
+                            continue
+                        assert arrow_set(g) == want, (n, factors)
+                        builds["arrow" if want else "none"] += 1
+    assert builds == {"arrow": 1300, "none": 7680, "re-factorized": 560}, builds
